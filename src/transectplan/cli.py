@@ -39,7 +39,6 @@ from .planners import (
     plan_markov,
     rollout,
 )
-from .metrics import evaluate
 from .transect import RobotConfig, TransectGrid, enumerate_configs
 
 EXIT_CODES = {
@@ -236,7 +235,6 @@ def plan_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var, mean,
     if policy == "markov":
         pol = plan_markov(grid, h, robots)
         path = rollout(pol, x0)
-        rec = evaluate(path, h, "markov", plan_seconds=pol.plan_seconds)
         value, seconds = pol.value(0, x0), pol.plan_seconds
     else:
         if policy == "exact":

@@ -243,6 +243,25 @@ def gaussian_entropy(cov: np.ndarray) -> float:
     return 0.5 * (n * LOG_2PI_E + logdet_from_factor(L))
 
 
+def minor_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Entropies of the principal minors ``cov[idx[j]][:, idx[j]]``, one per
+    row of the (m, k) index array, from one stacked Cholesky factorization.
+
+    A stack that is not positive definite, or whose factor reaches
+    DIAG_FLOOR, is redone minor by minor through :func:`gaussian_entropy`,
+    so the jitter ladder and the SingularCovariance check still apply.
+    """
+    idx = np.asarray(idx)
+    minors = cov[idx[:, :, None], idx[:, None, :]]
+    try:
+        d = np.diagonal(np.linalg.cholesky(minors), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        d = None
+    if d is None or np.any(d < DIAG_FLOOR):
+        return np.array([gaussian_entropy(s) for s in minors])
+    return 0.5 * (idx.shape[1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=1))
+
+
 def conditional_entropy(
     targets: Sequence[Location],
     obs_locs: Sequence[Location],

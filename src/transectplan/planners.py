@@ -2,7 +2,9 @@
 
 All four planners maximize entropy-flavored objectives over the same action
 space (the team's destination rows in the next column) and break ties toward
-the lexicographically smallest action. They differ in what they condition on:
+the lexicographically smallest action; the greedy planners and the exhaustive
+search count scores within TIE_RTOL of the best as tied. They differ in what
+they condition on:
 
 * ``plan_markov`` keeps only the current column in the conditioning set,
   which buys a backward-induction solution over per-stage tables;
@@ -26,17 +28,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import BudgetExceeded, GridTooLarge, InvalidArity, SingularCovariance
+from .errors import BudgetExceeded, GridTooLarge, InvalidArity
 from .gp import (
-    DIAG_FLOOR,
     LOG_2PI_E,
     MAX_DENSE_CELLS,
     Hyperparams,
     chol_factor,
     conditional_entropy,
     cov_matrix,
-    cross_cov,
     gaussian_entropy,
+    minor_entropies,
+    posterior_cov,
 )
 from .transect import (
     Location,
@@ -48,6 +50,11 @@ from .transect import (
 )
 
 DEFAULT_BUDGET = 10_000_000
+
+# Scores within this relative distance of the best are tied. The scores are
+# entropies, or differences of entropies of a few nats whose rounding does not
+# shrink with the difference, so the distance is relative to at least one nat.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,12 +90,16 @@ class MarkovPolicy:
 
 @dataclass(frozen=True)
 class PlanResult:
-    """A planned path, its joint-entropy value, and the planning wall time."""
+    """A planned path, its joint-entropy value, and the planning wall time.
+
+    The exact planner also fills ``stage_gains``, the conditional entropy
+    gained at each column after the start."""
 
     policy_kind: str
     path: ObservationPath
     value: float
     plan_seconds: float
+    stage_gains: tuple[float, ...] = ()
 
 
 def path_entropy(path: ObservationPath, h: Hyperparams) -> float:
@@ -172,38 +183,14 @@ def rollout(policy: MarkovPolicy, x0: RobotConfig) -> ObservationPath:
     return ObservationPath(policy.grid, tuple(configs))
 
 
-class _IncrementalFactor:
-    """Cholesky factor of the covariance over a growing location stack.
+def _tie_tol(best: float) -> float:
+    return TIE_RTOL * max(abs(best), 1.0)
 
-    Supports pushing a block of locations (returning the log-diagonal sum of
-    the new factor rows, i.e. half the conditional log-determinant) and
-    popping it again, which is all a depth-first search needs.
-    """
 
-    def __init__(self, h: Hyperparams, widths: tuple[float, float], capacity: int):
-        self._L = np.zeros((capacity, capacity))
-        self._locs: list[Location] = []
-        self._h = h
-        self._widths = widths
-
-    def push(self, locs: tuple[Location, ...]) -> float:
-        n, k = len(self._locs), len(locs)
-        block = cov_matrix(locs, self._h, self._widths)
-        if n:
-            c = cross_cov(self._locs, locs, self._h, self._widths)
-            w = solve_triangular(self._L[:n, :n], c, lower=True, check_finite=False)
-            block -= w.T @ w
-            self._L[n : n + k, :n] = w.T
-        ls = chol_factor(block)
-        d = np.diag(ls)
-        if np.any(d < DIAG_FLOOR):
-            raise SingularCovariance("conditional variance collapsed during search")
-        self._L[n : n + k, n : n + k] = ls
-        self._locs.extend(locs)
-        return float(np.sum(np.log(d)))
-
-    def pop(self, k: int) -> None:
-        del self._locs[len(self._locs) - k :]
+def _first_best(scores: np.ndarray) -> int:
+    """Index of the first score tied with the maximum."""
+    best = scores.max()
+    return int(np.argmax(scores >= best - _tie_tol(best)))
 
 
 def _exhaustive(
@@ -212,10 +199,11 @@ def _exhaustive(
     k: int,
     history: list[RobotConfig],
     budget: int,
-    want_path: bool,
-) -> tuple[float, list[RobotConfig] | None]:
+) -> tuple[float, tuple[RobotConfig, ...], tuple[float, ...]]:
     """Max over all completions of ``history`` of the summed conditional
-    entropies with full-history conditioning; optionally the argmax path."""
+    entropies with full-history conditioning, the lexicographically first
+    completion attaining it under TIE_RTOL, and that completion's per-column
+    gains."""
     configs = enumerate_configs(grid, k)
     m = len(configs)
     remaining = grid.n_cols - len(history)
@@ -224,39 +212,31 @@ def _exhaustive(
         raise BudgetExceeded(
             f"{m}^{remaining} = {leaves} leaf evaluations exceed the budget {budget}"
         )
-
-    factor = _IncrementalFactor(h, grid.widths, capacity=k * grid.n_cols)
+    history_locs: list[Location] = []
     for col, cfg in enumerate(history):
         if cfg.k != k:
             raise InvalidArity(f"history configuration {cfg} is not {k}-robot")
-        factor.push(config_locations(cfg, col))
-
-    half_const = 0.5 * k * LOG_2PI_E
-    best_val = -np.inf
-    best_seq: list[RobotConfig] | None = None
-    seq: list[RobotConfig] = []
-    last_col = grid.n_cols - 1
-
-    def descend(col: int, acc: float) -> None:
-        nonlocal best_val, best_seq
-        if col == last_col:
-            if acc > best_val:
-                best_val = acc
-                best_seq = list(seq) if want_path else None
-            return
-        for a in configs:
-            gain = half_const + factor.push(config_locations(a, col + 1))
-            seq.append(a)
-            descend(col + 1, acc + gain)
-            seq.pop()
-            factor.pop(k)
-
-    start_col = len(history) - 1
+        history_locs.extend(config_locations(cfg, col))
     if remaining == 0:
-        best_val, best_seq = 0.0, []
-    else:
-        descend(start_col, 0.0)
-    return float(best_val), best_seq
+        return 0.0, (), ()
+
+    idx = np.array([c.rows for c in configs])
+    last_col = grid.n_cols - 1
+    best = None
+
+    def descend(col: int, acc: float, locs: list[Location], seq: tuple, gains: tuple):
+        nonlocal best
+        column = [Location(col + 1, r) for r in range(grid.n_rows)]
+        scores = minor_entropies(posterior_cov(column, locs, h, grid.widths), idx)
+        for a, gain in zip(configs, scores.tolist()):
+            if col + 1 < last_col:
+                locs_a = locs + list(config_locations(a, col + 1))
+                descend(col + 1, acc + gain, locs_a, seq + (a,), gains + (gain,))
+            elif best is None or acc + gain > best[0] + _tie_tol(best[0]):
+                best = (acc + gain, seq + (a,), gains + (gain,))
+
+    descend(len(history) - 1, 0.0, history_locs, (), ())
+    return best
 
 
 def plan_exact(
@@ -270,15 +250,16 @@ def plan_exact(
 
     Maximizes the summed full-history conditional entropies, which equals
     the joint path entropy given the start. Refuses to start when the leaf
-    count |A|^(n_cols - 1) exceeds ``budget``. Ties resolve to the
-    lexicographically smallest action sequence because enumeration is
-    lexicographic and only strict improvements replace the incumbent.
+    count |A|^(n_cols - 1) exceeds ``budget``. Enumeration is lexicographic
+    and a later sequence replaces the incumbent only when it is better by
+    more than TIE_RTOL, so ties resolve to the lexicographically smallest
+    action sequence. The result's ``stage_gains`` are the path's per-column
+    gains.
     """
     t0 = time.perf_counter()
-    value, seq = _exhaustive(grid, h, k, [x0], budget, want_path=True)
-    assert seq is not None
+    value, seq, gains = _exhaustive(grid, h, k, [x0], budget)
     path = ObservationPath(grid, (x0, *seq))
-    return PlanResult("exact", path, value, time.perf_counter() - t0)
+    return PlanResult("exact", path, value, time.perf_counter() - t0, gains)
 
 
 def exact_value_given_history(
@@ -289,9 +270,8 @@ def exact_value_given_history(
     budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Optimal remaining value after already walking ``history`` from
-    column 0. Used to audit the Markov tables stage by stage."""
-    value, _ = _exhaustive(grid, h, k, list(history), budget, want_path=False)
-    return value
+    column 0."""
+    return _exhaustive(grid, h, k, list(history), budget)[0]
 
 
 def _greedy(
@@ -314,25 +294,26 @@ def _greedy(
             )
         universe = grid.locations()
 
+    idx = np.array([c.rows for c in configs])
     chosen = [x0]
     visited = list(config_locations(x0, 0))
-    for col in range(grid.n_cols - 1):
-        best_score, best_cfg = -np.inf, None
-        for a in configs:
-            cand = list(config_locations(a, col + 1))
-            if kind == "greedy-ent":
-                score = conditional_entropy(cand, visited, h, widths)
-            else:
-                taken = set(visited) | set(cand)
-                rest = [u for u in universe if u not in taken]
-                # empty remainder degrades the second term to the prior entropy
-                score = conditional_entropy(cand, visited, h, widths) - (
-                    conditional_entropy(cand, rest, h, widths)
-                )
-            if score > best_score:
-                best_score, best_cfg = score, a
-        chosen.append(best_cfg)
-        visited.extend(config_locations(best_cfg, col + 1))
+    for col in range(1, grid.n_cols):
+        column = [Location(col, r) for r in range(grid.n_rows)]
+        scores = minor_entropies(posterior_cov(column, visited, h, widths), idx)
+        if kind == "greedy-mi":
+            # Given every other unvisited cell the column has covariance S,
+            # and H[A | rest of the column] = k log(2 pi e) - entropy of the
+            # A-minor of S^-1. An empty remainder leaves S the prior.
+            seen = set(visited) | set(column)
+            others = [u for u in universe if u not in seen]
+            factor = chol_factor(posterior_cov(column, others, h, widths))
+            w = solve_triangular(
+                factor, np.eye(grid.n_rows), lower=True, check_finite=False
+            )
+            scores -= k * LOG_2PI_E - minor_entropies(w.T @ w, idx)
+        best = configs[_first_best(scores)]
+        chosen.append(best)
+        visited.extend(config_locations(best, col))
 
     path = ObservationPath(grid, tuple(chosen))
     return PlanResult(kind, path, path_entropy(path, h), time.perf_counter() - t0)

@@ -340,6 +340,17 @@ def test_cli_plan_policies_agree_on_schema(tmp_path):
     assert values["greedy-mi"] <= values["exact"] + 1e-9
 
 
+def test_cli_plan_markov_start_on_full_coverage_team(tmp_path):
+    # three robots on three rows leave no cell unobserved; planning needs no
+    # map metric, so the markov rollout must still be reported
+    out = tmp_path / "full.csv"
+    assert run_cli(["synth", "--rows", 3, "--cols", 8, "--out", out]).exit_code == 0
+    res = run_cli(["plan", "--field", out, "--policy", "markov", "-k", 3,
+                   "--start", "0,1,2"])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[-1] == "path=" + "|".join(["0,1,2"] * 8)
+
+
 def test_cli_plan_flag_overrides_sidecar(tmp_path):
     field = synth_field(tmp_path)
     base = run_cli(["plan", "--field", field, "--policy", "exact", "--start", "0"])

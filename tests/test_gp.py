@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from transectplan import (
     posterior_mean,
     sample_prior_field,
 )
-from transectplan.gp import chol_factor, logdet_from_factor
+from transectplan.gp import chol_factor, logdet_from_factor, minor_entropies
 
 from oracles import (
     oracle_cond_entropy,
@@ -253,6 +254,32 @@ def test_jitter_rescues_rank_deficient():
     cov = v @ v.T  # exactly singular PSD
     L = chol_factor(cov + 1e-13 * np.eye(2))
     assert np.isfinite(L).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_minor_entropies_match_slogdet_oracle(k):
+    rng = np.random.default_rng(40 + k)
+    a = rng.normal(size=(5, 5))
+    cov = a @ a.T + 0.5 * np.eye(5)
+    idx = np.array(list(itertools.combinations(range(5), k)))
+    want = [oracle_entropy(cov[np.ix_(r, r)]) for r in idx]
+    np.testing.assert_allclose(minor_entropies(cov, idx), want, rtol=1e-11)
+
+
+def test_minor_entropies_jitter_one_minor():
+    # cells 0 and 1 coincide without noise: that minor needs the jitter
+    # ladder, the others factor as they are
+    cov = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    idx = np.array([[0, 1], [0, 2], [1, 2]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov[:2, :2])
+    want = [gaussian_entropy(cov[np.ix_(r, r)]) for r in idx]
+    np.testing.assert_array_equal(minor_entropies(cov, idx), want)
+
+
+def test_minor_entropies_collapsed_minor_raises():
+    with pytest.raises(SingularCovariance):
+        minor_entropies(np.diag([1.0, 1e-310]), np.array([[0], [1]]))
 
 
 # ------------------------------------------------------ conditional entropy

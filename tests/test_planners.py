@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from transectplan import (
     BudgetExceeded,
@@ -243,6 +245,7 @@ def test_exact_value_given_history_prefix_consistency():
             cov_matrix(prefix_locs, H, g.widths)
         ) - gaussian_entropy(cov_matrix(start_locs, H, g.widths))
         assert prefix_gain + tail_best == pytest.approx(res.value, abs=1e-9)
+        assert sum(res.stage_gains[cut - 1 :]) == pytest.approx(tail_best, abs=1e-9)
 
 
 # ---------------------------------------------------------- greedy planners
@@ -336,3 +339,52 @@ def test_planners_deterministic_across_calls():
         b = planner(g, H, 1, x0)
         assert a.path.configs == b.path.configs
         assert a.value == b.value
+
+
+# ------------------------------------------------------------- mirror ties
+
+
+def mirror(cfg, n_rows):
+    return RobotConfig(tuple(sorted(n_rows - 1 - r for r in cfg.rows)))
+
+
+def assert_first_move_not_after_mirror(planner, g, h, k, x0):
+    # reflecting the rows maps the instance onto itself, so a move and its
+    # mirror score the same up to rounding and the smaller one must win
+    assert mirror(x0, g.n_rows) == x0
+    first = planner(g, h, k, x0).path.configs[1]
+    assert first.rows <= mirror(first, g.n_rows).rows
+
+
+@pytest.mark.parametrize(
+    "planner, g, h, k, x0",
+    [
+        (plan_greedy_mi, TransectGrid(3, 6, 5.0, 5.0),
+         Hyperparams(10.0, 5.0, 1.0, 0.1), 1, RobotConfig((1,))),
+        (plan_greedy_entropy, TransectGrid(5, 10, 5.0, 5.0),
+         Hyperparams(40.45, 16.0, 0.1542, 0.0036), 2, RobotConfig((0, 4))),
+    ],
+)
+def test_mirror_tie_rounding_cases(planner, g, h, k, x0):
+    assert_first_move_not_after_mirror(planner, g, h, k, x0)
+
+
+@pytest.mark.filterwarnings("ignore:transect grids are expected")
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(2, 6),
+    cols=st.integers(2, 4),
+    k=st.integers(1, 2),
+    ell1=st.floats(1.0, 20.0),
+    ell2=st.floats(1.0, 20.0),
+    noise=st.floats(0.001, 1.0),
+    data=st.data(),
+)
+def test_mirror_tie_takes_lex_smaller_first_move(rows, cols, k, ell1, ell2, noise, data):
+    g = TransectGrid(rows, cols, 5.0, 5.0)
+    h = Hyperparams(ell1, ell2, 1.0, noise)
+    starts = [c for c in enumerate_configs(g, k) if mirror(c, rows) == c]
+    assume(starts)
+    x0 = data.draw(st.sampled_from(starts))
+    for planner in (plan_greedy_entropy, plan_greedy_mi, plan_exact):
+        assert_first_move_not_after_mirror(planner, g, h, k, x0)
