@@ -28,7 +28,7 @@ Repeated rows with noise_var == 0 are rejected as singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -303,6 +303,29 @@ def cond_mutual_info(
     return value
 
 
+def _kron_eigen(
+    grid: TransectGrid, h: Hyperparams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenfactors of the whole grid's prior covariance.
+
+    On a regular grid the squared-exponential kernel separates, so over the
+    column-major cell order the covariance is
+    signal_var * kron(K_col, K_row) + noise_var * I with unit-variance
+    along-track (C x C) and across-track (R x R) factors. Returns ``(q_c, q_r,
+    var)`` with ``kron(q_c, q_r) @ diag(var.ravel()) @ kron(q_c, q_r).T``
+    equal to that covariance; ``var`` has shape (C, R). Eigenvalues that
+    rounding pushes below zero are clipped to zero.
+    """
+    unit = replace(h, signal_var=1.0)
+    cols = _as_int_array([Location(c, 0) for c in range(grid.n_cols)])
+    rows = _as_int_array([Location(0, r) for r in range(grid.n_rows)])
+    lam_c, q_c = np.linalg.eigh(_signal_gram(cols, cols, unit, grid.widths))
+    lam_r, q_r = np.linalg.eigh(_signal_gram(rows, rows, unit, grid.widths))
+    lam_c, lam_r = np.clip(lam_c, 0.0, None), np.clip(lam_r, 0.0, None)
+    var = h.signal_var * np.outer(lam_c, lam_r) + h.noise_var
+    return q_c, q_r, var
+
+
 def sample_prior_field(
     grid: TransectGrid,
     h: Hyperparams,
@@ -311,17 +334,21 @@ def sample_prior_field(
 ) -> np.ndarray:
     """Draw one exact field realization over the whole grid.
 
-    Builds the full covariance over all cells and pushes standard normals
-    through its triangular factor, so draws carry the exact joint law rather
-    than an approximation. Deterministic for a given seed. The dense factor
-    limits the grid to MAX_DENSE_CELLS cells.
+    The covariance over all cells is signal_var * kron(K_col, K_row) +
+    noise_var * I (see :func:`_kron_eigen`), so standard normals scaled by
+    the square roots of its eigenvalues and rotated by the two 1-D
+    eigenbases carry the exact joint law. That costs one C x C and one R x R
+    eigendecomposition, O(C^3 + R^3), instead of a dense factor of the
+    (R*C) x (R*C) covariance. Eigenvalues that rounding makes slightly
+    negative are clipped to zero, so an ill-conditioned or noise-free
+    covariance still draws. Deterministic for a given seed. Grids beyond
+    MAX_DENSE_CELLS cells are refused.
     """
     n = grid.n_rows * grid.n_cols
     if n > MAX_DENSE_CELLS:
         raise GridTooLarge(f"{n} cells exceeds the dense limit {MAX_DENSE_CELLS}")
-    locs = grid.locations()
-    L = chol_factor(cov_matrix(locs, h, grid.widths))
+    q_c, q_r, var = _kron_eigen(grid, h)
     rng = np.random.default_rng(seed)
-    z = mean + L @ rng.standard_normal(n)
-    # locations() is column-major, so unflatten to (n_cols, n_rows) first
-    return z.reshape(grid.n_cols, grid.n_rows).T.copy()
+    # cells are column-major, so e has one row per grid column
+    e = rng.standard_normal(n).reshape(grid.n_cols, grid.n_rows)
+    return mean + q_r @ (np.sqrt(var) * e).T @ q_c.T

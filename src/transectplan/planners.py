@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -75,10 +76,14 @@ class MarkovPolicy:
     actions: np.ndarray = field(compare=False)
     plan_seconds: float = field(compare=False, default=0.0)
 
+    @cached_property
+    def _positions(self) -> dict[RobotConfig, int]:
+        return {x: j for j, x in enumerate(self.configs)}
+
     def _index(self, x: RobotConfig) -> int:
         try:
-            return self.configs.index(x)
-        except ValueError:
+            return self._positions[x]
+        except KeyError:
             raise InvalidArity(f"{x} is not a {self.k}-robot configuration here")
 
     def value(self, stage: int, x: RobotConfig) -> float:

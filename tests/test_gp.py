@@ -22,7 +22,13 @@ from transectplan import (
     posterior_mean,
     sample_prior_field,
 )
-from transectplan.gp import chol_factor, logdet_from_factor, minor_entropies
+from transectplan.gp import (
+    MAX_DENSE_CELLS,
+    _kron_eigen,
+    chol_factor,
+    logdet_from_factor,
+    minor_entropies,
+)
 
 from oracles import (
     oracle_cond_entropy,
@@ -389,6 +395,50 @@ def test_sample_prior_field_covariance_monte_carlo():
         for j in range(3):
             se = math.sqrt((want[i, i] * want[j, j] + want[i, j] ** 2) / n)
             assert abs(emp[i, j] - want[i, j]) <= 3.0 * se
+
+
+@pytest.mark.parametrize(
+    "grid, h",
+    [
+        # non-square cells and ell1 != ell2: a swapped axis shows up
+        (TransectGrid(3, 7, 4.0, 2.5), Hyperparams(9.0, 3.0, 2.5, 0.0)),
+        (grid_5x8(), H),
+        # survey length-scales without noise: condition number about 4e17
+        (TransectGrid(5, 30, 5.0, 5.0), Hyperparams(40.45, 16.0, 0.1542, 0.0)),
+    ],
+    ids=["anisotropic", "noisy", "survey-noise-free"],
+)
+def test_kron_eigen_rebuilds_grid_covariance(grid, h):
+    q_c, q_r, var = _kron_eigen(grid, h)
+    assert var.shape == (grid.n_cols, grid.n_rows)
+    assert var.min() >= h.noise_var
+    q = np.kron(q_c, q_r)
+    want = cov_matrix(grid.locations(), h, grid.widths)
+    np.testing.assert_allclose(
+        q @ np.diag(var.ravel()) @ q.T, want, rtol=0.0, atol=1e-12 * h.signal_var
+    )
+
+
+def test_sample_prior_field_draws_the_grid_covariance():
+    # A draw is mean + A e with e = default_rng(seed).standard_normal(n), so
+    # n seeds recover the linear map A, and A A^T is the law of every draw.
+    grid = TransectGrid(3, 7, 4.0, 2.5)
+    h = Hyperparams(9.0, 3.0, 2.5, 0.3)
+    n = grid.n_rows * grid.n_cols
+    e = np.array([np.random.default_rng(s).standard_normal(n) for s in range(n)])
+    z = np.array(
+        [sample_prior_field(grid, h, seed=s, mean=1.5).T.ravel() - 1.5 for s in range(n)]
+    )
+    a = np.linalg.solve(e, z).T
+    want = cov_matrix(grid.locations(), h, grid.widths)
+    np.testing.assert_allclose(a @ a.T, want, rtol=0.0, atol=1e-10 * h.signal_var)
+
+
+def test_sample_prior_field_at_cell_cap():
+    grid = TransectGrid(5, MAX_DENSE_CELLS // 5, 5.0, 5.0)
+    z = sample_prior_field(grid, Hyperparams(40.45, 16.0, 0.1542, 0.0036), seed=0)
+    assert z.shape == (5, MAX_DENSE_CELLS // 5)
+    assert np.isfinite(z).all()
 
 
 def test_sample_prior_field_grid_guard():

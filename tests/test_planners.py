@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from transectplan import (
     BudgetExceeded,
     Hyperparams,
+    InvalidArity,
     RobotConfig,
     TransectGrid,
     conditional_entropy,
@@ -163,6 +164,21 @@ def test_markov_deterministic():
     b = plan_markov(g, H, k=2)
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.actions, b.actions)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [RobotConfig((1,)), RobotConfig((0, 1, 2)), RobotConfig((0, 4)), RobotConfig((4, 7))],
+    ids=["k1", "k3", "row-off-grid", "rows-off-grid"],
+)
+def test_markov_policy_rejects_foreign_configuration(x):
+    pol = plan_markov(small_grid(4, 6), H, k=2)
+    with pytest.raises(InvalidArity):
+        pol.value(0, x)
+    with pytest.raises(InvalidArity):
+        pol.action(0, x)
+    with pytest.raises(InvalidArity):
+        rollout(pol, x)
 
 
 # ------------------------------------------------------------ exact planner
