@@ -8,13 +8,12 @@ two greedy planners pick one column at a time. Run:
 """
 
 from transectplan import (
+    POLICIES,
     Hyperparams,
     TransectGrid,
     enumerate_configs,
     path_entropy,
-    plan_exact,
-    plan_greedy_entropy,
-    plan_greedy_mi,
+    plan,
     plan_markov,
     robot_tracks,
     rollout,
@@ -40,14 +39,13 @@ executed = rollout(policy, x0)
 print(f"dp rollout        value {path_entropy(executed, h):.4f}"
       f"   (stagewise table says {policy.value(0, x0):.4f}, an upper bound)")
 
-for plan in (
-    plan_exact(grid, h, k, x0),
-    plan_greedy_entropy(grid, h, k, x0),
-    plan_greedy_mi(grid, h, k, x0),
-):
-    rows = "|".join(",".join(str(r) for r in c.rows) for c in plan.path.configs)
-    print(f"{plan.policy_kind:<12} value {plan.value:.4f}"
-          f"   {plan.plan_seconds * 1e3:6.1f}ms   rows {rows}")
+for policy in POLICIES:
+    if policy == "markov":
+        continue
+    res = plan(policy, grid, h, k, x0)
+    rows = "|".join(",".join(str(r) for r in c.rows) for c in res.path.configs)
+    print(f"{res.policy_kind:<12} value {res.value:.4f}"
+          f"   {res.plan_seconds * 1e3:6.1f}ms   rows {rows}")
 
 print("\nrobot tracks for the dp rollout (row per robot, column per stage):")
 for rid, track in enumerate(robot_tracks(executed)):

@@ -16,17 +16,11 @@ from .errors import ParseError
 from .gp import Hyperparams, sample_prior_field
 from .fieldio import fmt
 from .metrics import EvalRecord, evaluate, metric_diff
-from .planners import (
-    DEFAULT_BUDGET,
-    plan_exact,
-    plan_greedy_entropy,
-    plan_greedy_mi,
-    plan_markov,
-    rollout,
-)
+from .planners import DEFAULT_BUDGET, POLICIES, plan, plan_markov, rollout
 from .transect import RobotConfig, TransectGrid, enumerate_configs
 
-POLICIES = ("markov", "exact", "greedy-ent", "greedy-mi")
+# the exhaustive search is exponentially priced, so it runs only on request
+DEFAULT_POLICIES = tuple(p for p in POLICIES if p != "exact")
 START_MODES = ("all", "adversarial-worst", "explicit")
 
 CSV_COLUMNS = (
@@ -55,7 +49,7 @@ class ExperimentSpec:
     omega2: float
     h: Hyperparams
     team_sizes: tuple[int, ...] = (1,)
-    policies: tuple[str, ...] = ("markov", "greedy-ent", "greedy-mi")
+    policies: tuple[str, ...] = DEFAULT_POLICIES
     seeds: tuple[int, ...] = (0,)
     start_mode: str = "all"
     starts: tuple[RobotConfig, ...] = ()
@@ -100,12 +94,7 @@ def _records_for(
             )
         return out
     for x0 in starts:
-        if policy == "exact":
-            res = plan_exact(grid, h, k, x0, budget=budget)
-        elif policy == "greedy-ent":
-            res = plan_greedy_entropy(grid, h, k, x0)
-        else:
-            res = plan_greedy_mi(grid, h, k, x0)
+        res = plan(policy, grid, h, k, x0, budget=budget)
         out[x0] = (
             evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
             res.plan_seconds,

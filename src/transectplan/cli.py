@@ -31,14 +31,7 @@ from .errors import (
 )
 from .fieldio import FieldBundle, fmt, read_field, sha256_of, write_field
 from .gp import MAX_DENSE_CELLS, Hyperparams, sample_prior_field
-from .planners import (
-    DEFAULT_BUDGET,
-    plan_exact,
-    plan_greedy_entropy,
-    plan_greedy_mi,
-    plan_markov,
-    rollout,
-)
+from .planners import DEFAULT_BUDGET, POLICIES, plan, plan_markov
 from .transect import RobotConfig, TransectGrid, enumerate_configs
 
 EXIT_CODES = {
@@ -192,8 +185,7 @@ def instance_options(fn):
 
 @main.command(name="plan")
 @instance_options
-@click.option("--policy", type=click.Choice(["markov", "exact", "greedy-ent", "greedy-mi"]),
-              required=True)
+@click.option("--policy", type=click.Choice(POLICIES), required=True)
 @click.option("--robots", "-k", type=int, default=1, show_default=True)
 @click.option("--start", type=str, default=None,
               help="Start rows, comma separated, e.g. 0,3. Optional for markov.")
@@ -232,22 +224,11 @@ def plan_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var, mean,
         return
 
     x0 = _require(x0, f"policy {policy} needs --start")
-    if policy == "markov":
-        pol = plan_markov(grid, h, robots)
-        path = rollout(pol, x0)
-        value, seconds = pol.value(0, x0), pol.plan_seconds
-    else:
-        if policy == "exact":
-            res = plan_exact(grid, h, robots, x0, budget=budget)
-        elif policy == "greedy-ent":
-            res = plan_greedy_entropy(grid, h, robots, x0)
-        else:
-            res = plan_greedy_mi(grid, h, robots, x0)
-        path, value, seconds = res.path, res.value, res.plan_seconds
+    res = plan(policy, grid, h, robots, x0, budget=budget)
     lines.append(f"start={x0}")
-    lines.append(f"value={fmt(value)}")
-    lines.append(f"plan_seconds={fmt(seconds)}")
-    lines.append("path=" + "|".join(str(c) for c in path.configs))
+    lines.append(f"value={fmt(res.value)}")
+    lines.append(f"plan_seconds={fmt(res.plan_seconds)}")
+    lines.append("path=" + "|".join(str(c) for c in res.path.configs))
     _emit(lines, out)
 
 
@@ -330,7 +311,7 @@ def bounds_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var, mean,
 @click.option("--mean", type=float, default=10.0, show_default=True)
 @click.option("--robots", "-k", type=str, default="1", show_default=True,
               help="Team sizes, comma separated.")
-@click.option("--policies", type=str, default="markov,greedy-ent,greedy-mi",
+@click.option("--policies", type=str, default=",".join(bench_mod.DEFAULT_POLICIES),
               show_default=True)
 @click.option("--seeds", type=str, default="0", show_default=True)
 @click.option("--mode", type=click.Choice(list(bench_mod.START_MODES)), default="all",

@@ -54,4 +54,4 @@ class MismatchedInstances(TransectPlanError):
 
 
 class ParseError(TransectPlanError):
-    """A field file, sidecar file, or CLI value could not be parsed."""
+    """A field file, sidecar file, CLI value, or policy name could not be parsed."""

@@ -95,12 +95,7 @@ def covariance(
     the same number of columns or rows leaves the value unchanged. The noise
     term contributes exactly when ``u == v``.
     """
-    d1 = (u.col - v.col) * widths[0] / h.ell1
-    d2 = (u.row - v.row) * widths[1] / h.ell2
-    val = h.signal_var * float(np.exp(-0.5 * (d1 * d1 + d2 * d2)))
-    if u == v:
-        val += h.noise_var
-    return val
+    return float(cross_cov([u], [v], h, widths)[0, 0])
 
 
 def cov_matrix(
@@ -126,9 +121,10 @@ def cross_cov(
 ) -> np.ndarray:
     """Covariance block between two location lists.
 
-    Entry (i, j) equals ``covariance(rows[i], cols[j])``: the noise term
-    appears wherever the two cells coincide, which makes a conditioning set
-    containing the target cell pin the target exactly.
+    Entry (i, j) is the squared-exponential signal covariance of the cells
+    ``rows[i]`` and ``cols[j]``, plus the noise variance wherever the two
+    cells coincide, which makes a conditioning set containing the target
+    cell pin the target exactly.
     """
     ra, ca = _as_int_array(rows), _as_int_array(cols)
     m = _signal_gram(ra, ca, h, widths)

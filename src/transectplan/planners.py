@@ -2,9 +2,9 @@
 
 All four planners maximize entropy-flavored objectives over the same action
 space (the team's destination rows in the next column) and break ties toward
-the lexicographically smallest action; the greedy planners and the exhaustive
-search count scores within TIE_RTOL of the best as tied. They differ in what
-they condition on:
+the lexicographically smallest action, counting scores within TIE_RTOL of the
+best as tied. ``plan`` runs any of them by its name in ``POLICIES``. They
+differ in what they condition on:
 
 * ``plan_markov`` keeps only the current column in the conditioning set,
   which buys a backward-induction solution over per-stage tables;
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import BudgetExceeded, GridTooLarge, InvalidArity
+from .errors import BudgetExceeded, GridTooLarge, InvalidArity, ParseError
 from .gp import (
     LOG_2PI_E,
     MAX_DENSE_CELLS,
@@ -51,6 +51,8 @@ from .transect import (
 )
 
 DEFAULT_BUDGET = 10_000_000
+
+POLICIES = ("markov", "exact", "greedy-ent", "greedy-mi")
 
 # Scores within this relative distance of the best are tied. The scores are
 # entropies, or differences of entropies of a few nats whose rounding does not
@@ -149,7 +151,8 @@ def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
     Solves value(i, x) = max_a H[a at column i+1 | x at column i] +
     value(i+1, a) for every stage and configuration. One stage-entropy table
     serves all stages, so the sweep costs |A|^2 per stage on top of the
-    |A|^2 entropy evaluations. Deterministic; ties go to the smallest action.
+    |A|^2 entropy evaluations. Deterministic; ties within TIE_RTOL go to the
+    smallest action.
     """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
@@ -161,11 +164,9 @@ def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
     actions = np.zeros((stages, m), dtype=np.int64)
     vnext = np.zeros(m)
     for i in range(stages - 1, -1, -1):
-        # candidate scores for all (x, a) at once; argmax returns the first
-        # maximizer, which is the lexicographically smallest action
         scores = table + vnext[None, :]
-        actions[i] = np.argmax(scores, axis=1)
-        values[i] = scores[np.arange(m), actions[i]]
+        actions[i] = _first_best(scores)
+        values[i] = scores.max(axis=1)
         vnext = values[i]
     return MarkovPolicy(
         grid=grid,
@@ -188,14 +189,14 @@ def rollout(policy: MarkovPolicy, x0: RobotConfig) -> ObservationPath:
     return ObservationPath(policy.grid, tuple(configs))
 
 
-def _tie_tol(best: float) -> float:
-    return TIE_RTOL * max(abs(best), 1.0)
+def _tie_tol(best):
+    return TIE_RTOL * np.maximum(np.abs(best), 1.0)
 
 
-def _first_best(scores: np.ndarray) -> int:
-    """Index of the first score tied with the maximum."""
-    best = scores.max()
-    return int(np.argmax(scores >= best - _tie_tol(best)))
+def _first_best(scores: np.ndarray) -> np.ndarray:
+    """Index of the first score tied with the maximum along the last axis."""
+    best = scores.max(axis=-1, keepdims=True)
+    return np.argmax(scores >= best - _tie_tol(best), axis=-1)
 
 
 def _exhaustive(
@@ -219,8 +220,8 @@ def _exhaustive(
         )
     history_locs: list[Location] = []
     for col, cfg in enumerate(history):
-        if cfg.k != k:
-            raise InvalidArity(f"history configuration {cfg} is not {k}-robot")
+        if cfg not in configs:
+            raise InvalidArity(f"history {cfg} is not a {k}-robot configuration here")
         history_locs.extend(config_locations(cfg, col))
     if remaining == 0:
         return 0.0, (), ()
@@ -347,3 +348,29 @@ def plan_greedy_mi(
     guard. The reported value is the path's joint entropy.
     """
     return _greedy(grid, h, k, x0, "greedy-mi")
+
+
+def plan(
+    policy: str,
+    grid: TransectGrid,
+    h: Hyperparams,
+    k: int,
+    x0: RobotConfig,
+    budget: int = DEFAULT_BUDGET,
+) -> PlanResult:
+    """Plan from ``x0`` with the planner named ``policy``, one of POLICIES.
+
+    ``budget`` caps the exhaustive search only. The markov result is the
+    rollout from ``x0`` valued by the policy's stagewise value, with the
+    whole table's planning time.
+    """
+    if policy == "markov":
+        pol = plan_markov(grid, h, k)
+        return PlanResult(policy, rollout(pol, x0), pol.value(0, x0), pol.plan_seconds)
+    if policy == "exact":
+        return plan_exact(grid, h, k, x0, budget=budget)
+    if policy == "greedy-ent":
+        return plan_greedy_entropy(grid, h, k, x0)
+    if policy == "greedy-mi":
+        return plan_greedy_mi(grid, h, k, x0)
+    raise ParseError(f"unknown policy {policy!r}; choose from {POLICIES}")

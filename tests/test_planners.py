@@ -1,12 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from transectplan import (
+    POLICIES,
     BudgetExceeded,
     Hyperparams,
     InvalidArity,
+    ParseError,
     RobotConfig,
     TransectGrid,
     conditional_entropy,
@@ -14,6 +18,7 @@ from transectplan import (
     enumerate_configs,
     gaussian_entropy,
     path_entropy,
+    plan,
     plan_exact,
     plan_greedy_entropy,
     plan_greedy_mi,
@@ -339,9 +344,63 @@ def test_greedy_mi_tie_takes_lex_smallest():
     assert tuple(c.rows for c in res.path.configs[1:]) == ((0,), (0,), (0,))
 
 
+def test_exact_refuses_off_grid_history():
+    g = TransectGrid(4, 8, 5.0, 5.0)
+    with pytest.raises(InvalidArity):
+        exact_value_given_history(g, H, 1, [RobotConfig((6,)), RobotConfig((1,))])
+    with pytest.raises(InvalidArity):
+        exact_value_given_history(g, H, 1, [RobotConfig((1,)), RobotConfig((4,))])
+    with pytest.raises(InvalidArity):
+        exact_value_given_history(g, H, 1, [RobotConfig((1,)), RobotConfig((0, 2))])
+    with pytest.raises(InvalidArity):
+        plan_exact(g, H, 1, RobotConfig((6,)))
+
+
+# ------------------------------------------------------------ plan front end
+
+
+def direct_call(policy, g, h, k, x0):
+    if policy == "markov":
+        pol = plan_markov(g, h, k)
+        return "markov", rollout(pol, x0), pol.value(0, x0)
+    planner = {
+        "exact": plan_exact,
+        "greedy-ent": plan_greedy_entropy,
+        "greedy-mi": plan_greedy_mi,
+    }[policy]
+    res = planner(g, h, k, x0)
+    return res.policy_kind, res.path, res.value
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("k, x0", [(1, RobotConfig((2,))), (2, RobotConfig((0, 3)))])
+def test_plan_matches_direct_call(policy, k, x0):
+    g = small_grid(4, 5)
+    res = plan(policy, g, H, k, x0)
+    kind, path, value = direct_call(policy, g, H, k, x0)
+    assert res.policy_kind == kind == policy
+    assert res.path.configs == path.configs
+    assert res.value == value
+
+
+def test_plan_passes_budget_to_exact_only():
+    g = small_grid(3, 4)
+    with pytest.raises(BudgetExceeded):
+        plan("exact", g, H, 1, RobotConfig((0,)), budget=26)
+    for policy in ("markov", "greedy-ent", "greedy-mi"):
+        assert plan(policy, g, H, 1, RobotConfig((0,)), budget=1).policy_kind == policy
+
+
+@pytest.mark.parametrize("policy", ["", "greedy", "Markov", "greedy_mi", "exact "])
+def test_plan_refuses_unknown_policy(policy):
+    with pytest.raises(ParseError, match="unknown policy"):
+        plan(policy, small_grid(3, 4), H, 1, RobotConfig((0,)))
+
+
 def test_planner_kinds_labelled():
     g = small_grid(3, 4)
     x0 = RobotConfig((0,))
+    assert plan("markov", g, H, 1, x0).policy_kind == "markov"
     assert plan_exact(g, H, 1, x0).policy_kind == "exact"
     assert plan_greedy_entropy(g, H, 1, x0).policy_kind == "greedy-ent"
     assert plan_greedy_mi(g, H, 1, x0).policy_kind == "greedy-mi"
@@ -379,6 +438,8 @@ def assert_first_move_not_after_mirror(planner, g, h, k, x0):
          Hyperparams(10.0, 5.0, 1.0, 0.1), 1, RobotConfig((1,))),
         (plan_greedy_entropy, TransectGrid(5, 10, 5.0, 5.0),
          Hyperparams(40.45, 16.0, 0.1542, 0.0036), 2, RobotConfig((0, 4))),
+        (functools.partial(plan, "markov"), TransectGrid(3, 5, 5.0, 5.0),
+         Hyperparams(40.45, 16.0, 0.1542, 0.0036), 2, RobotConfig((0, 2))),
     ],
 )
 def test_mirror_tie_rounding_cases(planner, g, h, k, x0):
@@ -402,5 +463,10 @@ def test_mirror_tie_takes_lex_smaller_first_move(rows, cols, k, ell1, ell2, nois
     starts = [c for c in enumerate_configs(g, k) if mirror(c, rows) == c]
     assume(starts)
     x0 = data.draw(st.sampled_from(starts))
-    for planner in (plan_greedy_entropy, plan_greedy_mi, plan_exact):
+    for planner in (
+        functools.partial(plan, "markov"),
+        plan_greedy_entropy,
+        plan_greedy_mi,
+        plan_exact,
+    ):
         assert_first_move_not_after_mirror(planner, g, h, k, x0)
