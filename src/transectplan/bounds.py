@@ -133,6 +133,13 @@ def team_mi_bound(i: int, k: int, p: BoundParams) -> float:
     )
 
 
+def _stage_bound(i: int, team_size: int, p: BoundParams) -> float:
+    """The single-robot stage bound, or the team bound for larger teams."""
+    if team_size == 1:
+        return stage_mi_bound(i, p)
+    return team_mi_bound(i, team_size, p)
+
+
 def variance_reduction_bound(i: int, p: BoundParams) -> float:
     """Ceiling on how much the history beyond the preceding column can still
     shrink the predictive variance of the next observation, in field units
@@ -158,13 +165,8 @@ def suboptimality_bound(
     """
     if not 0 <= i <= horizon:
         raise ValueError(f"stage {i} outside [0, {horizon}]")
-    if team_size == 1:
-        per_stage = [stage_mi_bound(s, p) for s in range(i, horizon + 1)]
-        last = stage_mi_bound(horizon, p)
-    else:
-        per_stage = [team_mi_bound(s, team_size, p) for s in range(i, horizon + 1)]
-        last = team_mi_bound(horizon, team_size, p)
-    return float(sum(per_stage)), float((horizon - i + 1) * last)
+    per_stage = [_stage_bound(s, team_size, p) for s in range(i, horizon + 1)]
+    return float(sum(per_stage)), float((horizon - i + 1) * per_stage[-1])
 
 
 @dataclass(frozen=True)
@@ -275,10 +277,7 @@ def bound_report(
     stage = np.full(horizon + 1, np.nan)
     for s in range(horizon + 1):
         try:
-            if team_size == 1:
-                stage[s] = stage_mi_bound(s, p)
-            else:
-                stage[s] = team_mi_bound(s, team_size, p)
+            stage[s] = _stage_bound(s, team_size, p)
         except ConditionViolated:
             # all later stages only tighten the condition, but keep looping
             # so the table shows exactly where validity ends

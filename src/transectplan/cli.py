@@ -64,6 +64,15 @@ def _parse_start(text: str) -> RobotConfig:
         raise ParseError(f"bad start {text!r}: {e}") from e
 
 
+def _checked(make, *args, **kwargs):
+    """Build a grid or hyperparameters from outside values, refusing the
+    ones they reject as malformed input."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ParseError(str(e)) from e
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -95,13 +104,16 @@ def _resolve_instance(
 
     grid = bundle.grid
     if grid is not None:
-        grid = replace(
+        grid = _checked(
+            replace,
             grid,
             omega1=pick(omega1, grid.omega1),
             omega2=pick(omega2, grid.omega2),
         )
     elif rows is not None and cols is not None:
-        grid = TransectGrid(rows, cols, pick(omega1, None, 1.0), pick(omega2, None, 1.0))
+        grid = _checked(
+            TransectGrid, rows, cols, pick(omega1, None, 1.0), pick(omega2, None, 1.0)
+        )
 
     base = bundle.h
     parts = {
@@ -112,7 +124,7 @@ def _resolve_instance(
     }
     h = None
     if all(v is not None for v in parts.values()):
-        h = Hyperparams(**parts)
+        h = _checked(Hyperparams, **parts)
 
     default_mean = None
     if grid is not None and grid.measurements is not None:
@@ -156,8 +168,8 @@ def main():
 @mapped_exits
 def synth(rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var, mean, seed, out):
     """Draw a synthetic field and write it with its sidecar."""
-    grid = TransectGrid(rows, cols, omega1, omega2)
-    h = Hyperparams(ell1, ell2, signal_var, noise_var)
+    grid = _checked(TransectGrid, rows, cols, omega1, omega2)
+    h = _checked(Hyperparams, ell1, ell2, signal_var, noise_var)
     z = sample_prior_field(grid, h, seed, mean=mean)
     write_field(out, replace(grid, measurements=z), h, mean, seed)
     click.echo(f"field={out}")
@@ -329,7 +341,7 @@ def bench_cmd(rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var, mea
         n_cols=cols,
         omega1=omega1,
         omega2=omega2,
-        h=Hyperparams(ell1, ell2, signal_var, noise_var),
+        h=_checked(Hyperparams, ell1, ell2, signal_var, noise_var),
         team_sizes=_parse_int_list(robots, "team sizes"),
         policies=tuple(policies.split(",")),
         seeds=_parse_int_list(seeds, "seeds"),

@@ -131,13 +131,16 @@ def read_field(field_path: str | Path) -> FieldBundle:
 
     meta_file = sidecar_path(field_path)
     if not meta_file.exists():
-        grid = TransectGrid(
-            n_rows=measurements.shape[0],
-            n_cols=measurements.shape[1],
-            omega1=1.0,
-            omega2=1.0,
-            measurements=measurements,
-        )
+        try:
+            grid = TransectGrid(
+                n_rows=measurements.shape[0],
+                n_cols=measurements.shape[1],
+                omega1=1.0,
+                omega2=1.0,
+                measurements=measurements,
+            )
+        except ValueError as e:
+            raise ParseError(f"{field_path}: {e}") from e
         return FieldBundle(grid, None, None, None)
 
     meta = _parse_meta(meta_file.read_text(), meta_file)

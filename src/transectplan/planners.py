@@ -8,8 +8,9 @@ differ in what they condition on:
 
 * ``plan_markov`` keeps only the current column in the conditioning set,
   which buys a backward-induction solution over per-stage tables;
-* ``plan_exact`` conditions every stage on the full history and enumerates
-  all action sequences, so it is the ground truth and exponentially priced;
+* ``plan_exact`` conditions every stage on the full history and searches
+  every action sequence from the start, depth first with an explicit stack,
+  so it is the ground truth and exponentially priced;
 * ``plan_greedy_entropy`` conditions on the full history but commits one
   stage at a time;
 * ``plan_greedy_mi`` greedily maximizes the mutual information between the
@@ -199,52 +200,6 @@ def _first_best(scores: np.ndarray) -> np.ndarray:
     return np.argmax(scores >= best - _tie_tol(best), axis=-1)
 
 
-def _exhaustive(
-    grid: TransectGrid,
-    h: Hyperparams,
-    k: int,
-    history: list[RobotConfig],
-    budget: int,
-) -> tuple[float, tuple[RobotConfig, ...], tuple[float, ...]]:
-    """Max over all completions of ``history`` of the summed conditional
-    entropies with full-history conditioning, the lexicographically first
-    completion attaining it under TIE_RTOL, and that completion's per-column
-    gains."""
-    configs = enumerate_configs(grid, k)
-    m = len(configs)
-    remaining = grid.n_cols - len(history)
-    leaves = m**remaining if remaining > 0 else 1
-    if leaves > budget:
-        raise BudgetExceeded(
-            f"{m}^{remaining} = {leaves} leaf evaluations exceed the budget {budget}"
-        )
-    history_locs: list[Location] = []
-    for col, cfg in enumerate(history):
-        if cfg not in configs:
-            raise InvalidArity(f"history {cfg} is not a {k}-robot configuration here")
-        history_locs.extend(config_locations(cfg, col))
-    if remaining == 0:
-        return 0.0, (), ()
-
-    idx = np.array([c.rows for c in configs])
-    last_col = grid.n_cols - 1
-    best = None
-
-    def descend(col: int, acc: float, locs: list[Location], seq: tuple, gains: tuple):
-        nonlocal best
-        column = [Location(col + 1, r) for r in range(grid.n_rows)]
-        scores = minor_entropies(posterior_cov(column, locs, h, grid.widths), idx)
-        for a, gain in zip(configs, scores.tolist()):
-            if col + 1 < last_col:
-                locs_a = locs + list(config_locations(a, col + 1))
-                descend(col + 1, acc + gain, locs_a, seq + (a,), gains + (gain,))
-            elif best is None or acc + gain > best[0] + _tie_tol(best[0]):
-                best = (acc + gain, seq + (a,), gains + (gain,))
-
-    descend(len(history) - 1, 0.0, history_locs, (), ())
-    return best
-
-
 def plan_exact(
     grid: TransectGrid,
     h: Hyperparams,
@@ -252,32 +207,50 @@ def plan_exact(
     x0: RobotConfig,
     budget: int = DEFAULT_BUDGET,
 ) -> PlanResult:
-    """Exhaustive depth-first search over all action sequences.
+    """Start-rooted, explicit-stack depth-first search; leaves in
+    lexicographic order.
 
     Maximizes the summed full-history conditional entropies, which equals
     the joint path entropy given the start. Refuses to start when the leaf
-    count |A|^(n_cols - 1) exceeds ``budget``. Enumeration is lexicographic
-    and a later sequence replaces the incumbent only when it is better by
-    more than TIE_RTOL, so ties resolve to the lexicographically smallest
-    action sequence. The result's ``stage_gains`` are the path's per-column
-    gains.
+    count |A|^(n_cols - 1) exceeds ``budget``, then when ``x0`` is not a
+    k-robot configuration of the grid. A later leaf replaces the incumbent
+    only when it is better by more than TIE_RTOL, so ties resolve to the
+    lexicographically smallest action sequence. The result's
+    ``stage_gains`` are the path's per-column gains.
     """
     t0 = time.perf_counter()
-    value, seq, gains = _exhaustive(grid, h, k, [x0], budget)
+    configs = enumerate_configs(grid, k)
+    m = len(configs)
+    stages = grid.n_cols - 1
+    leaves = m**stages
+    if leaves > budget:
+        raise BudgetExceeded(
+            f"{m}^{stages} = {leaves} leaf evaluations exceed the budget {budget}"
+        )
+    if x0 not in configs:
+        raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
+
+    idx = np.array([c.rows for c in configs])
+    best = None
+    # (column, cells observed through it, summed gains, moves, their gains)
+    stack = [(0, list(config_locations(x0, 0)), 0.0, (), ())]
+    while stack:
+        col, locs, acc, seq, gains = stack.pop()
+        column = [Location(col + 1, r) for r in range(grid.n_rows)]
+        scores = minor_entropies(posterior_cov(column, locs, h, grid.widths), idx)
+        children = list(zip(configs, scores.tolist()))
+        if col + 1 == stages:
+            for a, gain in children:
+                if best is None or acc + gain > best[0] + _tie_tol(best[0]):
+                    best = (acc + gain, seq + (a,), gains + (gain,))
+            continue
+        for a, gain in reversed(children):
+            locs_a = locs + list(config_locations(a, col + 1))
+            stack.append((col + 1, locs_a, acc + gain, seq + (a,), gains + (gain,)))
+
+    value, seq, gains = best
     path = ObservationPath(grid, (x0, *seq))
     return PlanResult("exact", path, value, time.perf_counter() - t0, gains)
-
-
-def exact_value_given_history(
-    grid: TransectGrid,
-    h: Hyperparams,
-    k: int,
-    history: list[RobotConfig],
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """Optimal remaining value after already walking ``history`` from
-    column 0."""
-    return _exhaustive(grid, h, k, list(history), budget)[0]
 
 
 def _greedy(

@@ -398,6 +398,35 @@ def test_cli_exit_code_parse_errors(tmp_path):
     assert res.exit_code == 3
 
 
+BAD_VALUES = {
+    "one-column-field": ["plan", "--field", "{one_col}", "--policy", "exact",
+                         "--start", "0", "--ell1", "1", "--ell2", "1",
+                         "--signal-var", "1", "--noise-var", "0.1"],
+    "synth-one-column": ["synth", "--rows", "2", "--cols", "1", "--out", "{out}"],
+    "bench-zero-signal": ["bench", "--rows", "2", "--cols", "4", "--ell1", "1",
+                          "--ell2", "1", "--signal-var", "0", "--noise-var", "0.1",
+                          "--out", "{out}"],
+    "bounds-negative-noise": ["bounds", "--rows", "2", "--cols", "4", "--ell1", "1",
+                              "--ell2", "1", "--signal-var", "1",
+                              "--noise-var", "-0.1"],
+    "plan-zero-omega1": ["plan", "--field", "{field}", "--policy", "exact",
+                         "--start", "0", "--omega1", "0"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_cli_rejected_values_exit_3_with_one_error_line(tmp_path, args):
+    one_col = tmp_path / "one.csv"
+    one_col.write_text("1.0\n2.0\n")
+    field = synth_field(tmp_path)
+    paths = {"one_col": one_col, "field": field, "out": tmp_path / "o.csv"}
+    res = run_cli([a.format(**paths) for a in args])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ")
+
+
 def test_cli_exit_code_budget(tmp_path):
     field = synth_field(tmp_path)
     res = run_cli([

@@ -1,4 +1,7 @@
 import functools
+import inspect
+import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +17,7 @@ from transectplan import (
     RobotConfig,
     TransectGrid,
     conditional_entropy,
-    cov_matrix,
     enumerate_configs,
-    gaussian_entropy,
     path_entropy,
     plan,
     plan_exact,
@@ -25,11 +26,13 @@ from transectplan import (
     plan_markov,
     rollout,
 )
-from transectplan.planners import exact_value_given_history, stage_entropy_table
+from transectplan.planners import stage_entropy_table
 from transectplan.transect import config_locations
 
 from oracles import (
     oracle_cond_entropy,
+    oracle_cov,
+    oracle_entropy,
     oracle_full_best,
     oracle_greedy_mi_scores,
     oracle_markov_best,
@@ -248,25 +251,37 @@ def test_markov_tie_breaks_lexicographically():
     assert tuple(c.rows for c in path.configs[1:]) == ((0,), (0,), (0,))
 
 
-def test_exact_value_given_history_prefix_consistency():
-    g = small_grid(3, 4)
-    x0 = RobotConfig((1,))
-    res = plan_exact(g, H, 1, x0)
-    # conditioning on the optimal prefix must reproduce the optimal value
-    for cut in range(1, g.n_cols):
-        prefix = res.path.configs[:cut]
-        tail_best = exact_value_given_history(g, H, 1, list(prefix))
-        prefix_locs = [
+def oracle_best_completion(grid, h, k, prefix):
+    """Best H[rest of the path | prefix] over every completion of
+    ``prefix``, by brute force with the dense oracle entropies."""
+    locs = [loc for col, cfg in enumerate(prefix) for loc in config_locations(cfg, col)]
+    h_prefix = oracle_entropy(oracle_cov(locs, h, grid.widths))
+    best = -np.inf
+    configs = enumerate_configs(grid, k)
+    for seq in itertools.product(configs, repeat=grid.n_cols - len(prefix)):
+        tail = [
             loc
-            for col, cfg in enumerate(prefix)
+            for col, cfg in enumerate(seq, start=len(prefix))
             for loc in config_locations(cfg, col)
         ]
-        start_locs = list(config_locations(x0, 0))
-        prefix_gain = gaussian_entropy(
-            cov_matrix(prefix_locs, H, g.widths)
-        ) - gaussian_entropy(cov_matrix(start_locs, H, g.widths))
-        assert prefix_gain + tail_best == pytest.approx(res.value, abs=1e-9)
+        joint = oracle_entropy(oracle_cov(locs + tail, h, grid.widths))
+        best = max(best, joint - h_prefix)
+    return best
+
+
+@pytest.mark.parametrize(
+    "r, c, k, start", [(3, 4, 1, (1,)), (4, 5, 2, (0, 2))], ids=["3x4-k1", "4x5-k2"]
+)
+def test_exact_stage_gains_satisfy_bellman(r, c, k, start):
+    # after every prefix of the optimal path, the gains still to come are
+    # the best completion of that prefix
+    g = small_grid(r, c)
+    res = plan_exact(g, H, k, RobotConfig(start))
+    for cut in range(1, g.n_cols):
+        tail_best = oracle_best_completion(g, H, k, res.path.configs[:cut])
         assert sum(res.stage_gains[cut - 1 :]) == pytest.approx(tail_best, abs=1e-9)
+        head = sum(res.stage_gains[: cut - 1])
+        assert head + tail_best == pytest.approx(res.value, abs=1e-9)
 
 
 # ---------------------------------------------------------- greedy planners
@@ -347,13 +362,23 @@ def test_greedy_mi_tie_takes_lex_smallest():
 def test_exact_refuses_off_grid_history():
     g = TransectGrid(4, 8, 5.0, 5.0)
     with pytest.raises(InvalidArity):
-        exact_value_given_history(g, H, 1, [RobotConfig((6,)), RobotConfig((1,))])
-    with pytest.raises(InvalidArity):
-        exact_value_given_history(g, H, 1, [RobotConfig((1,)), RobotConfig((4,))])
-    with pytest.raises(InvalidArity):
-        exact_value_given_history(g, H, 1, [RobotConfig((1,)), RobotConfig((0, 2))])
-    with pytest.raises(InvalidArity):
         plan_exact(g, H, 1, RobotConfig((6,)))
+    with pytest.raises(InvalidArity):
+        plan_exact(g, H, 1, RobotConfig((0, 2)))
+
+
+def test_exact_search_depth_outlasts_recursion_limit():
+    # one row forces the path; 149 stages must not need 149 stack frames
+    g = TransectGrid(1, 150, 5.0, 5.0)
+    x0 = RobotConfig((0,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        res = plan_exact(g, H, 1, x0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.path.configs == (x0,) * g.n_cols
+    assert res.value == pytest.approx(path_entropy(res.path, H), rel=1e-9)
 
 
 # ------------------------------------------------------------ plan front end
