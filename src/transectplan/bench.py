@@ -68,6 +68,8 @@ class ExperimentSpec:
             raise ParseError("explicit start mode needs at least one start")
         if not self.seeds:
             raise ParseError("at least one seed required")
+        if min(self.seeds) < 0:
+            raise ParseError(f"seeds must be non-negative, got {self.seeds}")
 
 
 def _records_for(
@@ -139,8 +141,12 @@ def _mean_row(rows: list[dict]) -> dict:
 
 def run_benchmark(spec: ExperimentSpec) -> list[dict]:
     """Run the whole grid of (seed, team size, policy, start) and return
-    flat rows ready for CSV serialization. Deterministic row order."""
-    base_grid = TransectGrid(spec.n_rows, spec.n_cols, spec.omega1, spec.omega2)
+    flat rows ready for CSV serialization. Deterministic row order. A grid
+    shape or cell width that TransectGrid rejects raises ParseError."""
+    try:
+        base_grid = TransectGrid(spec.n_rows, spec.n_cols, spec.omega1, spec.omega2)
+    except ValueError as e:
+        raise ParseError(f"bad benchmark grid: {e}") from e
     rows: list[dict] = []
     for seed in spec.seeds:
         z = sample_prior_field(base_grid, spec.h, seed, mean=spec.mean)

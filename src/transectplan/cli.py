@@ -170,6 +170,8 @@ def synth(rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var, mean, s
     """Draw a synthetic field and write it with its sidecar."""
     grid = _checked(TransectGrid, rows, cols, omega1, omega2)
     h = _checked(Hyperparams, ell1, ell2, signal_var, noise_var)
+    if seed < 0:
+        raise ParseError(f"seed must be non-negative, got {seed}")
     z = sample_prior_field(grid, h, seed, mean=mean)
     write_field(out, replace(grid, measurements=z), h, mean, seed)
     click.echo(f"field={out}")
@@ -263,9 +265,10 @@ def bounds_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var, mean,
     h = _require(h, "bounds need hyperparameters (sidecar or flags)")
     if grid is None:
         raise ParseError("bounds need --field or --rows/--cols")
+    # refuses a team size outside [1, rows] the way plan and bench do
+    n_configs = len(enumerate_configs(grid, robots))
     report = bound_report(h, grid.widths, grid.horizon, team_size=robots)
 
-    n_configs = len(enumerate_configs(grid, robots))
     leaves = n_configs ** (grid.n_cols - 1)
     can_audit = (
         report.condition_ok

@@ -145,10 +145,9 @@ def read_field(field_path: str | Path) -> FieldBundle:
 
     meta = _parse_meta(meta_file.read_text(), meta_file)
     try:
-        r, c = int(meta["rows"]), int(meta["cols"])
         grid = TransectGrid(
-            n_rows=r,
-            n_cols=c,
+            n_rows=int(meta["rows"]),
+            n_cols=int(meta["cols"]),
             omega1=float(meta["omega1"]),
             omega2=float(meta["omega2"]),
             measurements=measurements,
@@ -163,10 +162,6 @@ def read_field(field_path: str | Path) -> FieldBundle:
         seed = int(meta["seed"])
     except (KeyError, ValueError) as e:
         raise ParseError(f"{meta_file}: {e}") from e
-    if measurements.shape != (r, c):
-        raise ParseError(
-            f"{field_path}: data is {measurements.shape}, sidecar says ({r}, {c})"
-        )
     return FieldBundle(grid, h, mean, seed)
 
 

@@ -10,12 +10,15 @@ where (d1, d2) is the displacement between cell centers in meters and the
 noise term models independent measurement noise. Posterior means and
 covariances after conditioning on a set of noisy observations follow the
 usual Gaussian identities; all of them are evaluated through Cholesky
-factorizations, never through explicit inverses or determinants.
+factorizations and triangular solves, never through determinants.
 
 Numerical policy, applied uniformly:
 
 * factorization attempts escalate a diagonal jitter of 0, 1e-12, 1e-10 and
   1e-8 times the mean diagonal before giving up with FactorizationFailure;
+* the one explicit inverse, in :func:`rest_conditioned_entropies`, is the
+  triangular inverse of one such factor, and the inverse covariance is
+  formed from it as L^-T L^-1; nothing else inverts a matrix;
 * log-determinants come from the triangular factor, and a factor diagonal
   entry below 1e-150 raises SingularCovariance instead of overflowing the log;
 * entropies are reported in nats.
@@ -256,6 +259,20 @@ def minor_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if d is None or np.any(d < DIAG_FLOOR):
         return np.array([gaussian_entropy(s) for s in minors])
     return 0.5 * (idx.shape[1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=1))
+
+
+def rest_conditioned_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Entropy of the rows ``idx[j]`` of ``cov`` given all its other rows,
+    one per row of the (m, k) index array.
+
+    Given the rest, rows A have covariance ((cov^-1)_AA)^-1, so the entropy
+    is k log(2 pi e) minus the entropy of the A-minor of cov^-1. The inverse
+    comes from one jittered factor L as L^-T L^-1.
+    """
+    w = solve_triangular(
+        chol_factor(cov), np.eye(cov.shape[0]), lower=True, check_finite=False
+    )
+    return np.shape(idx)[1] * LOG_2PI_E - minor_entropies(w.T @ w, idx)
 
 
 def conditional_entropy(

@@ -16,31 +16,29 @@ differ in what they condition on:
 * ``plan_greedy_mi`` greedily maximizes the mutual information between the
   candidate observations and the rest of the grid.
 
-Values are reported in nats. For every planner the headline value of a
-concrete path is its joint conditional entropy given the start, so numbers
-are comparable across planners.
+Values are reported in nats. The exact and greedy planners report a path's
+joint entropy given the start; ``plan("markov", ...)`` reports the policy's
+stagewise value, which bounds that of every path from the start from above.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import BudgetExceeded, GridTooLarge, InvalidArity, ParseError
 from .gp import (
-    LOG_2PI_E,
     MAX_DENSE_CELLS,
     Hyperparams,
-    chol_factor,
     conditional_entropy,
     cov_matrix,
     gaussian_entropy,
     minor_entropies,
     posterior_cov,
+    rest_conditioned_entropies,
 )
 from .transect import (
     Location,
@@ -200,6 +198,13 @@ def _first_best(scores: np.ndarray) -> np.ndarray:
     return np.argmax(scores >= best - _tie_tol(best), axis=-1)
 
 
+def _column_entropies(grid, h, idx, col, observed) -> np.ndarray:
+    """The column step of every history planner: entropy of each row set
+    ``idx[j]`` of column ``col`` given the cells ``observed``."""
+    column = [Location(col, r) for r in range(grid.n_rows)]
+    return minor_entropies(posterior_cov(column, observed, h, grid.widths), idx)
+
+
 def plan_exact(
     grid: TransectGrid,
     h: Hyperparams,
@@ -236,8 +241,7 @@ def plan_exact(
     stack = [(0, list(config_locations(x0, 0)), 0.0, (), ())]
     while stack:
         col, locs, acc, seq, gains = stack.pop()
-        column = [Location(col + 1, r) for r in range(grid.n_rows)]
-        scores = minor_entropies(posterior_cov(column, locs, h, grid.widths), idx)
+        scores = _column_entropies(grid, h, idx, col + 1, locs)
         children = list(zip(configs, scores.tolist()))
         if col + 1 == stages:
             for a, gain in children:
@@ -253,44 +257,19 @@ def plan_exact(
     return PlanResult("exact", path, value, time.perf_counter() - t0, gains)
 
 
-def _greedy(
-    grid: TransectGrid,
-    h: Hyperparams,
-    k: int,
-    x0: RobotConfig,
-    kind: str,
-) -> PlanResult:
+def _greedy(grid, h, k, x0, kind: str, score) -> PlanResult:
+    """Commit, column by column, to the first best ``score(idx, col,
+    visited)`` over the configurations; ``kind`` only labels the result."""
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
     if x0 not in configs:
         raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
-    widths = grid.widths
-    if kind == "greedy-mi":
-        if grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
-            raise GridTooLarge(
-                "mutual-information scores condition on the whole grid; "
-                f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
-            )
-        universe = grid.locations()
 
     idx = np.array([c.rows for c in configs])
     chosen = [x0]
     visited = list(config_locations(x0, 0))
     for col in range(1, grid.n_cols):
-        column = [Location(col, r) for r in range(grid.n_rows)]
-        scores = minor_entropies(posterior_cov(column, visited, h, widths), idx)
-        if kind == "greedy-mi":
-            # Given every other unvisited cell the column has covariance S,
-            # and H[A | rest of the column] = k log(2 pi e) - entropy of the
-            # A-minor of S^-1. An empty remainder leaves S the prior.
-            seen = set(visited) | set(column)
-            others = [u for u in universe if u not in seen]
-            factor = chol_factor(posterior_cov(column, others, h, widths))
-            w = solve_triangular(
-                factor, np.eye(grid.n_rows), lower=True, check_finite=False
-            )
-            scores -= k * LOG_2PI_E - minor_entropies(w.T @ w, idx)
-        best = configs[_first_best(scores)]
+        best = configs[_first_best(score(idx, col, visited))]
         chosen.append(best)
         visited.extend(config_locations(best, col))
 
@@ -307,7 +286,7 @@ def plan_greedy_entropy(
     uncertain given everything sampled so far. The reported value is the
     resulting path's joint entropy, not the sum of greedy scores.
     """
-    return _greedy(grid, h, k, x0, "greedy-ent")
+    return _greedy(grid, h, k, x0, "greedy-ent", partial(_column_entropies, grid, h))
 
 
 def plan_greedy_mi(
@@ -320,7 +299,23 @@ def plan_greedy_mi(
     not yet sampled. Conditioning on the whole grid is dense, hence the cell
     guard. The reported value is the path's joint entropy.
     """
-    return _greedy(grid, h, k, x0, "greedy-mi")
+    if grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
+        raise GridTooLarge(
+            "mutual-information scores condition on the whole grid; "
+            f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
+        )
+    universe = grid.locations()
+
+    def score(idx, col, visited):
+        # the rest is the column's other rows plus every unvisited cell
+        seen = set(visited)
+        others = [u for u in universe if u.col != col and u not in seen]
+        column = [Location(col, r) for r in range(grid.n_rows)]
+        rest = posterior_cov(column, others, h, grid.widths)
+        given_visited = _column_entropies(grid, h, idx, col, visited)
+        return given_visited - rest_conditioned_entropies(rest, idx)
+
+    return _greedy(grid, h, k, x0, "greedy-mi", score)
 
 
 def plan(
@@ -334,8 +329,9 @@ def plan(
     """Plan from ``x0`` with the planner named ``policy``, one of POLICIES.
 
     ``budget`` caps the exhaustive search only. The markov result is the
-    rollout from ``x0`` valued by the policy's stagewise value, with the
-    whole table's planning time.
+    rollout from ``x0`` with the whole table's planning time, valued by the
+    policy's stagewise value: an upper bound on the joint entropy of any
+    path from ``x0``, not the rollout's own joint entropy.
     """
     if policy == "markov":
         pol = plan_markov(grid, h, k)

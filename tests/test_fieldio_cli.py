@@ -107,7 +107,7 @@ def test_read_field_sidecar_shape_mismatch(tmp_path):
     path, _ = make_field(tmp_path)
     meta = sidecar_path(path)
     meta.write_text(meta.read_text().replace("cols=6", "cols=7"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="does not match"):
         read_field(path)
 
 
@@ -177,6 +177,12 @@ def test_spec_validation():
         spec_of(start_mode="explicit", starts=())
     with pytest.raises(ParseError):
         spec_of(seeds=())
+    with pytest.raises(ParseError, match="non-negative"):
+        spec_of(seeds=(0, -1))
+    with pytest.raises(ParseError, match="n_cols >= 2"):
+        run_benchmark(spec_of(n_cols=1))
+    with pytest.raises(ParseError, match="cell widths"):
+        run_benchmark(spec_of(omega1=0.0))
 
 
 def test_benchmark_row_counts_all_mode():
@@ -411,6 +417,17 @@ BAD_VALUES = {
                               "--noise-var", "-0.1"],
     "plan-zero-omega1": ["plan", "--field", "{field}", "--policy", "exact",
                          "--start", "0", "--omega1", "0"],
+    "bench-one-column": ["bench", "--rows", "2", "--cols", "1", "--ell1", "1",
+                         "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
+                         "--out", "{out}"],
+    "bench-zero-omega1": ["bench", "--rows", "2", "--cols", "4", "--omega1", "0",
+                          "--ell1", "1", "--ell2", "1", "--signal-var", "1",
+                          "--noise-var", "0.1", "--out", "{out}"],
+    "synth-negative-seed": ["synth", "--rows", "2", "--cols", "4", "--seed", "-1",
+                            "--out", "{out}"],
+    "bench-negative-seed": ["bench", "--rows", "2", "--cols", "4", "--ell1", "1",
+                            "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
+                            "--seeds", "-1", "--out", "{out}"],
 }
 
 
@@ -425,6 +442,20 @@ def test_cli_rejected_values_exit_3_with_one_error_line(tmp_path, args):
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("error: ")
+
+
+def test_cli_zero_team_refused_alike_by_bounds_and_plan(tmp_path):
+    field = synth_field(tmp_path)
+    results = [
+        run_cli(["bounds", "--field", field, "-k", "0"]),
+        run_cli(["plan", "--field", field, "--policy", "exact", "--start", "0",
+                 "-k", "0"]),
+    ]
+    for res in results:
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: ")
+    assert results[0].exit_code == results[1].exit_code != 0
 
 
 def test_cli_exit_code_budget(tmp_path):

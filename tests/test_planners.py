@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from transectplan import (
     POLICIES,
     BudgetExceeded,
+    GridTooLarge,
     Hyperparams,
     InvalidArity,
     ParseError,
@@ -26,6 +27,7 @@ from transectplan import (
     plan_markov,
     rollout,
 )
+from transectplan.gp import MAX_DENSE_CELLS
 from transectplan.planners import stage_entropy_table
 from transectplan.transect import config_locations
 
@@ -365,6 +367,21 @@ def test_exact_refuses_off_grid_history():
         plan_exact(g, H, 1, RobotConfig((6,)))
     with pytest.raises(InvalidArity):
         plan_exact(g, H, 1, RobotConfig((0, 2)))
+
+
+@pytest.mark.parametrize("planner", [plan_greedy_entropy, plan_greedy_mi])
+def test_greedy_refuses_foreign_start(planner):
+    g = TransectGrid(4, 8, 5.0, 5.0)
+    with pytest.raises(InvalidArity):
+        planner(g, H, 1, RobotConfig((6,)))
+    with pytest.raises(InvalidArity):
+        planner(g, H, 1, RobotConfig((0, 2)))
+
+
+def test_greedy_mi_refuses_grid_past_dense_limit():
+    g = TransectGrid(1, MAX_DENSE_CELLS + 1, 5.0, 5.0)
+    with pytest.raises(GridTooLarge):
+        plan_greedy_mi(g, H, 1, RobotConfig((0,)))
 
 
 def test_exact_search_depth_outlasts_recursion_limit():
