@@ -9,6 +9,7 @@ the starts it serves.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -70,6 +71,8 @@ class ExperimentSpec:
             raise ParseError("at least one seed required")
         if min(self.seeds) < 0:
             raise ParseError(f"seeds must be non-negative, got {self.seeds}")
+        if not math.isfinite(self.mean):
+            raise ParseError(f"mean must be finite, got {self.mean}")
 
 
 def _records_for(

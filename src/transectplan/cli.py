@@ -12,16 +12,17 @@ package raises deliberately.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import bench as bench_mod
 from .bounds import bound_report, verify_performance_bounds
 from .errors import (
+    AnisotropyViolated,
     BudgetExceeded,
     ConditionViolated,
     FactorizationFailure,
@@ -37,6 +38,7 @@ from .transect import RobotConfig, TransectGrid, enumerate_configs
 EXIT_CODES = {
     ParseError: 3,
     ConditionViolated: 4,
+    AnisotropyViolated: 4,
     BudgetExceeded: 5,
     FactorizationFailure: 6,
 }
@@ -90,8 +92,7 @@ def _resolve_instance(
     ell2: float | None,
     signal_var: float | None,
     noise_var: float | None,
-    mean: float | None,
-) -> tuple[TransectGrid | None, Hyperparams | None, float | None]:
+) -> tuple[TransectGrid | None, Hyperparams | None]:
     """Apply the flag > sidecar > default precedence."""
     bundle = read_field(field) if field else FieldBundle(None, None, None, None)
 
@@ -125,11 +126,7 @@ def _resolve_instance(
     h = None
     if all(v is not None for v in parts.values()):
         h = _checked(Hyperparams, **parts)
-
-    default_mean = None
-    if grid is not None and grid.measurements is not None:
-        default_mean = float(np.mean(grid.measurements))
-    return grid, h, pick(mean, bundle.mean, default_mean)
+    return grid, h
 
 
 def _require(value, message: str):
@@ -172,6 +169,8 @@ def synth(rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var, mean, s
     h = _checked(Hyperparams, ell1, ell2, signal_var, noise_var)
     if seed < 0:
         raise ParseError(f"seed must be non-negative, got {seed}")
+    if not math.isfinite(mean):
+        raise ParseError(f"mean must be finite, got {mean}")
     z = sample_prior_field(grid, h, seed, mean=mean)
     write_field(out, replace(grid, measurements=z), h, mean, seed)
     click.echo(f"field={out}")
@@ -187,7 +186,6 @@ _shared_instance_options = [
     click.option("--ell2", type=float, default=None),
     click.option("--signal-var", type=float, default=None),
     click.option("--noise-var", type=float, default=None),
-    click.option("--mean", type=float, default=None),
 ]
 
 
@@ -206,11 +204,11 @@ def instance_options(fn):
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Report file (default stdout).")
 @mapped_exits
-def plan_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var, mean,
+def plan_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var,
              policy, robots, start, budget, out):
     """Plan an observation path on a field."""
-    grid, h, _ = _resolve_instance(
-        field, None, None, omega1, omega2, ell1, ell2, signal_var, noise_var, mean
+    grid, h = _resolve_instance(
+        field, None, None, omega1, omega2, ell1, ell2, signal_var, noise_var
     )
     grid = _require(grid, "plan needs --field")
     h = _require(h, "no sidecar hyperparameters; pass --ell1/--ell2/--signal-var/--noise-var")
@@ -256,11 +254,11 @@ def plan_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var, mean,
               help="Force or suppress the exhaustive audit (default: auto).")
 @click.option("--out", type=click.Path(), default=None)
 @mapped_exits
-def bounds_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var, mean,
+def bounds_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var,
                rows, cols, robots, budget, verify, out):
     """Print bound tables, auditing them on oracle-sized instances."""
-    grid, h, _ = _resolve_instance(
-        field, rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var, mean
+    grid, h = _resolve_instance(
+        field, rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var
     )
     h = _require(h, "bounds need hyperparameters (sidecar or flags)")
     if grid is None:

@@ -22,19 +22,6 @@ from .transect import TransectGrid
 #: Formatting used for every number written by this package.
 FLOAT_FMT = "%.17g"
 
-_META_KEYS = (
-    "rows",
-    "cols",
-    "omega1",
-    "omega2",
-    "ell1",
-    "ell2",
-    "signal_var",
-    "noise_var",
-    "mean",
-    "seed",
-)
-
 
 def fmt(value: float) -> str:
     """17-significant-digit rendering, enough to reproduce the double."""
@@ -82,9 +69,7 @@ def write_field(
         "mean": fmt(mean),
         "seed": str(seed),
     }
-    sidecar_path(field_path).write_text(
-        "".join(f"{k}={meta[k]}\n" for k in _META_KEYS)
-    )
+    sidecar_path(field_path).write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
 
 
 def _parse_meta(text: str, source: Path) -> dict[str, str]:
@@ -105,8 +90,8 @@ def read_field(field_path: str | Path) -> FieldBundle:
 
     Without a sidecar the bundle still carries the measured grid but no
     hyperparameters; cell widths then default to 1 and callers must supply
-    their own. Malformed numbers, ragged rows and bad sidecar lines raise
-    ParseError.
+    their own. Malformed or non-finite numbers, ragged rows and bad sidecar
+    lines raise ParseError.
     """
     field_path = Path(field_path)
     try:
@@ -128,6 +113,8 @@ def read_field(field_path: str | Path) -> FieldBundle:
     if any(len(r) != width for r in rows):
         raise ParseError(f"{field_path}: ragged rows")
     measurements = np.array(rows)
+    if not np.all(np.isfinite(measurements)):
+        raise ParseError(f"{field_path}: measurements must be finite")
 
     meta_file = sidecar_path(field_path)
     if not meta_file.exists():
@@ -162,6 +149,8 @@ def read_field(field_path: str | Path) -> FieldBundle:
         seed = int(meta["seed"])
     except (KeyError, ValueError) as e:
         raise ParseError(f"{meta_file}: {e}") from e
+    if not np.isfinite(mean):
+        raise ParseError(f"{meta_file}: mean must be finite, got {mean}")
     return FieldBundle(grid, h, mean, seed)
 
 

@@ -67,11 +67,14 @@ class Hyperparams:
     noise_var: float
 
     def __post_init__(self):
+        values = (self.ell1, self.ell2, self.signal_var, self.noise_var)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"hyperparameters must be finite, got {self}")
         if not (self.ell1 > 0 and self.ell2 > 0):
             raise ValueError("length-scales must be positive")
         if not self.signal_var > 0:
             raise ValueError("signal variance must be positive")
-        if self.noise_var < 0:
+        if not self.noise_var >= 0:
             raise ValueError("noise variance cannot be negative")
 
 
@@ -131,9 +134,8 @@ def cross_cov(
     """
     ra, ca = _as_int_array(rows), _as_int_array(cols)
     m = _signal_gram(ra, ca, h, widths)
-    if h.noise_var > 0:
-        same = (ra[:, None, 0] == ca[None, :, 0]) & (ra[:, None, 1] == ca[None, :, 1])
-        m[same] += h.noise_var
+    same = (ra[:, None, 0] == ca[None, :, 0]) & (ra[:, None, 1] == ca[None, :, 1])
+    m[same] += h.noise_var
     return m
 
 
@@ -302,12 +304,8 @@ def cond_mutual_info(
     negatives within 1e-9 are clamped to zero.
     """
     current_locs = list(current_locs)
-    seen = set(current_locs)
-    union = list(current_locs)
-    for p in past_locs:
-        if p not in seen:
-            union.append(p)
-            seen.add(p)
+    past = [p for p in dict.fromkeys(past_locs) if p not in current_locs]
+    union = current_locs + past
     h_cur = conditional_entropy(next_locs, current_locs, h, widths)
     h_all = conditional_entropy(next_locs, union, h, widths)
     value = h_cur - h_all

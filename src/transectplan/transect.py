@@ -52,8 +52,8 @@ class TransectGrid:
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 2:
             raise ValueError("grid needs n_rows >= 1 and n_cols >= 2")
-        if not (self.omega1 > 0 and self.omega2 > 0):
-            raise ValueError("cell widths must be positive")
+        if not (0 < self.omega1 < np.inf and 0 < self.omega2 < np.inf):
+            raise ValueError("cell widths must be positive and finite")
         if self.n_cols <= self.n_rows:
             warnings.warn(
                 "transect grids are expected to be long and thin (n_cols > n_rows)",
@@ -202,22 +202,10 @@ def robot_tracks(path: ObservationPath) -> list[list[int]]:
     """Split a path of unordered team configurations into per-robot row
     sequences, matching consecutive columns by minimum total row displacement.
 
-    Purely a reporting aid; planning never needs the assignment.
+    On a line, pairing sorted positions in order minimizes the total
+    displacement, and every configuration lists its rows in increasing
+    order, so robot i holds the i-th lowest row of every column and tracks
+    never cross. Purely a reporting aid; planning never needs the
+    assignment.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    k = path.k
-    tracks = [[r] for r in path.configs[0].rows]
-    heads = list(path.configs[0].rows)
-    for cfg in path.configs[1:]:
-        cost = np.abs(
-            np.array(heads)[:, None] - np.array(cfg.rows)[None, :]
-        )
-        rows_idx, cols_idx = linear_sum_assignment(cost)
-        nxt = [0] * k
-        for i, j in zip(rows_idx, cols_idx):
-            nxt[i] = cfg.rows[j]
-        for i in range(k):
-            tracks[i].append(nxt[i])
-        heads = nxt
-    return tracks
+    return [list(track) for track in zip(*(cfg.rows for cfg in path.configs))]

@@ -128,6 +128,29 @@ def test_read_field_sidecar_missing_key(tmp_path):
         read_field(path)
 
 
+def test_read_field_non_finite_measurement_raises(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("1.0,2.0,3.0\n4.0,nan,6.0\n")
+    with pytest.raises(ParseError, match="finite"):
+        read_field(p)
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("mean", "inf"), ("omega1", "inf"), ("noise_var", "nan"),
+                 ("ell2", "inf")]
+)
+def test_read_field_non_finite_sidecar_number_raises(tmp_path, key, bad):
+    path, _ = make_field(tmp_path)
+    meta = sidecar_path(path)
+    lines = [
+        f"{key}={bad}" if l.startswith(f"{key}=") else l
+        for l in meta.read_text().splitlines()
+    ]
+    meta.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="finite"):
+        read_field(path)
+
+
 def test_sidecar_comments_and_blanks_tolerated(tmp_path):
     path, _ = make_field(tmp_path)
     meta = sidecar_path(path)
@@ -183,6 +206,9 @@ def test_spec_validation():
         run_benchmark(spec_of(n_cols=1))
     with pytest.raises(ParseError, match="cell widths"):
         run_benchmark(spec_of(omega1=0.0))
+    for mean in (float("nan"), float("inf")):
+        with pytest.raises(ParseError, match="finite"):
+            spec_of(mean=mean)
 
 
 def test_benchmark_row_counts_all_mode():
@@ -428,6 +454,26 @@ BAD_VALUES = {
     "bench-negative-seed": ["bench", "--rows", "2", "--cols", "4", "--ell1", "1",
                             "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
                             "--seeds", "-1", "--out", "{out}"],
+    "synth-nan-noise": ["synth", "--rows", "2", "--cols", "4", "--noise-var", "nan",
+                        "--out", "{out}"],
+    "synth-inf-signal": ["synth", "--rows", "2", "--cols", "4", "--signal-var", "inf",
+                         "--out", "{out}"],
+    "synth-inf-mean": ["synth", "--rows", "2", "--cols", "4", "--mean", "inf",
+                       "--out", "{out}"],
+    "synth-inf-omega1": ["synth", "--rows", "2", "--cols", "4", "--omega1", "inf",
+                         "--out", "{out}"],
+    "bench-nan-mean": ["bench", "--rows", "2", "--cols", "4", "--ell1", "1",
+                       "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
+                       "--mean", "nan", "--out", "{out}"],
+    "plan-nan-noise": ["plan", "--field", "{field}", "--policy", "greedy-ent",
+                       "--start", "0", "--noise-var", "nan"],
+    "plan-inf-signal": ["plan", "--field", "{field}", "--policy", "exact",
+                        "--start", "0", "--signal-var", "inf"],
+    "plan-inf-omega1": ["plan", "--field", "{field}", "--policy", "markov",
+                        "--start", "0", "--omega1", "inf"],
+    "plan-nan-field": ["plan", "--field", "{nan_field}", "--policy", "markov",
+                       "--start", "0", "--ell1", "1", "--ell2", "1",
+                       "--signal-var", "1", "--noise-var", "0.1"],
 }
 
 
@@ -435,8 +481,11 @@ BAD_VALUES = {
 def test_cli_rejected_values_exit_3_with_one_error_line(tmp_path, args):
     one_col = tmp_path / "one.csv"
     one_col.write_text("1.0\n2.0\n")
+    nan_field = tmp_path / "nan.csv"
+    nan_field.write_text("1.0,nan,2.0\n3.0,4.0,5.0\n")
     field = synth_field(tmp_path)
-    paths = {"one_col": one_col, "field": field, "out": tmp_path / "o.csv"}
+    paths = {"one_col": one_col, "nan_field": nan_field, "field": field,
+             "out": tmp_path / "o.csv"}
     res = run_cli([a.format(**paths) for a in args])
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
@@ -475,6 +524,28 @@ def test_cli_exit_code_condition(tmp_path):
         "--verify",
     ])
     assert res.exit_code == 4
+
+
+def test_cli_exit_code_anisotropy():
+    # the team bound is stated for equal normalized length-scales only
+    res = run_cli([
+        "bounds", "--rows", "3", "--cols", "5", "--omega1", "5", "--omega2", "5",
+        "--ell1", "2.5", "--ell2", "3", "--signal-var", "1", "--noise-var", "1",
+        "-k", "2",
+    ])
+    assert res.exit_code == 4, res.output
+    assert res.stderr.startswith("error: normalized length-scales differ")
+
+
+@pytest.mark.parametrize("command", [
+    ["plan", "--policy", "markov", "--start", "0"],
+    ["bounds"],
+])
+def test_cli_plan_and_bounds_have_no_mean_option(tmp_path, command):
+    field = synth_field(tmp_path)
+    res = run_cli(command + ["--field", field, "--mean", "1"])
+    assert res.exit_code == 2
+    assert "No such option '--mean'" in res.output
 
 
 def test_cli_exit_code_factorization():

@@ -64,6 +64,18 @@ def test_survey_constants_accepted_as_hyperparams():
     assert h.ell1 == 40.45 and h.noise_var == 0.0036
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [(f, v) for f in ("ell1", "ell2", "signal_var", "noise_var")
+     for v in (math.nan, math.inf)],
+)
+def test_hyperparams_refuse_non_finite(field, bad):
+    parts = dict(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.1)
+    parts[field] = bad
+    with pytest.raises(ValueError):
+        Hyperparams(**parts)
+
+
 def test_covariance_one_column_step():
     # ell1 equals omega1, so one horizontal step decays by exp(-1/2)
     got = covariance(Location(0, 0), Location(1, 0), H, W)

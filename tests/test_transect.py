@@ -40,6 +40,14 @@ def test_grid_validation():
         TransectGrid(3, 4, 1.0, -2.0)
 
 
+@pytest.mark.parametrize(
+    "widths", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]
+)
+def test_grid_refuses_non_finite_widths(widths):
+    with pytest.raises(ValueError, match="finite"):
+        TransectGrid(3, 4, *widths)
+
+
 def test_grid_warns_when_not_wide():
     with pytest.warns(UserWarning):
         TransectGrid(5, 5, 1.0, 1.0)
@@ -255,3 +263,40 @@ def test_tracks_minimize_total_vertical_travel():
     assert cost == 4
     starts = sorted(t[0] for t in tracks)
     assert starts == [0, 3]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_tracks_keep_row_order_on_equal_cost_swaps():
+    # pairing the middle column either way travels 2 rows; the tracks that
+    # keep the robots in row order are reported
+    g = grid(3, 3)
+    p = path_of(g, [(0, 1), (1, 2), (0, 1)])
+    assert robot_tracks(p) == [[0, 1, 0], [1, 2, 1]]
+
+
+@st.composite
+def team_paths(draw):
+    k = draw(st.integers(2, 4))
+    n_rows = draw(st.integers(k, 7))
+    n_cols = draw(st.integers(n_rows + 1, 10))
+    row_sets = st.lists(
+        st.integers(0, n_rows - 1), min_size=k, max_size=k, unique=True
+    ).map(sorted)
+    cols = draw(st.lists(row_sets, min_size=n_cols, max_size=n_cols))
+    return path_of(grid(n_rows, n_cols), cols)
+
+
+@given(team_paths())
+@settings(max_examples=150, deadline=None)
+def test_tracks_never_cross_and_travel_minimally(p):
+    tracks = robot_tracks(p)
+    for col in range(p.grid.n_cols):
+        # configurations list rows ascending, so robot order never flips
+        assert tuple(t[col] for t in tracks) == p.configs[col].rows
+    for col in range(p.grid.n_cols - 1):
+        prev, nxt = p.configs[col].rows, p.configs[col + 1].rows
+        best = min(
+            sum(abs(a - b) for a, b in zip(prev, perm))
+            for perm in itertools.permutations(nxt)
+        )
+        assert sum(abs(t[col + 1] - t[col]) for t in tracks) == best
