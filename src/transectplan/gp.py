@@ -245,22 +245,26 @@ def gaussian_entropy(cov: np.ndarray) -> float:
 
 
 def minor_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Entropies of the principal minors ``cov[idx[j]][:, idx[j]]``, one per
-    row of the (m, k) index array, from one stacked Cholesky factorization.
+    """Entropies of the principal minors ``cov[..., idx[j]][..., idx[j]]``,
+    one per row of the (m, k) index array and per matrix of the stack
+    ``cov`` (shape (..., R, R)), from one stacked Cholesky factorization;
+    the result has shape (..., m).
 
     A stack that is not positive definite, or whose factor reaches
     DIAG_FLOOR, is redone minor by minor through :func:`gaussian_entropy`,
     so the jitter ladder and the SingularCovariance check still apply.
     """
     idx = np.asarray(idx)
-    minors = cov[idx[:, :, None], idx[:, None, :]]
+    minors = cov[..., idx[:, :, None], idx[:, None, :]]
     try:
-        d = np.diagonal(np.linalg.cholesky(minors), axis1=1, axis2=2)
+        d = np.diagonal(np.linalg.cholesky(minors), axis1=-2, axis2=-1)
     except np.linalg.LinAlgError:
         d = None
     if d is None or np.any(d < DIAG_FLOOR):
-        return np.array([gaussian_entropy(s) for s in minors])
-    return 0.5 * (idx.shape[1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=1))
+        k = idx.shape[1]
+        flat = [gaussian_entropy(s) for s in minors.reshape(-1, k, k)]
+        return np.reshape(flat, minors.shape[:-2])
+    return 0.5 * (idx.shape[1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=-1))
 
 
 def rest_conditioned_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -9,8 +9,11 @@ differ in what they condition on:
 * ``plan_markov`` keeps only the current column in the conditioning set,
   which buys a backward-induction solution over per-stage tables;
 * ``plan_exact`` conditions every stage on the full history and searches
-  every action sequence from the start, depth first with an explicit stack,
-  so it is the ground truth and exponentially priced;
+  every action sequence from the start, so it is the ground truth and
+  exponentially priced; it scores the nodes of one tree level together with
+  one stacked factorization, over chunks of at most a fixed number of
+  sibling nodes taken in lexicographic order, and keeps the first leaf
+  within TIE_RTOL of the best;
 * ``plan_greedy_entropy`` conditions on the full history but commits one
   stage at a time;
 * ``plan_greedy_mi`` greedily maximizes the mutual information between the
@@ -31,10 +34,12 @@ import numpy as np
 
 from .errors import BudgetExceeded, GridTooLarge, InvalidArity, ParseError
 from .gp import (
+    DIAG_FLOOR,
     MAX_DENSE_CELLS,
     Hyperparams,
     conditional_entropy,
     cov_matrix,
+    cross_cov,
     gaussian_entropy,
     minor_entropies,
     posterior_cov,
@@ -205,6 +210,72 @@ def _column_entropies(grid, h, idx, col, observed) -> np.ndarray:
     return minor_entropies(posterior_cov(column, observed, h, grid.widths), idx)
 
 
+def _lag_blocks(grid: TransectGrid, h: Hyperparams) -> np.ndarray:
+    """Covariance between the rows of two columns by their lag: entry
+    (lag, r, s) is the covariance of the cells (c, r) and (c + lag, s), with
+    the noise on the lag-0 diagonal. The kernel is stationary, so these
+    blocks fill the Gram matrix of any cells taken from distinct columns."""
+    cells = [Location(c, r) for c in range(grid.n_cols) for r in range(grid.n_rows)]
+    block = cross_cov(cells, cells[: grid.n_rows], h, grid.widths)
+    return block.reshape(grid.n_cols, grid.n_rows, grid.n_rows)
+
+
+def _level_entropies(grid, h, idx, blocks, x0, moves) -> np.ndarray:
+    """The column step for nodes of one depth: entry (i, j) is the entropy of
+    the row set ``idx[j]`` of the next column given the cells of the path
+    from ``x0`` through the configurations ``idx[moves[i]]``.
+
+    One stacked Cholesky factors every node's history-plus-next-column Gram
+    matrix, gathered from ``blocks``; the trailing R x R block of a factor is
+    the factor of the next column's posterior. If the stacked factor fails
+    or reaches DIAG_FLOOR, the nodes are redone one by one through
+    :func:`_column_entropies`, with its jitter ladder and refusals.
+    """
+    n, depth = moves.shape
+    n_rows = grid.n_rows
+    hist_rows = np.column_stack(
+        [np.tile(x0.rows, (n, 1)), idx[moves].reshape(n, depth * idx.shape[1])]
+    )
+    hist_cols = np.repeat(np.arange(depth + 1), idx.shape[1])
+    rows = np.column_stack([hist_rows, np.tile(np.arange(n_rows), (n, 1))])
+    cols = np.concatenate([hist_cols, np.full(n_rows, depth + 1)])
+    lag = np.abs(cols[:, None] - cols[None, :])
+    try:
+        factor = np.linalg.cholesky(blocks[lag, rows[:, :, None], rows[:, None, :]])
+        ok = not np.any(np.diagonal(factor, axis1=1, axis2=2) < DIAG_FLOOR)
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        hist_cols = hist_cols.tolist()
+        observed = [list(map(Location, hist_cols, r)) for r in hist_rows.tolist()]
+        return np.array(
+            [_column_entropies(grid, h, idx, depth + 1, o) for o in observed]
+        )
+    tail = factor[:, -n_rows:, -n_rows:]
+    return minor_entropies(tail @ tail.transpose(0, 2, 1), idx)
+
+
+def _fold_leaves(best, values: np.ndarray):
+    """Fold leaf values, in lexicographic order, into the incumbent value
+    ``best`` (None before the first leaf): a leaf replaces the incumbent only
+    when it is better by more than TIE_RTOL. Returns the new incumbent and
+    the index of the last leaf here that replaced it, or None."""
+    # a leaf not above every earlier one is within the incumbent's tolerance
+    floor = -np.inf if best is None else best
+    earlier = np.maximum.accumulate(np.concatenate(([floor], values[:-1])))
+    won = None
+    for j in np.flatnonzero(values > earlier).tolist():
+        if best is None or values[j] > best + _tie_tol(best):
+            best, won = values[j], j
+    return best, won
+
+
+# Nodes scored by one stacked factorization at most. The frontier is held in
+# chunks of sibling subtrees of this size, so memory does not grow with the
+# leaf count.
+_CHUNK_NODES = 1024
+
+
 def plan_exact(
     grid: TransectGrid,
     h: Hyperparams,
@@ -212,16 +283,22 @@ def plan_exact(
     x0: RobotConfig,
     budget: int = DEFAULT_BUDGET,
 ) -> PlanResult:
-    """Start-rooted, explicit-stack depth-first search; leaves in
-    lexicographic order.
+    """Start-rooted exhaustive search, scored one tree level at a time.
 
     Maximizes the summed full-history conditional entropies, which equals
     the joint path entropy given the start. Refuses to start when the leaf
     count |A|^(n_cols - 1) exceeds ``budget``, then when ``x0`` is not a
-    k-robot configuration of the grid. A later leaf replaces the incumbent
-    only when it is better by more than TIE_RTOL, so ties resolve to the
-    lexicographically smallest action sequence. The result's
-    ``stage_gains`` are the path's per-column gains.
+    k-robot configuration of the grid.
+
+    The nodes of one depth are scored together: their Gram matrices are
+    gathered from covariance blocks computed once per call and factored in
+    one stacked Cholesky (see :func:`_level_entropies`), and every node
+    carries the running sum of its gains. The frontier is held in chunks of
+    at most _CHUNK_NODES sibling nodes, expanded depth first, so leaves are
+    visited in lexicographic order. A later leaf replaces the incumbent only
+    when it is better by more than TIE_RTOL, so ties resolve to the
+    lexicographically smallest action sequence wherever the chunks split.
+    The result's ``stage_gains`` are the path's per-column gains.
     """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
@@ -236,25 +313,34 @@ def plan_exact(
         raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
 
     idx = np.array([c.rows for c in configs])
-    best = None
-    # (column, cells observed through it, summed gains, moves, their gains)
-    stack = [(0, list(config_locations(x0, 0)), 0.0, (), ())]
+    blocks = _lag_blocks(grid, h)
+    value = None
+    # chunks of nodes of one depth, lexicographically first on top; a node is
+    # its configuration indices after the start, its summed gains and gains
+    stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1), np.zeros((1, 0)))]
     while stack:
-        col, locs, acc, seq, gains = stack.pop()
-        scores = _column_entropies(grid, h, idx, col + 1, locs)
-        children = list(zip(configs, scores.tolist()))
-        if col + 1 == stages:
-            for a, gain in children:
-                if best is None or acc + gain > best[0] + _tie_tol(best[0]):
-                    best = (acc + gain, seq + (a,), gains + (gain,))
+        moves, acc, gains = stack.pop()
+        scores = _level_entropies(grid, h, idx, blocks, x0, moves)
+        totals = (acc[:, None] + scores).ravel()
+        if moves.shape[1] + 1 < stages:
+            children = (
+                np.column_stack(
+                    [np.repeat(moves, m, axis=0), np.tile(range(m), len(acc))]
+                ),
+                totals,
+                np.column_stack([np.repeat(gains, m, axis=0), scores.ravel()]),
+            )
+            for lo in reversed(range(0, totals.size, _CHUNK_NODES)):
+                stack.append(tuple(a[lo : lo + _CHUNK_NODES] for a in children))
             continue
-        for a, gain in reversed(children):
-            locs_a = locs + list(config_locations(a, col + 1))
-            stack.append((col + 1, locs_a, acc + gain, seq + (a,), gains + (gain,)))
+        value, won = _fold_leaves(value, totals)
+        if won is not None:
+            node, a = divmod(won, m)
+            seq = (*moves[node].tolist(), a)
+            stage_gains = (*gains[node].tolist(), float(scores[node, a]))
 
-    value, seq, gains = best
-    path = ObservationPath(grid, (x0, *seq))
-    return PlanResult("exact", path, value, time.perf_counter() - t0, gains)
+    path = ObservationPath(grid, (x0, *(configs[j] for j in seq)))
+    return PlanResult("exact", path, float(value), time.perf_counter() - t0, stage_gains)
 
 
 def _greedy(grid, h, k, x0, kind: str, score) -> PlanResult:

@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from transectplan import (
     plan_markov,
     rollout,
 )
+from transectplan import planners
+from transectplan.errors import FactorizationFailure, SingularCovariance
 from transectplan.gp import MAX_DENSE_CELLS
-from transectplan.planners import stage_entropy_table
+from transectplan.planners import TIE_RTOL, stage_entropy_table
 from transectplan.transect import config_locations
 
 from oracles import (
@@ -284,6 +287,119 @@ def test_exact_stage_gains_satisfy_bellman(r, c, k, start):
         assert sum(res.stage_gains[cut - 1 :]) == pytest.approx(tail_best, abs=1e-9)
         head = sum(res.stage_gains[: cut - 1])
         assert head + tail_best == pytest.approx(res.value, abs=1e-9)
+
+
+def oracle_path_value(path, h):
+    """Joint entropy of a path given its start, by the dense oracle."""
+    locs = path.locations()
+    start = locs[: len(path.configs[0].rows)]
+    return oracle_entropy(oracle_cov(locs, h, path.grid.widths)) - oracle_entropy(
+        oracle_cov(start, h, path.grid.widths)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:transect grids are expected")
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(2, 4),
+    cols=st.integers(3, 5),
+    ell1=st.floats(0.2, 1.6),
+    ell2=st.floats(0.2, 2.0),
+    signal=st.floats(0.05, 5.0),
+    ratio=st.floats(1e-3, 0.5),
+    data=st.data(),
+)
+def test_exact_matches_oracle_property(rows, cols, ell1, ell2, signal, ratio, data):
+    # the optimum's value, and its path up to ties within TIE_RTOL
+    k = data.draw(st.integers(1, rows - 1))
+    g = TransectGrid(rows, cols, 5.0, 5.0)
+    h = Hyperparams(5.0 * ell1, 5.0 * ell2, signal, ratio * signal)
+    x0 = data.draw(st.sampled_from(enumerate_configs(g, k)))
+    want_val, want_seq = oracle_full_best(g, h, k, x0)
+    res = plan_exact(g, h, k, x0)
+    assert res.value == pytest.approx(want_val, abs=1e-9)
+    if res.path.configs[1:] != want_seq:
+        got = oracle_path_value(res.path, h)
+        assert got >= want_val - TIE_RTOL * max(abs(want_val), 1.0)
+
+
+def chunking_cases():
+    rng = np.random.default_rng(19)
+    for r, c, k in [(3, 4, 1), (3, 6, 2), (4, 5, 1), (4, 6, 2), (4, 4, 2)]:
+        g, h = scaled_grid(rng, r, c, random_hyperparams(rng))
+        yield pytest.param(g, h, k, enumerate_configs(g, k)[-1], id=f"random-{r}x{c}-k{k}")
+    yield pytest.param(
+        TransectGrid(3, 4, 5.0, 5.0),
+        Hyperparams(ell1=1e-3, ell2=1e-3, signal_var=1.0, noise_var=0.1),
+        1, RobotConfig((2,)), id="all-tied",
+    )
+    yield pytest.param(
+        TransectGrid(3, 5, 5.0, 5.0),
+        Hyperparams(40.45, 16.0, 0.1542, 0.0036),
+        2, RobotConfig((0, 2)), id="mirror-tie",
+    )
+    # 4^7 = 16,384 nodes at the last scored depth, more than one chunk holds
+    yield pytest.param(TransectGrid(4, 9, 5.0, 5.0), H, 1, RobotConfig((1,)), id="4x9")
+
+
+@pytest.mark.parametrize("g, h, k, x0", chunking_cases())
+def test_exact_answer_does_not_depend_on_chunking(monkeypatch, g, h, k, x0):
+    results = []
+    for cap in (1, 7, planners._CHUNK_NODES):
+        monkeypatch.setattr(planners, "_CHUNK_NODES", cap)
+        res = plan_exact(g, h, k, x0)
+        results.append((res.value, res.path.configs, res.stage_gains))
+    assert results[0] == results[1] == results[2]
+
+
+def test_exact_frontier_memory_stays_chunked():
+    # the unchunked frontier of this 4x9 search peaks near 42 MB, the
+    # chunked one near 3.5 MB
+    tracemalloc.start()
+    try:
+        plan_exact(TransectGrid(4, 9, 5.0, 5.0), H, 1, RobotConfig((1,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_exact_redoes_a_failed_level_node_by_node(monkeypatch):
+    g = small_grid(4, 6)
+    x0 = RobotConfig((1,))
+    want = plan_exact(g, H, 1, x0)
+
+    # the stacked factor of depth 2: 3 history cells plus the next column
+    real = np.linalg.cholesky
+
+    def cholesky(a):
+        if a.ndim == 3 and a.shape[-1] == 3 + g.n_rows:
+            raise np.linalg.LinAlgError("forced")
+        return real(a)
+
+    calls = []
+    column_entropies = planners._column_entropies
+
+    def counted(*args):
+        calls.append(args[3])
+        return column_entropies(*args)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(planners, "_column_entropies", counted)
+    res = plan_exact(g, H, 1, x0)
+    # only the 16 nodes of depth 2 were redone, each scoring column 3
+    assert calls == [3] * 16
+    assert res.path.configs == want.path.configs
+    assert res.value == pytest.approx(want.value, rel=1e-12)
+    assert res.stage_gains == pytest.approx(want.stage_gains, rel=1e-12)
+
+
+def test_exact_refuses_collapsed_noise_free_instance():
+    # every cell perfectly correlated and no noise: the level factor fails,
+    # and the per-node route refuses with a typed error
+    h = Hyperparams(ell1=1e6, ell2=1e6, signal_var=1.0, noise_var=0.0)
+    with pytest.raises((SingularCovariance, FactorizationFailure)):
+        plan_exact(small_grid(3, 5), h, 1, RobotConfig((0,)))
 
 
 # ---------------------------------------------------------- greedy planners
