@@ -266,13 +266,10 @@ def test_runtime_scaling():
     )
 
     g = TransectGrid(5, 30, 5.0, 5.0)
-    t0 = time.perf_counter()
-    plan_markov(g, h, 1)
-    dp_once = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for x0 in enumerate_configs(g, 1):
-        plan_greedy_entropy(g, h, 1, x0)
-    greedy_all = time.perf_counter() - t0
+    dp_once = median_time(lambda: plan_markov(g, h, 1))
+    greedy_all = median_time(
+        lambda: [plan_greedy_entropy(g, h, 1, x0) for x0 in enumerate_configs(g, 1)]
+    )
     amortized_ok = dp_once < greedy_all
 
     verdict(
