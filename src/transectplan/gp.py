@@ -16,9 +16,9 @@ Numerical policy, applied uniformly:
 
 * factorization attempts escalate a diagonal jitter of 0, 1e-12, 1e-10 and
   1e-8 times the mean diagonal before giving up with FactorizationFailure;
-* the one explicit inverse, in :func:`rest_conditioned_entropies`, is the
-  triangular inverse of one such factor, and the inverse covariance is
-  formed from it as L^-T L^-1; nothing else inverts a matrix;
+* the one explicit inverse, in :func:`precision`, is the triangular inverse
+  of one unjittered factor, and the inverse covariance is formed from it as
+  L^-T L^-1; nothing else inverts a matrix;
 * log-determinants come from the triangular factor, and a factor diagonal
   entry below 1e-150 raises SingularCovariance instead of overflowing the log;
 * entropies are reported in nats.
@@ -267,18 +267,70 @@ def minor_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return 0.5 * (idx.shape[1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=-1))
 
 
-def rest_conditioned_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Entropy of the rows ``idx[j]`` of ``cov`` given all its other rows,
-    one per row of the (m, k) index array.
+def precision(cov: np.ndarray) -> np.ndarray:
+    """Inverse of a covariance matrix, L^-T L^-1 from its Cholesky factor L.
 
-    Given the rest, rows A have covariance ((cov^-1)_AA)^-1, so the entropy
-    is k log(2 pi e) minus the entropy of the A-minor of cov^-1. The inverse
-    comes from one jittered factor L as L^-T L^-1.
+    No jitter is tried: the inverse of a jittered matrix is not the inverse
+    asked for. Raises FactorizationFailure when ``cov`` does not factor as
+    it is, and SingularCovariance when the factor reaches DIAG_FLOOR.
     """
-    w = solve_triangular(
-        chol_factor(cov), np.eye(cov.shape[0]), lower=True, check_finite=False
-    )
-    return np.shape(idx)[1] * LOG_2PI_E - minor_entropies(w.T @ w, idx)
+    n = cov.shape[0]
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise FactorizationFailure(
+            f"covariance of order {n} does not factor without jitter"
+        )
+    logdet_from_factor(L)
+    w = solve_triangular(L, np.eye(n), lower=True, check_finite=False)
+    return w.T @ w
+
+
+class GrowingFactor:
+    """Lower Cholesky factor L of M[V, V] for a growing index set V.
+
+    ``entries(a, b)`` returns the block M[a][:, b] of a symmetric positive
+    definite matrix M that need never be formed whole. :meth:`condition`
+    gives the Schur complement of M[V, V] for the next candidate indices,
+    which for a covariance M is their covariance given V, at O(n^2 R) for n
+    indices in V and R candidates; :meth:`extend` appends chosen candidates
+    to V from the same W and Schur block, so V is factored only once
+    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.2).
+    """
+
+    def __init__(self, entries, cells):
+        self.entries = entries
+        self.cells = np.asarray(cells)
+        self.factor = chol_factor(entries(self.cells, self.cells))
+
+    def condition(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(S, W)`` with W = L^-1 M[V, cells] and S = M[cells, cells] - W^T W."""
+        w = solve_triangular(
+            self.factor, self.entries(self.cells, cells), lower=True, check_finite=False
+        )
+        return self.entries(cells, cells) - w.T @ w, w
+
+    def extend(self, cells: np.ndarray, w: np.ndarray, s: np.ndarray) -> None:
+        """Append ``cells`` to V given their ``W`` and Schur block ``S`` from
+        :meth:`condition`: L' = [[L, 0], [W^T, chol(S)]]. A Schur block that
+        does not factor, or whose factor reaches DIAG_FLOOR, refactors all of
+        M[V, V] through :func:`chol_factor` instead, with its jitter ladder
+        and refusal.
+        """
+        n = self.cells.size
+        self.cells = np.concatenate([self.cells, cells])
+        try:
+            d = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            d = None
+        if d is None or np.any(np.diag(d) < DIAG_FLOOR):
+            self.factor = chol_factor(self.entries(self.cells, self.cells))
+            return
+        factor = np.zeros((self.cells.size, self.cells.size))
+        factor[:n, :n] = self.factor
+        factor[n:, :n] = w.T
+        factor[n:, n:] = d
+        self.factor = factor
 
 
 def conditional_entropy(

@@ -15,9 +15,11 @@ differ in what they condition on:
   sibling nodes taken in lexicographic order, and keeps the first leaf
   within TIE_RTOL of the best;
 * ``plan_greedy_entropy`` conditions on the full history but commits one
-  stage at a time;
+  stage at a time, growing one Cholesky factor of the history by the chosen
+  rows instead of refactoring it;
 * ``plan_greedy_mi`` greedily maximizes the mutual information between the
-  candidate observations and the rest of the grid.
+  candidate observations and the rest of the grid, whose term it reads from
+  the whole grid's precision matrix through a second growing factor.
 
 Values are reported in nats. The exact and greedy planners report a path's
 joint entropy given the start; ``plan("markov", ...)`` reports the policy's
@@ -28,14 +30,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceeded, GridTooLarge, InvalidArity, ParseError
 from .gp import (
     DIAG_FLOOR,
+    LOG_2PI_E,
     MAX_DENSE_CELLS,
+    GrowingFactor,
     Hyperparams,
     conditional_entropy,
     cov_matrix,
@@ -43,7 +47,7 @@ from .gp import (
     gaussian_entropy,
     minor_entropies,
     posterior_cov,
-    rest_conditioned_entropies,
+    precision,
 )
 from .transect import (
     Location,
@@ -204,8 +208,9 @@ def _first_best(scores: np.ndarray) -> np.ndarray:
 
 
 def _column_entropies(grid, h, idx, col, observed) -> np.ndarray:
-    """The column step of every history planner: entropy of each row set
-    ``idx[j]`` of column ``col`` given the cells ``observed``."""
+    """The column step of one exhaustive node, which a level falls back to:
+    entropy of each row set ``idx[j]`` of column ``col`` given the cells
+    ``observed``."""
     column = [Location(col, r) for r in range(grid.n_rows)]
     return minor_entropies(posterior_cov(column, observed, h, grid.widths), idx)
 
@@ -343,21 +348,53 @@ def plan_exact(
     return PlanResult("exact", path, float(value), time.perf_counter() - t0, stage_gains)
 
 
-def _greedy(grid, h, k, x0, kind: str, score) -> PlanResult:
-    """Commit, column by column, to the first best ``score(idx, col,
-    visited)`` over the configurations; ``kind`` only labels the result."""
+def _greedy(grid, h, k, x0, kind: str, mi: bool) -> PlanResult:
+    """Commit, column by column, to the first best configuration: the one
+    whose rows of the next column have the most entropy given the visited
+    cells, less, when ``mi`` is set, their entropy given every unvisited
+    cell. ``kind`` labels the result.
+
+    Cells are numbered column-major (``col * n_rows + row``). The first term
+    conditions the column's prior covariance on a factor of the visited
+    cells' Gram matrix, gathered from ``_lag_blocks``; the second conditions
+    the whole grid's precision P = K^-1 on a factor of P over the visited
+    cells, since P_cc - P_cV P_VV^-1 P_Vc is the inverse of the column's
+    covariance given every unvisited cell. Both factors grow by the chosen
+    rows at each column instead of being refactored.
+    """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
     if x0 not in configs:
         raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
 
     idx = np.array([c.rows for c in configs])
+    n_rows = grid.n_rows
+    blocks = _lag_blocks(grid, h)
+
+    def prior(a, b):
+        lag = np.abs(a[:, None] // n_rows - b[None, :] // n_rows)
+        return blocks[lag, a[:, None] % n_rows, b[None, :] % n_rows]
+
+    start = np.array(x0.rows)
+    factors = [GrowingFactor(prior, start)]
+    if mi:
+        cells = np.arange(n_rows * grid.n_cols)
+        p = precision(prior(cells, cells))
+        factors.append(GrowingFactor(lambda a, b: p[np.ix_(a, b)], start))
     chosen = [x0]
-    visited = list(config_locations(x0, 0))
     for col in range(1, grid.n_cols):
-        best = configs[_first_best(score(idx, col, visited))]
-        chosen.append(best)
-        visited.extend(config_locations(best, col))
+        column = col * n_rows + np.arange(n_rows)
+        steps = [f.condition(column) for f in factors]
+        scores = minor_entropies(steps[0][0], idx)
+        if mi:
+            # less the entropy given every unvisited cell, from its precision
+            scores = scores - (k * LOG_2PI_E - minor_entropies(steps[1][0], idx))
+        j = _first_best(scores)
+        chosen.append(configs[j])
+        if col + 1 < grid.n_cols:
+            rows = idx[j]
+            for f, (post, w) in zip(factors, steps):
+                f.extend(column[rows], w[:, rows], post[np.ix_(rows, rows)])
 
     path = ObservationPath(grid, tuple(chosen))
     return PlanResult(kind, path, path_entropy(path, h), time.perf_counter() - t0)
@@ -372,7 +409,7 @@ def plan_greedy_entropy(
     uncertain given everything sampled so far. The reported value is the
     resulting path's joint entropy, not the sum of greedy scores.
     """
-    return _greedy(grid, h, k, x0, "greedy-ent", partial(_column_entropies, grid, h))
+    return _greedy(grid, h, k, x0, "greedy-ent", mi=False)
 
 
 def plan_greedy_mi(
@@ -382,26 +419,18 @@ def plan_greedy_mi(
 
     Scores a candidate by H[candidate | visited] minus H[candidate | rest of
     the grid], the information the new observations share with everything
-    not yet sampled. Conditioning on the whole grid is dense, hence the cell
-    guard. The reported value is the path's joint entropy.
+    not yet sampled (Krause, Singh & Guestrin, JMLR 2008). The second term
+    reads the precision of the whole grid, formed once per call from one
+    unjittered factor of its dense Gram matrix, hence the cell guard; a Gram
+    matrix that does not factor as it is, or whose factor reaches
+    DIAG_FLOOR, is refused. The reported value is the path's joint entropy.
     """
     if grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
         raise GridTooLarge(
             "mutual-information scores condition on the whole grid; "
             f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
         )
-    universe = grid.locations()
-
-    def score(idx, col, visited):
-        # the rest is the column's other rows plus every unvisited cell
-        seen = set(visited)
-        others = [u for u in universe if u.col != col and u not in seen]
-        column = [Location(col, r) for r in range(grid.n_rows)]
-        rest = posterior_cov(column, others, h, grid.widths)
-        given_visited = _column_entropies(grid, h, idx, col, visited)
-        return given_visited - rest_conditioned_entropies(rest, idx)
-
-    return _greedy(grid, h, k, x0, "greedy-mi", score)
+    return _greedy(grid, h, k, x0, "greedy-mi", mi=True)
 
 
 def plan(

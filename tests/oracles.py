@@ -121,6 +121,15 @@ def oracle_full_best(grid, h, k, x0):
     return best, best_seq
 
 
+def oracle_greedy_ent_scores(grid, h, visited, col, configs):
+    """Scores of every configuration for entropy-greedy selection at
+    ``col``: its cells' entropy given the visited cells, coded flat."""
+    return [
+        oracle_cond_entropy(list(config_locations(a, col)), list(visited), h, grid.widths)
+        for a in configs
+    ]
+
+
 def oracle_greedy_mi_scores(grid, h, visited, col, configs):
     """Scores of every configuration for MI-greedy selection at ``col``,
     coded flat for duplicate-implementation comparison."""

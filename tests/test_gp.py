@@ -22,12 +22,16 @@ from transectplan import (
     posterior_mean,
     sample_prior_field,
 )
+from transectplan import gp
 from transectplan.gp import (
     MAX_DENSE_CELLS,
+    GrowingFactor,
     _kron_eigen,
     chol_factor,
+    cross_cov,
     logdet_from_factor,
     minor_entropies,
+    precision,
 )
 
 from oracles import (
@@ -298,6 +302,106 @@ def test_minor_entropies_jitter_one_minor():
 def test_minor_entropies_collapsed_minor_raises():
     with pytest.raises(SingularCovariance):
         minor_entropies(np.diag([1.0, 1e-310]), np.array([[0], [1]]))
+
+
+# ----------------------------------------------------------- growing factor
+
+
+def grid_entries(grid, h):
+    """``entries(a, b)`` of the prior covariance over column-major cells."""
+    cells = grid.locations()
+
+    def entries(a, b):
+        return cross_cov([cells[i] for i in a], [cells[j] for j in b], h, grid.widths)
+
+    return entries
+
+
+def grown_history(grid, h, seed, k):
+    """Grow a factor from random rows of column 0 by random rows of every
+    later column; yields (factor, column cells, S, W) before each append."""
+    rng = np.random.default_rng(seed)
+    rows = lambda: np.sort(rng.choice(grid.n_rows, k, replace=False))
+    f = GrowingFactor(grid_entries(grid, h), rows())
+    for col in range(1, grid.n_cols):
+        column = col * grid.n_rows + np.arange(grid.n_rows)
+        s, w = f.condition(column)
+        yield f, column, s, w
+        chosen = rows()
+        f.extend(column[chosen], w[:, chosen], s[np.ix_(chosen, chosen)])
+    yield f, None, None, None
+
+
+@pytest.mark.parametrize("seed, k", [(0, 1), (1, 2), (2, 3)])
+def test_growing_factor_tracks_history_gram(seed, k):
+    g = TransectGrid(4, 9, 5.0, 5.0)
+    h = Hyperparams(ell1=8.0, ell2=6.0, signal_var=2.5, noise_var=0.01)
+    cells = g.locations()
+    for f, column, s, _ in grown_history(g, h, seed, k):
+        history = [cells[i] for i in f.cells]
+        want = cov_matrix(history, h, g.widths)
+        np.testing.assert_allclose(
+            f.factor @ f.factor.T, want, rtol=0, atol=1e-12 * h.signal_var
+        )
+        if column is not None:
+            post = posterior_cov([cells[i] for i in column], history, h, g.widths)
+            np.testing.assert_allclose(s, post, rtol=0, atol=1e-12 * h.signal_var)
+
+
+def test_growing_factor_precision_route_inverts_rest_posterior():
+    # conditioning the grid precision on the visited cells gives the inverse
+    # of the column's covariance given every unvisited cell
+    g = TransectGrid(4, 7, 5.0, 5.0)
+    h = Hyperparams(ell1=8.0, ell2=6.0, signal_var=1.5, noise_var=0.05)
+    cells = g.locations()
+    n = len(cells)
+    p = precision(cov_matrix(cells, h, g.widths))
+    for f, column, _, _ in grown_history(g, h, 3, 2):
+        if column is None:
+            break
+        prec = GrowingFactor(lambda a, b: p[np.ix_(a, b)], f.cells)
+        lam, _ = prec.condition(column)
+        others = [cells[i] for i in np.setdiff1d(np.arange(n), np.r_[f.cells, column])]
+        rest = posterior_cov([cells[i] for i in column], others, h, g.widths)
+        np.testing.assert_allclose(lam, np.linalg.inv(rest), rtol=1e-9)
+
+
+def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
+    g = TransectGrid(4, 6, 5.0, 5.0)
+    cells = g.locations()
+    steps = list(grown_history(g, H, 4, 2))
+    f, _, _, _ = steps[-1]
+
+    refactored = []
+    real_cholesky, real_chol_factor = np.linalg.cholesky, gp.chol_factor
+
+    def cholesky(a):
+        if a.shape == (2, 2):
+            raise np.linalg.LinAlgError("forced")
+        return real_cholesky(a)
+
+    def counted(cov):
+        refactored.append(cov.shape[0])
+        return real_chol_factor(cov)
+
+    grown = grown_history(g, H, 4, 2)
+    next(grown)  # the start is factored before any pivot block fails
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(gp, "chol_factor", counted)
+    forced = list(grown)[-1][0]
+    # one whole-history refactor per append
+    assert refactored == [4, 6, 8, 10, 12]
+    np.testing.assert_array_equal(forced.cells, f.cells)
+    np.testing.assert_allclose(forced.factor, f.factor, rtol=0, atol=1e-13)
+    want = cov_matrix([cells[i] for i in f.cells], H, g.widths)
+    np.testing.assert_array_equal(forced.factor, real_cholesky(want))
+
+
+def test_precision_refuses_a_matrix_it_cannot_invert():
+    with pytest.raises(FactorizationFailure):
+        precision(np.ones((3, 3)))
+    with pytest.raises(SingularCovariance):
+        precision(np.diag([1.0, 1e-310]))
 
 
 # ------------------------------------------------------ conditional entropy

@@ -39,6 +39,7 @@ from oracles import (
     oracle_cov,
     oracle_entropy,
     oracle_full_best,
+    oracle_greedy_ent_scores,
     oracle_greedy_mi_scores,
     oracle_markov_best,
     random_hyperparams,
@@ -459,6 +460,45 @@ def test_greedy_mi_steps_match_oracle():
         chosen = res.path.configs[col]
         assert scores[configs.index(chosen)] >= max(scores) - 1e-9
         visited.extend(config_locations(chosen, col))
+
+
+@pytest.mark.filterwarnings("ignore:transect grids are expected")
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(2, 6),
+    cols=st.integers(3, 10),
+    ell1=st.floats(0.2, 1.6),
+    ell2=st.floats(0.2, 2.0),
+    signal=st.floats(0.05, 5.0),
+    ratio=st.floats(1e-3, 1.0),
+    data=st.data(),
+)
+def test_greedy_steps_match_oracle_property(rows, cols, ell1, ell2, signal, ratio, data):
+    # every column's choice is a best flat-oracle score up to 1e-9
+    k = data.draw(st.integers(1, rows - 1))
+    g = TransectGrid(rows, cols, 5.0, 5.0)
+    h = Hyperparams(5.0 * ell1, 5.0 * ell2, signal, ratio * signal)
+    configs = enumerate_configs(g, k)
+    x0 = data.draw(st.sampled_from(configs))
+    for planner, oracle in (
+        (plan_greedy_entropy, oracle_greedy_ent_scores),
+        (plan_greedy_mi, oracle_greedy_mi_scores),
+    ):
+        res = planner(g, h, k, x0)
+        visited = list(config_locations(x0, 0))
+        for col in range(1, cols):
+            scores = oracle(g, h, visited, col, configs)
+            chosen = res.path.configs[col]
+            assert scores[configs.index(chosen)] >= max(scores) - 1e-9
+            visited.extend(config_locations(chosen, col))
+
+
+def test_greedy_mi_refuses_collapsed_noise_free_instance():
+    # every cell perfectly correlated and no noise: the grid's Gram matrix
+    # has no inverse, and the refusal is typed
+    h = Hyperparams(ell1=1e6, ell2=1e6, signal_var=1.0, noise_var=0.0)
+    with pytest.raises((SingularCovariance, FactorizationFailure)):
+        plan_greedy_mi(small_grid(3, 5), h, 1, RobotConfig((0,)))
 
 
 def test_greedy_mi_full_coverage_scores_by_prior_entropy():
