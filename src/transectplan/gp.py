@@ -281,7 +281,7 @@ def precision(cov: np.ndarray) -> np.ndarray:
         raise FactorizationFailure(
             f"covariance of order {n} does not factor without jitter"
         )
-    logdet_from_factor(L)
+    logdet_from_factor(L)  # refuses a factor that reaches DIAG_FLOOR
     w = solve_triangular(L, np.eye(n), lower=True, check_finite=False)
     return w.T @ w
 

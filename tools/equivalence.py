@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -135,8 +136,6 @@ def run(tp, case: Case, planner: str) -> dict:
 def record(cases: list[Case]) -> dict:
     """Run every case through every planner with the ``transectplan`` that
     ``sys.path`` finds first."""
-    import warnings
-
     import transectplan as tp
 
     runs = {}
