@@ -16,9 +16,8 @@ Numerical policy, applied uniformly:
 
 * factorization attempts escalate a diagonal jitter of 0, 1e-12, 1e-10 and
   1e-8 times the mean diagonal before giving up with FactorizationFailure;
-* the one explicit inverse, in :func:`precision`, is the triangular inverse
-  of one unjittered factor, and the inverse covariance is formed from it as
-  L^-T L^-1; nothing else inverts a matrix;
+* the one explicit inverse, in :func:`precision`, is formed from one such
+  factor as L^-T L^-1; nothing else inverts a matrix;
 * log-determinants come from the triangular factor, and a factor diagonal
   entry below 1e-150 raises SingularCovariance instead of overflowing the log;
 * entropies are reported in nats.
@@ -36,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .errors import FactorizationFailure, GridTooLarge, SingularCovariance
 from .transect import Location, TransectGrid
@@ -268,22 +268,22 @@ def minor_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def precision(cov: np.ndarray) -> np.ndarray:
-    """Inverse of a covariance matrix, L^-T L^-1 from its Cholesky factor L.
+    """Inverse of a covariance matrix, L^-T L^-1 from its factor L by
+    :func:`chol_factor`, so the jitter ladder and its FactorizationFailure
+    apply; a factor that reaches DIAG_FLOOR raises SingularCovariance.
 
-    No jitter is tried: the inverse of a jittered matrix is not the inverse
-    asked for. Raises FactorizationFailure when ``cov`` does not factor as
-    it is, and SingularCovariance when the factor reaches DIAG_FLOOR.
+    LAPACK ``potri`` inverts in the factor's own storage, so besides ``cov``
+    one more matrix of its size is held at a time.
     """
-    n = cov.shape[0]
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise FactorizationFailure(
-            f"covariance of order {n} does not factor without jitter"
-        )
+    L = chol_factor(cov)
     logdet_from_factor(L)  # refuses a factor that reaches DIAG_FLOOR
-    w = solve_triangular(L, np.eye(n), lower=True, check_finite=False)
-    return w.T @ w
+    del cov
+    # L^T is the upper factor in Fortran order, which potri overwrites
+    p, info = dpotri(L.T, lower=0, overwrite_c=1)
+    if info != 0:
+        raise SingularCovariance(f"potri failed with info {info}")
+    p += np.triu(p, 1).T
+    return p
 
 
 class GrowingFactor:

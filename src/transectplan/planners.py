@@ -225,6 +225,18 @@ def _lag_blocks(grid: TransectGrid, h: Hyperparams) -> np.ndarray:
     return block.reshape(grid.n_cols, grid.n_rows, grid.n_rows)
 
 
+def _grid_gram(blocks: np.ndarray) -> np.ndarray:
+    """The whole grid's Gram matrix over column-major cells, filled one
+    column's band of rows at a time from the ``_lag_blocks`` ``blocks``."""
+    n_cols, n_rows, _ = blocks.shape
+    lags = np.arange(n_cols)
+    gram = np.empty((n_cols * n_rows, n_cols * n_rows))
+    for c in range(n_cols):
+        band = blocks[np.abs(lags - c)].transpose(1, 0, 2)
+        gram[c * n_rows : (c + 1) * n_rows] = band.reshape(n_rows, -1)
+    return gram
+
+
 def _level_entropies(grid, h, idx, blocks, x0, moves) -> np.ndarray:
     """The column step for nodes of one depth: entry (i, j) is the entropy of
     the row set ``idx[j]`` of the next column given the cells of the path
@@ -378,8 +390,7 @@ def _greedy(grid, h, k, x0, kind: str, mi: bool) -> PlanResult:
     start = np.array(x0.rows)
     factors = [GrowingFactor(prior, start)]
     if mi:
-        cells = np.arange(n_rows * grid.n_cols)
-        p = precision(prior(cells, cells))
+        p = precision(_grid_gram(blocks))
         factors.append(GrowingFactor(lambda a, b: p[np.ix_(a, b)], start))
     chosen = [x0]
     for col in range(1, grid.n_cols):
@@ -421,9 +432,10 @@ def plan_greedy_mi(
     the grid], the information the new observations share with everything
     not yet sampled (Krause, Singh & Guestrin, JMLR 2008). The second term
     reads the precision of the whole grid, formed once per call from one
-    unjittered factor of its dense Gram matrix, hence the cell guard; a Gram
-    matrix that does not factor as it is, or whose factor reaches
-    DIAG_FLOOR, is refused. The reported value is the path's joint entropy.
+    factor of its dense Gram matrix by ``chol_factor``, hence the cell
+    guard; a Gram matrix that the jitter ladder does not factor, or whose
+    factor reaches DIAG_FLOOR, is refused. The reported value is the path's
+    joint entropy.
     """
     if grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
         raise GridTooLarge(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from transectplan.planners import TIE_RTOL
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "equivalence.py"
 spec = importlib.util.spec_from_file_location("equivalence", TOOL)
@@ -71,6 +72,11 @@ def test_each_class_fires_on_a_perturbed_record(small_record):
     assert cls(path=path) == "tied"
     assert cls(path=path, value=(value + 1e-6 * max(abs(value), 1)).hex()) == "other"
     assert cls(refusal="FactorizationFailure", value=None, path=None) == "refusal"
+    # ties are judged by the window recorded with the first record
+    assert small_record["tie_rtol"] == TIE_RTOL
+    moved = perturbed(small_record, key, path=path, value=float(np.nextafter(value, np.inf)).hex())
+    assert eq.compare(small_record, moved)["changed"][0][1] == "tied"
+    assert eq.compare({**small_record, "tie_rtol": 0.0}, moved)["changed"][0][1] == "other"
     missing = copy.deepcopy(small_record)
     del missing["runs"][key]
     assert eq.compare(small_record, missing)["changed"][0][:2] == (key, "other")

@@ -397,9 +397,20 @@ def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
     np.testing.assert_array_equal(forced.factor, real_cholesky(want))
 
 
+def test_precision_inverts_through_chol_factor():
+    g = TransectGrid(4, 6, 5.0, 5.0)
+    cov = cov_matrix(g.locations(), H, g.widths)
+    p = precision(cov.copy())
+    np.testing.assert_array_equal(p, p.T)
+    np.testing.assert_allclose(p @ cov, np.eye(cov.shape[0]), rtol=0, atol=1e-9)
+    # a matrix that needs jitter is inverted as chol_factor jitters it
+    L = chol_factor(np.ones((3, 3)))
+    np.testing.assert_allclose(precision(np.ones((3, 3))), np.linalg.inv(L @ L.T), rtol=1e-6)
+
+
 def test_precision_refuses_a_matrix_it_cannot_invert():
     with pytest.raises(FactorizationFailure):
-        precision(np.ones((3, 3)))
+        precision(-np.eye(3))
     with pytest.raises(SingularCovariance):
         precision(np.diag([1.0, 1e-310]))
 

@@ -33,10 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-# Relative distance within which two values count as tied; the planners'
-# TIE_RTOL.
-TIE_RTOL = 1e-12
-
 NOISE_RATIOS = (0.0, 1e-6, 1e-3, 0.3)
 
 # The paper's fitted hyperparameters (ell1, ell2, signal_var, noise_var).
@@ -72,12 +68,12 @@ class Case:
         return "0" if ratio == 0 else "1e-6" if ratio < 1e-4 else ">=1e-3"
 
 
-def corpus(seed: int = 0) -> list[Case]:
+def corpus() -> list[Case]:
     """The fixed corpus: random instances at every noise ratio, both survey
     fits at their own noise and at noise 0 and 1e-6, and starts placed
     symmetrically about the middle row, whose first move ties with its
     mirror image."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     cases = []
     for i in range(40):
         rows = int(rng.integers(2, 7))
@@ -135,7 +131,7 @@ def run(tp, case: Case, planner: str) -> dict:
 
 def record(cases: list[Case]) -> dict:
     """Run every case through every planner with the ``transectplan`` that
-    ``sys.path`` finds first."""
+    ``sys.path`` finds first; the record keeps that tree's tie window."""
     import transectplan as tp
 
     runs = {}
@@ -148,14 +144,19 @@ def record(cases: list[Case]) -> dict:
                     "group": case.group,
                     **run(tp, case, planner),
                 }
-    return {"cases": [asdict(c) for c in cases], "runs": runs}
+    return {
+        "tie_rtol": tp.planners.TIE_RTOL,
+        "cases": [asdict(c) for c in cases],
+        "runs": runs,
+    }
 
 
-def classify(a: dict, b: dict) -> str:
+def classify(a: dict, b: dict, tie_rtol: float) -> str:
     """The class of one run recorded as ``a`` and again as ``b``: identical
     (the same refusal, or the same path and value bits), close (the same
     path, values within 1e-12 relative), tied (another path, values within
-    TIE_RTOL), refusal (one side refused, or the type changed) or other."""
+    ``tie_rtol`` relative), refusal (one side refused, or the type changed)
+    or other."""
     if a["refusal"] or b["refusal"]:
         return "identical" if a["refusal"] == b["refusal"] else "refusal"
     va, vb = float.fromhex(a["value"]), float.fromhex(b["value"])
@@ -164,15 +165,16 @@ def classify(a: dict, b: dict) -> str:
         if va == vb:
             return "identical"
         return "close" if abs(va - vb) <= 1e-12 * scale else "other"
-    return "tied" if abs(va - vb) <= TIE_RTOL * scale else "other"
+    return "tied" if abs(va - vb) <= tie_rtol * scale else "other"
 
 
 def compare(a: dict, b: dict) -> dict:
-    """Class counts per (planner, noise group), and every run not identical."""
+    """Class counts per (planner, noise group), and every run not identical;
+    ties are judged by the tie window recorded with ``a``."""
     counts, changed = {}, []
     for key, ra in a["runs"].items():
         rb = b["runs"].get(key)
-        cls = "other" if rb is None else classify(ra, rb)
+        cls = "other" if rb is None else classify(ra, rb, a["tie_rtol"])
         counts.setdefault((ra["planner"], ra["group"]), Counter())[cls] += 1
         if cls != "identical":
             changed.append((key, cls, ra, rb))
@@ -193,7 +195,6 @@ def main(argv=None) -> int:
     rec = sub.add_parser("record", help="run the corpus with one source tree")
     rec.add_argument("--src", required=True, type=Path, help="tree holding src/transectplan")
     rec.add_argument("--out", required=True, type=Path)
-    rec.add_argument("--seed", type=int, default=0)
     cmp_ = sub.add_parser("compare", help="classify the differences of two records")
     cmp_.add_argument("a", type=Path)
     cmp_.add_argument("b", type=Path)
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
 
     if args.command == "record":
         sys.path.insert(0, str((args.src / "src").resolve()))
-        result = record(corpus(args.seed))
+        result = record(corpus())
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(result, indent=1))
         print(f"{len(result['runs'])} runs -> {args.out}")
