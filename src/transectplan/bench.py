@@ -3,8 +3,10 @@
 Each seed draws one exact field realization, every requested planner runs
 from every requested start, and both map metrics land in one flat table
 together with their gaps against the Markov planner. The Markov planner is
-planned once per (field, team size) and its planning time is amortized over
-the starts it serves.
+planned once per (field, team size), and each greedy planner plans all of a
+team size's starts in one sweep; a row's ``plan_seconds`` is that planning
+time amortized over the starts it serves, and its ``plan_total_seconds`` the
+whole of it. The exhaustive planner runs one start at a time.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-from .errors import ParseError
+from .errors import ParseError, TransectPlanError
 from .gp import Hyperparams, sample_prior_field
 from .fieldio import fmt
 from .metrics import EvalRecord, evaluate, metric_diff
-from .planners import DEFAULT_BUDGET, POLICIES, plan, plan_markov, rollout
+from .planners import DEFAULT_BUDGET, POLICIES, plan_exact, plan_greedy, plan_markov, rollout
 from .transect import RobotConfig, TransectGrid, enumerate_configs
 
 # the exhaustive search is exponentially priced, so it runs only on request
@@ -98,11 +100,26 @@ def _records_for(
                 pol.plan_seconds,
             )
         return out
-    for x0 in starts:
-        res = plan(policy, grid, h, k, x0, budget=budget)
+    if policy == "exact":
+        for x0 in starts:
+            res = plan_exact(grid, h, k, x0, budget=budget)
+            out[x0] = (
+                evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
+                res.plan_seconds,
+            )
+        return out
+    try:
+        results = plan_greedy(policy, grid, h, k, starts)
+    except TransectPlanError:
+        # raise what planning and evaluating one start at a time raises first
+        for x0 in starts:
+            res = plan_greedy(policy, grid, h, k, [x0])[0]
+            evaluate(res.path, h, policy, mean=mean)
+        raise
+    for x0, res in zip(starts, results):
         out[x0] = (
             evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
-            res.plan_seconds,
+            res.plan_seconds * len(starts),
         )
     return out
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotri, dtrtrs
 
 from .errors import FactorizationFailure, GridTooLarge, SingularCovariance
 from .transect import Location, TransectGrid
@@ -286,51 +286,103 @@ def precision(cov: np.ndarray) -> np.ndarray:
     return p
 
 
-class GrowingFactor:
-    """Lower Cholesky factor L of M[V, V] for a growing index set V.
+class LagGram:
+    """Prior covariance between the cells of one grid, numbered column-major
+    (``col * n_rows + row``), gathered from covariance blocks by lag.
 
-    ``entries(a, b)`` returns the block M[a][:, b] of a symmetric positive
-    definite matrix M that need never be formed whole. :meth:`condition`
-    gives the Schur complement of M[V, V] for the next candidate indices,
-    which for a covariance M is their covariance given V, at O(n^2 R) for n
-    indices in V and R candidates; :meth:`extend` appends chosen candidates
-    to V from the same W and Schur block, so V is factored only once
-    (Golub & Van Loan, Matrix Computations, 4th ed., sec. 4.2).
+    ``blocks[lag, r, s]`` is the covariance of the cells (c, r) and
+    (c + lag, s), with the noise on the lag-0 diagonal, as :func:`cross_cov`
+    puts it. The kernel is stationary, so these n_cols blocks of
+    n_rows x n_rows hold every entry of the grid's Gram matrix, with the same
+    bits as :func:`cross_cov` between the same cells.
     """
 
-    def __init__(self, entries, cells):
+    def __init__(self, grid: TransectGrid, h: Hyperparams):
+        cells = grid.locations()
+        self.n_rows = grid.n_rows
+        block = cross_cov(cells, cells[: grid.n_rows], h, grid.widths)
+        self.blocks = block.reshape(grid.n_cols, grid.n_rows, grid.n_rows)
+
+    def __call__(self, a, b) -> np.ndarray:
+        """The block M[a][:, b] for cell index arrays ``a`` and ``b``, whose
+        leading axes broadcast: shape (..., len(a), len(b))."""
+        a_col, a_row = np.divmod(np.asarray(a), self.n_rows)
+        b_col, b_row = np.divmod(np.asarray(b), self.n_rows)
+        # one flat index into the (lag, row, row) blocks
+        lag = np.abs(a_col[..., :, None] - b_col[..., None, :])
+        flat = lag * self.n_rows**2 + (a_row * self.n_rows)[..., :, None] + b_row[..., None, :]
+        return self.blocks.reshape(-1)[flat]
+
+
+class GrowingFactor:
+    """Lower Cholesky factors L_s of M[V_s, V_s] for a stack of index sets
+    V_s that grow together, each by the same number of indices at a time.
+
+    ``entries(a, b)`` returns the block M[a][:, b] of a symmetric positive
+    definite matrix M that need never be formed whole; its index arrays
+    broadcast over a leading stack axis, as :class:`LagGram`'s do.
+    :meth:`condition` gives each member's Schur complement of M[V_s, V_s]
+    for candidate indices shared by the stack, which for a covariance M is
+    their covariance given V_s, at O(n^2 R) per member for n indices in V_s
+    and R candidates; :meth:`extend` appends chosen candidates to each V_s
+    from the same W and Schur block, so V_s is factored only once (Golub &
+    Van Loan, Matrix Computations, 4th ed., sec. 4.2).
+
+    The factors live in one (stack, capacity, capacity) buffer, filled in
+    place: ``factor[s, :size, :size]`` is L_s and ``cells[s, :size]`` is
+    V_s. Each member's arithmetic is the same whatever the stack holds.
+    """
+
+    def __init__(self, entries, cells, capacity: int):
+        cells = np.asarray(cells)
+        stack = cells.shape[0]
         self.entries = entries
-        self.cells = np.asarray(cells)
-        self.factor = chol_factor(entries(self.cells, self.cells))
+        self.size = 0
+        self.cells = np.zeros((stack, capacity), dtype=np.int64)
+        self.factor = np.zeros((stack, capacity, capacity))
+        self.extend(cells, np.empty((stack, cells.shape[1], 0)), entries(cells, cells))
 
     def condition(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(S, W)`` with W = L^-1 M[V, cells] and S = M[cells, cells] - W^T W."""
-        w = solve_triangular(
-            self.factor, self.entries(self.cells, cells), lower=True, check_finite=False
-        )
-        return self.entries(cells, cells) - w.T @ w, w
+        """``(S, Wt)`` for the candidate indices ``cells`` (shape (R,)): with
+        W_s = L_s^-1 M[V_s, cells], ``Wt[s]`` is W_s^T (shape (R, n)) and
+        ``S[s]`` is M[cells, cells] - W_s^T W_s."""
+        n = self.size
+        # M[cells, V_s] is M[V_s, cells]^T; each member's W_s^T is solved in it
+        wt = self.entries(cells, self.cells[:, :n])
+        for factor, w in zip(self.factor, wt):
+            # L_s^T, read in place from the buffer with leading dimension capacity
+            _, info = dtrtrs(factor.T[:, :n], w.T, lower=0, trans=1, overwrite_b=1)
+            if info != 0:
+                raise SingularCovariance(f"trtrs failed with info {info}")
+        return self.entries(cells, cells) - wt @ wt.transpose(0, 2, 1), wt
 
-    def extend(self, cells: np.ndarray, w: np.ndarray, s: np.ndarray) -> None:
-        """Append ``cells`` to V given their ``W`` and Schur block ``S`` from
-        :meth:`condition`: L' = [[L, 0], [W^T, chol(S)]]. A Schur block that
-        does not factor, or whose factor reaches DIAG_FLOOR, refactors all of
-        M[V, V] through :func:`chol_factor` instead, with its jitter ladder
-        and refusal.
+    def extend(self, cells: np.ndarray, wt: np.ndarray, s: np.ndarray) -> None:
+        """Append ``cells[s]`` (shape (stack, k)) to each V_s, given the rows
+        ``wt[s]`` of W_s^T and the Schur block ``s[s]`` from
+        :meth:`condition`: L_s' = [[L_s, 0], [W_s^T, chol(S_s)]]. A member
+        whose Schur block does not factor, or whose factor reaches
+        DIAG_FLOOR, is refactored alone from all of M[V_s', V_s'] through
+        :func:`chol_factor`, with its jitter ladder and refusal.
         """
-        n = self.cells.size
-        self.cells = np.concatenate([self.cells, cells])
+        n, k = self.size, cells.shape[1]
+        new = slice(n, n + k)
+        self.size = n + k
+        self.cells[:, new] = cells
+        self.factor[:, new, :n] = wt
         try:
             d = np.linalg.cholesky(s)
         except np.linalg.LinAlgError:
-            d = None
-        if d is None or np.any(np.diag(d) < DIAG_FLOOR):
-            self.factor = chol_factor(self.entries(self.cells, self.cells))
-            return
-        factor = np.zeros((self.cells.size, self.cells.size))
-        factor[:n, :n] = self.factor
-        factor[n:, :n] = w.T
-        factor[n:, n:] = d
-        self.factor = factor
+            d = np.full_like(s, np.nan)  # nan marks a member to refactor
+            for member, block in enumerate(s):
+                try:
+                    d[member] = np.linalg.cholesky(block)
+                except np.linalg.LinAlgError:
+                    pass
+        self.factor[:, new, new] = d
+        diag = np.diagonal(d, axis1=-2, axis2=-1)
+        for member in np.flatnonzero(~np.all(diag >= DIAG_FLOOR, axis=-1)):
+            v = self.cells[member, : self.size]
+            self.factor[member, : self.size, : self.size] = chol_factor(self.entries(v, v))
 
 
 def conditional_entropy(

@@ -21,6 +21,10 @@ differ in what they condition on:
   candidate observations and the rest of the grid, whose term it reads from
   the whole grid's precision matrix through a second growing factor.
 
+``plan_greedy`` runs either greedy planner from many starts in one sweep, in
+which the starts advance column by column together; the two functions above
+are its one-start calls.
+
 Values are reported in nats. The exact and greedy planners report a path's
 joint entropy given the start; ``plan("markov", ...)`` reports the policy's
 stagewise value, which bounds that of every path from the start from above.
@@ -41,9 +45,9 @@ from .gp import (
     MAX_DENSE_CELLS,
     GrowingFactor,
     Hyperparams,
+    LagGram,
     conditional_entropy,
     cov_matrix,
-    cross_cov,
     gaussian_entropy,
     minor_entropies,
     posterior_cov,
@@ -215,19 +219,9 @@ def _column_entropies(grid, h, idx, col, observed) -> np.ndarray:
     return minor_entropies(posterior_cov(column, observed, h, grid.widths), idx)
 
 
-def _lag_blocks(grid: TransectGrid, h: Hyperparams) -> np.ndarray:
-    """Covariance between the rows of two columns by their lag: entry
-    (lag, r, s) is the covariance of the cells (c, r) and (c + lag, s), with
-    the noise on the lag-0 diagonal. The kernel is stationary, so these
-    blocks fill the Gram matrix of any cells taken from distinct columns."""
-    cells = [Location(c, r) for c in range(grid.n_cols) for r in range(grid.n_rows)]
-    block = cross_cov(cells, cells[: grid.n_rows], h, grid.widths)
-    return block.reshape(grid.n_cols, grid.n_rows, grid.n_rows)
-
-
 def _grid_gram(blocks: np.ndarray) -> np.ndarray:
     """The whole grid's Gram matrix over column-major cells, filled one
-    column's band of rows at a time from the ``_lag_blocks`` ``blocks``."""
+    column's band of rows at a time from the ``LagGram`` ``blocks``."""
     n_cols, n_rows, _ = blocks.shape
     lags = np.arange(n_cols)
     gram = np.empty((n_cols * n_rows, n_cols * n_rows))
@@ -330,7 +324,7 @@ def plan_exact(
         raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
 
     idx = np.array([c.rows for c in configs])
-    blocks = _lag_blocks(grid, h)
+    blocks = LagGram(grid, h).blocks
     value = None
     # chunks of nodes of one depth, lexicographically first on top; a node is
     # its configuration indices after the start, its summed gains and gains
@@ -360,55 +354,85 @@ def plan_exact(
     return PlanResult("exact", path, float(value), time.perf_counter() - t0, stage_gains)
 
 
-def _greedy(grid, h, k, x0, kind: str, mi: bool) -> PlanResult:
-    """Commit, column by column, to the first best configuration: the one
-    whose rows of the next column have the most entropy given the visited
-    cells, less, when ``mi`` is set, their entropy given every unvisited
-    cell. ``kind`` labels the result.
+def plan_greedy(
+    policy: str, grid: TransectGrid, h: Hyperparams, k: int, starts
+) -> list[PlanResult]:
+    """Plan the greedy ``policy`` ("greedy-ent" or "greedy-mi") from every
+    start in ``starts`` in one sweep; one result per start, in order.
+
+    Each start commits, column by column, to the first best configuration:
+    the one whose rows of the next column have the most entropy given the
+    start's visited cells, less, for greedy-mi, their entropy given every
+    unvisited cell (see :func:`plan_greedy_entropy` and
+    :func:`plan_greedy_mi`). The starts advance together, and each one's
+    arithmetic is the same as when it is planned alone, so a result does not
+    depend on the other starts. Refuses before planning when a start is not
+    a k-robot configuration of the grid, and greedy-mi on grids beyond
+    MAX_DENSE_CELLS cells.
 
     Cells are numbered column-major (``col * n_rows + row``). The first term
-    conditions the column's prior covariance on a factor of the visited
-    cells' Gram matrix, gathered from ``_lag_blocks``; the second conditions
-    the whole grid's precision P = K^-1 on a factor of P over the visited
-    cells, since P_cc - P_cV P_VV^-1 P_Vc is the inverse of the column's
-    covariance given every unvisited cell. Both factors grow by the chosen
-    rows at each column instead of being refactored.
+    conditions the column's prior covariance, gathered by one ``LagGram``,
+    on a stacked factor of each start's visited cells; the second conditions
+    the whole grid's precision P = K^-1, formed once per sweep, on a stacked
+    factor of P over the visited cells, since P_cc - P_cV P_VV^-1 P_Vc is
+    the inverse of the column's covariance given every unvisited cell. Both
+    factors grow by the chosen rows at each column instead of being
+    refactored. Every result's ``plan_seconds`` is the sweep's wall time
+    divided by the number of starts.
     """
     t0 = time.perf_counter()
+    if policy not in ("greedy-ent", "greedy-mi"):
+        raise ParseError(f"{policy!r} is not a greedy policy")
+    mi = policy == "greedy-mi"
+    if mi and grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
+        raise GridTooLarge(
+            "mutual-information scores condition on the whole grid; "
+            f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
+        )
     configs = enumerate_configs(grid, k)
-    if x0 not in configs:
-        raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
+    for x0 in starts:
+        if x0 not in configs:
+            raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
+    if not starts:
+        return []
 
     idx = np.array([c.rows for c in configs])
-    n_rows = grid.n_rows
-    blocks = _lag_blocks(grid, h)
-
-    def prior(a, b):
-        lag = np.abs(a[:, None] // n_rows - b[None, :] // n_rows)
-        return blocks[lag, a[:, None] % n_rows, b[None, :] % n_rows]
-
-    start = np.array(x0.rows)
-    factors = [GrowingFactor(prior, start)]
+    n_rows, n_cols = grid.n_rows, grid.n_cols
+    prior = LagGram(grid, h)
+    visited = np.array([x0.rows for x0 in starts])
+    members = np.arange(len(starts))[:, None]
+    factors = [GrowingFactor(prior, visited, k * n_cols)]
     if mi:
-        p = precision(_grid_gram(blocks))
-        factors.append(GrowingFactor(lambda a, b: p[np.ix_(a, b)], start))
-    chosen = [x0]
-    for col in range(1, grid.n_cols):
+        p = precision(_grid_gram(prior.blocks))
+        entries = lambda a, b: p[np.asarray(a)[..., :, None], np.asarray(b)[..., None, :]]
+        factors.append(GrowingFactor(entries, visited, k * n_cols))
+    chosen = []
+    for col in range(1, n_cols):
         column = col * n_rows + np.arange(n_rows)
         steps = [f.condition(column) for f in factors]
-        scores = minor_entropies(steps[0][0], idx)
+        entropies = minor_entropies(np.stack([post for post, _ in steps]), idx)
+        scores = entropies[0]
         if mi:
             # less the entropy given every unvisited cell, from its precision
-            scores = scores - (k * LOG_2PI_E - minor_entropies(steps[1][0], idx))
+            scores = scores - (k * LOG_2PI_E - entropies[1])
         j = _first_best(scores)
-        chosen.append(configs[j])
-        if col + 1 < grid.n_cols:
+        chosen.append(j)
+        if col + 1 < n_cols:
             rows = idx[j]
-            for f, (post, w) in zip(factors, steps):
-                f.extend(column[rows], w[:, rows], post[np.ix_(rows, rows)])
+            for f, (post, wt) in zip(factors, steps):
+                f.extend(
+                    column[rows],
+                    wt[members, rows],
+                    post[members[:, :, None], rows[:, :, None], rows[:, None, :]],
+                )
 
-    path = ObservationPath(grid, tuple(chosen))
-    return PlanResult(kind, path, path_entropy(path, h), time.perf_counter() - t0)
+    paths = [
+        ObservationPath(grid, (x0, *(configs[j] for j in seq)))
+        for x0, seq in zip(starts, np.transpose(chosen).tolist())
+    ]
+    values = [path_entropy(path, h) for path in paths]
+    seconds = (time.perf_counter() - t0) / len(paths)
+    return [PlanResult(policy, path, v, seconds) for path, v in zip(paths, values)]
 
 
 def plan_greedy_entropy(
@@ -420,7 +444,7 @@ def plan_greedy_entropy(
     uncertain given everything sampled so far. The reported value is the
     resulting path's joint entropy, not the sum of greedy scores.
     """
-    return _greedy(grid, h, k, x0, "greedy-ent", mi=False)
+    return plan_greedy("greedy-ent", grid, h, k, [x0])[0]
 
 
 def plan_greedy_mi(
@@ -431,18 +455,13 @@ def plan_greedy_mi(
     Scores a candidate by H[candidate | visited] minus H[candidate | rest of
     the grid], the information the new observations share with everything
     not yet sampled (Krause, Singh & Guestrin, JMLR 2008). The second term
-    reads the precision of the whole grid, formed once per call from one
+    reads the precision of the whole grid, formed once per sweep from one
     factor of its dense Gram matrix by ``chol_factor``, hence the cell
     guard; a Gram matrix that the jitter ladder does not factor, or whose
     factor reaches DIAG_FLOOR, is refused. The reported value is the path's
     joint entropy.
     """
-    if grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
-        raise GridTooLarge(
-            "mutual-information scores condition on the whole grid; "
-            f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
-        )
-    return _greedy(grid, h, k, x0, "greedy-mi", mi=True)
+    return plan_greedy("greedy-mi", grid, h, k, [x0])[0]
 
 
 def plan(

@@ -22,8 +22,9 @@ from transectplan.bench import (
     run_benchmark,
     write_csv,
 )
+from transectplan import bench, planners
 from transectplan.cli import main, mapped_exits
-from transectplan.errors import FactorizationFailure
+from transectplan.errors import FactorizationFailure, SingularCovariance
 from transectplan.fieldio import fmt
 
 DATA = Path(__file__).parent / "data"
@@ -262,6 +263,63 @@ def test_benchmark_deterministic():
     for ra, rb in zip(a, b):
         assert ra["ent"] == rb["ent"]
         assert ra["err"] == rb["err"]
+
+
+def test_benchmark_greedy_rows_share_one_sweep():
+    rows = run_benchmark(spec_of(policies=("markov", "greedy-ent", "greedy-mi")))
+    for policy in ("greedy-ent", "greedy-mi"):
+        per_start = [r for r in rows if r["policy"] == policy and r["start"] != "mean"]
+        assert len(per_start) == 3
+        total = per_start[0]["plan_total_seconds"]
+        for r in per_start:
+            # one sweep's wall time, amortized over its starts
+            assert r["plan_total_seconds"] == total
+            assert r["plan_seconds"] * 3 == pytest.approx(total, rel=1e-12)
+
+
+def test_benchmark_refusal_is_the_first_failing_starts():
+    # noise-free plankton fit: greedy-ent refuses from every start, and a
+    # sweep of (0,1) and (2,4) meets (2,4)'s refusal first
+    h = Hyperparams(ell1=27.53, ell2=134.64, signal_var=2.152, noise_var=0.0)
+    g = TransectGrid(5, 40, 5.0, 5.0)
+    starts = (RobotConfig((0, 1)), RobotConfig((2, 4)))
+    alone = []
+    for x0 in starts:
+        with pytest.raises(FactorizationFailure) as refused:
+            planners.plan_greedy_entropy(g, h, 2, x0)
+        alone.append(str(refused.value))
+    with pytest.raises(FactorizationFailure) as refused:
+        planners.plan_greedy("greedy-ent", g, h, 2, starts)
+    assert str(refused.value) == alone[1] != alone[0]
+    for order in (starts, starts[::-1]):
+        spec = spec_of(n_rows=5, n_cols=40, h=h, team_sizes=(2,), start_mode="explicit", starts=order)
+        with pytest.raises(FactorizationFailure) as refused:
+            run_benchmark(spec)
+        assert str(refused.value) == alone[starts.index(order[0])]
+
+
+def test_benchmark_raises_the_first_failing_starts_error_type(monkeypatch):
+    # start a is planned and then refused by its metrics, start b is refused
+    # while planning; one start at a time, whichever comes first decides
+    a, b = RobotConfig((0,)), RobotConfig((2,))
+    real_path_entropy, real_evaluate = planners.path_entropy, bench.evaluate
+
+    def path_entropy(path, h):
+        if path.start == b:
+            raise SingularCovariance("planning from b")
+        return real_path_entropy(path, h)
+
+    def evaluate(path, h, policy, **kw):
+        if policy == "greedy-ent" and path.start == a:
+            raise FactorizationFailure("evaluating a")
+        return real_evaluate(path, h, policy, **kw)
+
+    monkeypatch.setattr(planners, "path_entropy", path_entropy)
+    monkeypatch.setattr(bench, "evaluate", evaluate)
+    with pytest.raises(FactorizationFailure, match="evaluating a"):
+        run_benchmark(spec_of(start_mode="explicit", starts=(a, b)))
+    with pytest.raises(SingularCovariance, match="planning from b"):
+        run_benchmark(spec_of(start_mode="explicit", starts=(b, a)))
 
 
 def test_write_csv_renders_none_as_empty(tmp_path):

@@ -308,28 +308,61 @@ def test_minor_entropies_collapsed_minor_raises():
 
 
 def grid_entries(grid, h):
-    """``entries(a, b)`` of the prior covariance over column-major cells."""
+    """``entries(a, b)`` of the prior covariance over column-major cells,
+    one cross_cov per stack member; leading axes of ``a`` and ``b``
+    broadcast."""
     cells = grid.locations()
 
     def entries(a, b):
-        return cross_cov([cells[i] for i in a], [cells[j] for j in b], h, grid.widths)
+        a, b = np.asarray(a), np.asarray(b)
+        lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        a = np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1])
+        b = np.broadcast_to(b, lead + b.shape[-1:]).reshape(-1, b.shape[-1])
+        blocks = [
+            cross_cov([cells[i] for i in x], [cells[j] for j in y], h, grid.widths)
+            for x, y in zip(a, b)
+        ]
+        return np.reshape(blocks, lead + (a.shape[-1], b.shape[-1]))
 
     return entries
 
 
-def grown_history(grid, h, seed, k):
-    """Grow a factor from random rows of column 0 by random rows of every
-    later column; yields (factor, column cells, S, W) before each append."""
+def test_lag_gram_matches_cross_cov_bits():
+    g = TransectGrid(4, 9, 5.0, 5.0)
+    h = Hyperparams(ell1=8.0, ell2=6.0, signal_var=2.5, noise_var=0.01)
+    rng = np.random.default_rng(0)
+    a = rng.choice(g.n_rows * g.n_cols, (3, 7))
+    b = rng.choice(g.n_rows * g.n_cols, 5)
+    # shared cells pick up the noise, as cross_cov adds it
+    b[0] = a[1, 2]
+    np.testing.assert_array_equal(gp.LagGram(g, h)(a, b), grid_entries(g, h)(a, b))
+
+
+def pivot_blocks(s, members, chosen):
+    """The Schur blocks S[s][chosen[s], chosen[s]] of every member."""
+    return s[members[:, :, None], chosen[:, :, None], chosen[:, None, :]]
+
+
+def grown_history(grid, h, seed, k, stack=3):
+    """Grow a stack of factors, each from random rows of column 0 by random
+    rows of every later column; yields (factor, column cells, S, W^T)
+    before each append."""
     rng = np.random.default_rng(seed)
-    rows = lambda: np.sort(rng.choice(grid.n_rows, k, replace=False))
-    f = GrowingFactor(grid_entries(grid, h), rows())
+    rows = lambda: np.sort([rng.choice(grid.n_rows, k, replace=False) for _ in range(stack)])
+    f = GrowingFactor(grid_entries(grid, h), rows(), k * grid.n_cols)
+    members = np.arange(stack)[:, None]
     for col in range(1, grid.n_cols):
         column = col * grid.n_rows + np.arange(grid.n_rows)
-        s, w = f.condition(column)
-        yield f, column, s, w
+        s, wt = f.condition(column)
+        yield f, column, s, wt
         chosen = rows()
-        f.extend(column[chosen], w[:, chosen], s[np.ix_(chosen, chosen)])
+        f.extend(column[chosen], wt[members, chosen], pivot_blocks(s, members, chosen))
     yield f, None, None, None
+
+
+def members_of(f):
+    """(L_s, V_s) of every stack member."""
+    return [(L[: f.size, : f.size], v[: f.size]) for L, v in zip(f.factor, f.cells)]
 
 
 @pytest.mark.parametrize("seed, k", [(0, 1), (1, 2), (2, 3)])
@@ -338,14 +371,15 @@ def test_growing_factor_tracks_history_gram(seed, k):
     h = Hyperparams(ell1=8.0, ell2=6.0, signal_var=2.5, noise_var=0.01)
     cells = g.locations()
     for f, column, s, _ in grown_history(g, h, seed, k):
-        history = [cells[i] for i in f.cells]
-        want = cov_matrix(history, h, g.widths)
-        np.testing.assert_allclose(
-            f.factor @ f.factor.T, want, rtol=0, atol=1e-12 * h.signal_var
-        )
-        if column is not None:
-            post = posterior_cov([cells[i] for i in column], history, h, g.widths)
-            np.testing.assert_allclose(s, post, rtol=0, atol=1e-12 * h.signal_var)
+        for member, (L, v) in enumerate(members_of(f)):
+            history = [cells[i] for i in v]
+            want = cov_matrix(history, h, g.widths)
+            np.testing.assert_allclose(L @ L.T, want, rtol=0, atol=1e-12 * h.signal_var)
+            if column is not None:
+                post = posterior_cov([cells[i] for i in column], history, h, g.widths)
+                np.testing.assert_allclose(
+                    s[member], post, rtol=0, atol=1e-12 * h.signal_var
+                )
 
 
 def test_growing_factor_precision_route_inverts_rest_posterior():
@@ -356,14 +390,16 @@ def test_growing_factor_precision_route_inverts_rest_posterior():
     cells = g.locations()
     n = len(cells)
     p = precision(cov_matrix(cells, h, g.widths))
+    entries = lambda a, b: p[np.asarray(a)[..., :, None], np.asarray(b)[..., None, :]]
     for f, column, _, _ in grown_history(g, h, 3, 2):
         if column is None:
             break
-        prec = GrowingFactor(lambda a, b: p[np.ix_(a, b)], f.cells)
+        prec = GrowingFactor(entries, f.cells[:, : f.size], n)
         lam, _ = prec.condition(column)
-        others = [cells[i] for i in np.setdiff1d(np.arange(n), np.r_[f.cells, column])]
-        rest = posterior_cov([cells[i] for i in column], others, h, g.widths)
-        np.testing.assert_allclose(lam, np.linalg.inv(rest), rtol=1e-9)
+        for member, (_, v) in enumerate(members_of(f)):
+            others = [cells[i] for i in np.setdiff1d(np.arange(n), np.r_[v, column])]
+            rest = posterior_cov([cells[i] for i in column], others, h, g.widths)
+            np.testing.assert_allclose(lam[member], np.linalg.inv(rest), rtol=1e-9)
 
 
 def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
@@ -376,7 +412,7 @@ def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
     real_cholesky, real_chol_factor = np.linalg.cholesky, gp.chol_factor
 
     def cholesky(a):
-        if a.shape == (2, 2):
+        if a.shape[-2:] == (2, 2):
             raise np.linalg.LinAlgError("forced")
         return real_cholesky(a)
 
@@ -389,12 +425,51 @@ def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     monkeypatch.setattr(gp, "chol_factor", counted)
     forced = list(grown)[-1][0]
-    # one whole-history refactor per append
-    assert refactored == [4, 6, 8, 10, 12]
+    # one whole-history refactor per member and append
+    assert refactored == [n for n in (4, 6, 8, 10, 12) for _ in range(3)]
     np.testing.assert_array_equal(forced.cells, f.cells)
     np.testing.assert_allclose(forced.factor, f.factor, rtol=0, atol=1e-13)
-    want = cov_matrix([cells[i] for i in f.cells], H, g.widths)
-    np.testing.assert_array_equal(forced.factor, real_cholesky(want))
+    for L, v in members_of(forced):
+        want = cov_matrix([cells[i] for i in v], H, g.widths)
+        np.testing.assert_array_equal(L, real_cholesky(want))
+
+
+@pytest.mark.parametrize(
+    "bad_block",
+    [-np.eye(2), np.diag([1.0, 1e-310])],
+    ids=["not-positive-definite", "below-diag-floor"],
+)
+def test_growing_factor_refactors_only_the_member_whose_pivot_fails(monkeypatch, bad_block):
+    g = TransectGrid(4, 6, 5.0, 5.0)
+    cells = g.locations()
+    entries = grid_entries(g, H)
+    starts = np.array([[0, 1], [1, 3], [2, 3]])
+    grown, forced = (GrowingFactor(entries, starts, 12) for _ in range(2))
+    column = g.n_rows + np.arange(g.n_rows)
+    chosen = np.array([[0, 2], [1, 2], [0, 3]])
+    members = np.arange(3)[:, None]
+    s, wt = grown.condition(column)
+    blocks = pivot_blocks(s, members, chosen)
+
+    refactored = []
+    real_chol_factor = gp.chol_factor
+
+    def counted(cov):
+        refactored.append(cov.shape[0])
+        return real_chol_factor(cov)
+
+    monkeypatch.setattr(gp, "chol_factor", counted)
+    grown.extend(column[chosen], wt[members, chosen], blocks)
+    assert refactored == []
+    failing = blocks.copy()
+    failing[1] = bad_block
+    forced.extend(column[chosen], wt[members, chosen], failing)
+    assert refactored == [4]
+    for member in (0, 2):
+        np.testing.assert_array_equal(forced.factor[member], grown.factor[member])
+    want = cov_matrix([cells[i] for i in forced.cells[1, :4]], H, g.widths)
+    np.testing.assert_array_equal(forced.factor[1, :4, :4], np.linalg.cholesky(want))
+    np.testing.assert_allclose(forced.factor[1], grown.factor[1], rtol=0, atol=1e-13)
 
 
 def test_precision_inverts_through_chol_factor():

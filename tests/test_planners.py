@@ -23,12 +23,13 @@ from transectplan import (
     path_entropy,
     plan,
     plan_exact,
+    plan_greedy,
     plan_greedy_entropy,
     plan_greedy_mi,
     plan_markov,
     rollout,
 )
-from transectplan import planners
+from transectplan import gp, planners
 from transectplan.errors import FactorizationFailure, SingularCovariance
 from transectplan.gp import MAX_DENSE_CELLS
 from transectplan.planners import TIE_RTOL, stage_entropy_table
@@ -532,6 +533,53 @@ def test_greedy_refuses_foreign_start(planner):
         planner(g, H, 1, RobotConfig((6,)))
     with pytest.raises(InvalidArity):
         planner(g, H, 1, RobotConfig((0, 2)))
+
+
+# The paper's fitted hyperparameters for the two survey fields.
+SURVEY_FITS = {
+    "temperature": Hyperparams(ell1=40.45, ell2=16.0, signal_var=0.1542, noise_var=0.0036),
+    "plankton": Hyperparams(ell1=27.53, ell2=134.64, signal_var=2.152, noise_var=0.041),
+}
+ONE_START = {"greedy-ent": plan_greedy_entropy, "greedy-mi": plan_greedy_mi}
+
+
+def assert_sweep_matches_one_start_calls(policy, g, h, k):
+    starts = enumerate_configs(g, k)
+    swept = plan_greedy(policy, g, h, k, starts)
+    assert [r.path.start for r in swept] == starts
+    for x0, res in zip(starts, swept):
+        alone = ONE_START[policy](g, h, k, x0)
+        assert res.policy_kind == alone.policy_kind == policy
+        assert res.path == alone.path
+        assert float(res.value).hex() == float(alone.value).hex()
+
+
+@pytest.mark.parametrize("policy", ["greedy-ent", "greedy-mi"])
+@pytest.mark.parametrize("fit", sorted(SURVEY_FITS))
+@pytest.mark.parametrize("k", [1, 2])
+def test_greedy_sweep_matches_one_start_calls(policy, fit, k):
+    assert_sweep_matches_one_start_calls(policy, TransectGrid(5, 40, 5.0, 5.0), SURVEY_FITS[fit], k)
+
+
+@pytest.mark.parametrize("policy", ["greedy-ent", "greedy-mi"])
+def test_greedy_sweep_matches_one_start_calls_through_refactors(monkeypatch, policy):
+    # noise-free and nearly constant across the track: chosen posterior
+    # minors need jitter, so some members' pivot blocks fail and are
+    # refactored alone while the others grow
+    g = TransectGrid(5, 8, 5.0, 5.0)
+    h = Hyperparams(ell1=15.0, ell2=1000.0, signal_var=1.0, noise_var=0.0)
+    k = 4
+    orders = []
+    real_chol_factor = gp.chol_factor
+
+    def counted(cov):
+        orders.append(cov.shape[0])
+        return real_chol_factor(cov)
+
+    monkeypatch.setattr(gp, "chol_factor", counted)
+    assert_sweep_matches_one_start_calls(policy, g, h, k)
+    # a history refactor has more than one column's cells and fewer than a path's
+    assert any(k < n < k * g.n_cols for n in orders)
 
 
 def test_greedy_mi_refuses_grid_past_dense_limit():
