@@ -15,11 +15,13 @@ against the Markov planner's path on the same instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import EmptyUnobservedSet, MismatchedInstances, ZeroMeanField
-from .gp import Hyperparams, conditional_entropy, posterior_mean
+from .gp import Hyperparams, LagGram, chol_factor, gaussian_entropy
 from .transect import ObservationPath, RobotConfig
 
 
@@ -37,6 +39,53 @@ class EvalRecord:
     plan_seconds: float
 
 
+class _PathMap:
+    """The cells a path visited and those it did not, numbered column-major,
+    their prior covariance by lag, and one factor of the visited cells' Gram
+    matrix, formed when first read and shared by both metrics."""
+
+    def __init__(self, path: ObservationPath, h: Hyperparams):
+        grid = path.grid
+        self.grid = grid
+        self.prior = LagGram(grid, h)
+        rows = np.array([cfg.rows for cfg in path.configs])
+        # stage by stage, rows ascending: the order of path.locations()
+        self.visited = (np.arange(grid.n_cols)[:, None] * grid.n_rows + rows).ravel()
+        self.rest = np.setdiff1d(np.arange(grid.n_rows * grid.n_cols), self.visited)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        return chol_factor(self.prior(self.visited, self.visited))
+
+    def unobserved_entropy(self) -> float:
+        if not self.rest.size:
+            raise EmptyUnobservedSet("path covers every cell")
+        w = solve_triangular(
+            self.factor, self.prior(self.visited, self.rest), lower=True, check_finite=False
+        )
+        return gaussian_entropy(self.prior(self.rest, self.rest) - w.T @ w)
+
+    def relative_error(self, mean: float | None) -> float:
+        z = self.grid.measurements
+        if z is None:
+            raise ValueError("relative error needs ground-truth measurements")
+        zbar = float(np.mean(z))
+        if zbar == 0.0:
+            raise ZeroMeanField("field mean is zero, relative error undefined")
+        if mean is None:
+            mean = zbar
+        # column-major cell i holds z[i % n_rows, i // n_rows]
+        z_all = z.T.ravel()
+        alpha = solve_triangular(
+            self.factor, z_all[self.visited] - mean, lower=True, check_finite=False
+        )
+        alpha = solve_triangular(self.factor.T, alpha, lower=False, check_finite=False)
+        universe = np.arange(z_all.size)
+        mu = mean + self.prior(universe, self.visited) @ alpha
+        resid = (z_all - mu) / zbar
+        return float(np.mean(resid * resid))
+
+
 def unobserved_entropy(path: ObservationPath, h: Hyperparams) -> float:
     """Posterior entropy of the cells the path never visited.
 
@@ -45,11 +94,7 @@ def unobserved_entropy(path: ObservationPath, h: Hyperparams) -> float:
     when the path covered the whole grid, since the entropy of nothing is
     not a number.
     """
-    sampled = set(path.locations())
-    rest = [u for u in path.grid.locations() if u not in sampled]
-    if not rest:
-        raise EmptyUnobservedSet("path covers every cell")
-    return conditional_entropy(rest, path.locations(), h, path.grid.widths)
+    return _PathMap(path, h).unobserved_entropy()
 
 
 def relative_error(
@@ -62,21 +107,7 @@ def relative_error(
     residuals), and averages the squared residuals normalized by the field
     mean. The prior mean defaults to the field's arithmetic mean.
     """
-    grid = path.grid
-    if grid.measurements is None:
-        raise ValueError("relative error needs ground-truth measurements")
-    zbar = float(np.mean(grid.measurements))
-    if zbar == 0.0:
-        raise ZeroMeanField("field mean is zero, relative error undefined")
-    if mean is None:
-        mean = zbar
-    sampled = path.locations()
-    z_obs = np.array([grid.value_at(u) for u in sampled])
-    universe = grid.locations()
-    mu = posterior_mean(universe, sampled, z_obs, h, grid.widths, mean=mean)
-    z_all = np.array([grid.value_at(u) for u in universe])
-    resid = (z_all - mu) / zbar
-    return float(np.mean(resid * resid))
+    return _PathMap(path, h).relative_error(mean)
 
 
 def evaluate(
@@ -86,14 +117,16 @@ def evaluate(
     plan_seconds: float = 0.0,
     mean: float | None = None,
 ) -> EvalRecord:
-    """Bundle both metrics for one planned path."""
+    """Bundle both metrics for one planned path, from one factor of the
+    visited cells' Gram matrix."""
+    path_map = _PathMap(result_path, h)
     err = None
     if result_path.grid.measurements is not None:
-        err = relative_error(result_path, h, mean=mean)
+        err = path_map.relative_error(mean)
     return EvalRecord(
         policy_kind=policy_kind,
         start=result_path.start,
-        ent=unobserved_entropy(result_path, h),
+        ent=path_map.unobserved_entropy(),
         err=err,
         plan_seconds=plan_seconds,
     )
