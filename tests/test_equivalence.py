@@ -16,13 +16,17 @@ spec.loader.exec_module(eq)
 
 @pytest.fixture(scope="module")
 def small_record():
-    # one desk-sized case per corpus family and noise group
+    # one desk-sized case per corpus family and noise group, and every start
+    # of the first survey-fit instance, which run_benchmark plans together
     picked, seen = [], set()
     for case in eq.corpus():
         kind = (case.name.split("-")[0], case.group)
         if case.rows * case.cols <= 30 and kind not in seen:
             seen.add(kind)
             picked.append(case)
+    survey = next(c for c in eq.corpus() if c.name.split("-")[0] in eq.FITS)
+    same = lambda c: eq.replace(c, name="", start=()) == eq.replace(survey, name="", start=())
+    picked += [c for c in eq.corpus() if same(c)]
     return eq.record(picked)
 
 
@@ -80,6 +84,40 @@ def test_each_class_fires_on_a_perturbed_record(small_record):
     missing = copy.deepcopy(small_record)
     del missing["runs"][key]
     assert eq.compare(small_record, missing)["changed"][0][:2] == (key, "other")
+
+
+def test_survey_records_every_policy_and_start(small_record):
+    survey = {k: r for k, r in small_record["runs"].items() if r["planner"] == "survey"}
+    starts = [c for c in small_record["cases"] if c["name"].split("-")[0] in eq.FITS]
+    assert len(starts) == 2
+    assert len(survey) == len(eq.SURVEY_POLICIES) * len(starts)
+    for c in starts:
+        for policy in eq.SURVEY_POLICIES:
+            run = survey[f"survey/{policy}/{c['name']}"]
+            assert run["refusal"] is None and run["path"] is None
+            assert float.fromhex(run["err"]) >= 0.0
+
+
+def test_each_class_fires_on_a_perturbed_survey_record(small_record):
+    key = next(k for k, r in small_record["runs"].items() if r["planner"] == "survey")
+    run = small_record["runs"][key]
+
+    def cls(**changes):
+        result = eq.compare(small_record, perturbed(small_record, key, **changes))
+        assert [c[0] for c in result["changed"]] == [key]
+        return result["changed"][0][1]
+
+    for field in ("value", "err"):
+        x = float.fromhex(run[field])
+        assert cls(**{field: float(np.nextafter(x, np.inf)).hex()}) == "close"
+        assert cls(**{field: (x * (1 + 1e-6) + 1e-9).hex()}) == "other"
+    assert cls(err=None) == "other"
+    assert cls(refusal="FactorizationFailure", value=None, err=None) == "refusal"
+    missing = copy.deepcopy(small_record)
+    del missing["runs"][key]
+    assert eq.compare(small_record, missing)["changed"][0][:2] == (key, "other")
+    # survey rows carry no path, so a moved path shows as a moved value
+    assert run["path"] is None
 
 
 def test_compare_command_prints_the_class_table(small_record, tmp_path, capsys):

@@ -7,7 +7,9 @@ classify every difference.
 ``record`` imports ``transectplan`` from ``DIR/src`` (a checkout of any
 revision, for example one unpacked with ``git archive``), runs every case of
 ``corpus()`` through every planner in ``PLANNERS`` and writes, per run, the
-value's exact bits, the path's rows and the refusal's type name. ``compare``
+value's exact bits, the path's rows and the refusal's type name. It also
+runs ``run_benchmark`` on the survey-fit cases (see :func:`survey`), so the
+benchmark's batched route and its map metrics are compared too. ``compare``
 puts each run in one class of ``CLASSES`` and prints the counts per planner
 and noise group; noise ratios 0 and 1e-6 are grouped apart from the rest,
 because at zero or tiny noise two algebraically equal routes are known to
@@ -28,7 +30,7 @@ import json
 import sys
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,8 @@ PLANNERS = {
     "greedy-ent": lambda tp, g, h, k, x0: tp.plan_greedy_entropy(g, h, k, x0),
     "greedy-mi": lambda tp, g, h, k, x0: tp.plan_greedy_mi(g, h, k, x0),
 }
+
+SURVEY_POLICIES = ("markov", "greedy-ent", "greedy-mi")
 
 CLASSES = ("identical", "close", "tied", "refusal", "other")
 
@@ -110,23 +114,59 @@ def corpus() -> list[Case]:
     return cases
 
 
+def refusal_name(tp, exc: Exception) -> str:
+    """The refusal's type name, prefixed "untyped" when it is not a
+    TransectPlanError."""
+    name = type(exc).__name__
+    return name if isinstance(exc, tp.TransectPlanError) else f"untyped {name}"
+
+
 def run(tp, case: Case, planner: str) -> dict:
     """One planner on one case: value bits and path rows, or the refusal's
-    type name, prefixed "untyped" when it is not a TransectPlanError."""
+    type name."""
     grid = tp.TransectGrid(case.rows, case.cols, case.omega, case.omega)
     h = tp.Hyperparams(case.ell1, case.ell2, case.signal_var, case.noise_var)
     try:
         res = PLANNERS[planner](tp, grid, h, case.k, tp.RobotConfig(case.start))
     except Exception as exc:  # an untyped failure is recorded, not raised
-        name = type(exc).__name__
-        if not isinstance(exc, tp.TransectPlanError):
-            name = f"untyped {name}"
-        return {"refusal": name, "value": None, "path": None}
+        return {"refusal": refusal_name(tp, exc), "value": None, "path": None}
     return {
         "refusal": None,
         "value": float(res.value).hex(),
         "path": [list(c.rows) for c in res.path.configs],
     }
+
+
+def survey(tp, cases: list[Case]) -> dict:
+    """``run_benchmark`` on every survey-fit case, with all the starts of one
+    instance as the explicit starts of one call and field seed 0. Each
+    (policy, start) row is one run, keyed by its case, holding the row's
+    ``ent`` bits as its value and its ``err`` bits; a refused call records
+    its refusal for every row. Rows carry no path."""
+    instances = {}
+    for case in cases:
+        if case.name.split("-")[0] in FITS:
+            instances.setdefault(replace(case, name="", start=()), []).append(case)
+    runs = {}
+    for inst, members in instances.items():
+        spec = tp.ExperimentSpec(
+            inst.rows, inst.cols, inst.omega, inst.omega,
+            tp.Hyperparams(inst.ell1, inst.ell2, inst.signal_var, inst.noise_var),
+            team_sizes=(inst.k,), policies=SURVEY_POLICIES, seeds=(0,),
+            start_mode="explicit", starts=tuple(tp.RobotConfig(c.start) for c in members),
+        )  # fmt: skip
+        try:
+            rows = {(r["policy"], r["start"]): r for r in tp.run_benchmark(spec)}
+            refusal = None
+        except Exception as exc:  # an untyped failure is recorded, not raised
+            refusal = refusal_name(tp, exc)
+        for case, policy in ((c, p) for c in members for p in SURVEY_POLICIES):
+            out = {"refusal": refusal, "value": None, "err": None, "path": None}
+            if refusal is None:
+                row = rows[(policy, str(tp.RobotConfig(case.start)))]
+                out.update(value=float(row["ent"]).hex(), err=float(row["err"]).hex())
+            runs[f"survey/{policy}/{case.name}"] = {"planner": "survey", "group": case.group, **out}
+    return runs
 
 
 def record(cases: list[Case]) -> dict:
@@ -144,6 +184,7 @@ def record(cases: list[Case]) -> dict:
                     "group": case.group,
                     **run(tp, case, planner),
                 }
+        runs.update(survey(tp, cases))
     return {
         "tie_rtol": tp.planners.TIE_RTOL,
         "cases": [asdict(c) for c in cases],
@@ -153,19 +194,25 @@ def record(cases: list[Case]) -> dict:
 
 def classify(a: dict, b: dict, tie_rtol: float) -> str:
     """The class of one run recorded as ``a`` and again as ``b``: identical
-    (the same refusal, or the same path and value bits), close (the same
-    path, values within 1e-12 relative), tied (another path, values within
-    ``tie_rtol`` relative), refusal (one side refused, or the type changed)
-    or other."""
+    (the same refusal, or the same path and value bits, and the same ``err``
+    bits where the run has them), close (the same path, values within 1e-12
+    relative), tied (another path, values within ``tie_rtol`` relative),
+    refusal (one side refused, or the type changed) or other."""
     if a["refusal"] or b["refusal"]:
         return "identical" if a["refusal"] == b["refusal"] else "refusal"
-    va, vb = float.fromhex(a["value"]), float.fromhex(b["value"])
-    scale = max(abs(va), abs(vb), 1.0)
+    keys = ("value", "err")
+    if [a.get(key) for key in keys] == [b.get(key) for key in keys]:
+        return "identical" if a["path"] == b["path"] else "tied"
+    if (a.get("err") is None) != (b.get("err") is None):
+        return "other"
+
+    def within(rtol: float) -> bool:
+        pairs = [(float.fromhex(a[key]), float.fromhex(b[key])) for key in keys if a.get(key)]
+        return all(abs(x - y) <= rtol * max(abs(x), abs(y), 1.0) for x, y in pairs)
+
     if a["path"] == b["path"]:
-        if va == vb:
-            return "identical"
-        return "close" if abs(va - vb) <= 1e-12 * scale else "other"
-    return "tied" if abs(va - vb) <= tie_rtol * scale else "other"
+        return "close" if within(1e-12) else "other"
+    return "tied" if within(tie_rtol) else "other"
 
 
 def compare(a: dict, b: dict) -> dict:
@@ -186,6 +233,8 @@ def describe(run: dict | None) -> str:
         return "missing"
     if run["refusal"]:
         return f"refused {run['refusal']}"
+    if run["path"] is None:
+        return f"ent {float.fromhex(run['value']):.15g}, err {float.fromhex(run['err']):.15g}"
     return f"{float.fromhex(run['value']):.15g} via {run['path'][1:4]}..."
 
 
