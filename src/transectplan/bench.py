@@ -3,10 +3,10 @@
 Each seed draws one exact field realization, every requested planner runs
 from every requested start, and both map metrics land in one flat table
 together with their gaps against the Markov planner. The Markov planner is
-planned once per (field, team size), and each greedy planner plans all of a
-team size's starts in one sweep; a row's ``plan_seconds`` is that planning
-time amortized over the starts it serves, and its ``plan_total_seconds`` the
-whole of it. The exhaustive planner runs one start at a time.
+planned once per (field, team size), each greedy planner plans all of a
+team size's starts in one sweep, and the exhaustive planner searches them
+all in one tree; a row's ``plan_seconds`` is that planning time amortized
+over the starts it serves, and its ``plan_total_seconds`` the whole of it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,14 @@ from .errors import ParseError, TransectPlanError
 from .gp import Hyperparams, sample_prior_field
 from .fieldio import fmt
 from .metrics import EvalRecord, evaluate, metric_diff
-from .planners import DEFAULT_BUDGET, POLICIES, plan_exact, plan_greedy, plan_markov, rollout
+from .planners import (
+    DEFAULT_BUDGET,
+    POLICIES,
+    plan_exact_all,
+    plan_greedy,
+    plan_markov,
+    rollout,
+)
 from .transect import RobotConfig, TransectGrid, enumerate_configs
 
 # the exhaustive search is exponentially priced, so it runs only on request
@@ -101,20 +108,15 @@ def _records_for(
             )
         return out
     if policy == "exact":
-        for x0 in starts:
-            res = plan_exact(grid, h, k, x0, budget=budget)
-            out[x0] = (
-                evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
-                res.plan_seconds,
-            )
-        return out
+        plan_all = lambda some: plan_exact_all(grid, h, k, some, budget=budget)
+    else:
+        plan_all = lambda some: plan_greedy(policy, grid, h, k, some)
     try:
-        results = plan_greedy(policy, grid, h, k, starts)
+        results = plan_all(starts)
     except TransectPlanError:
         # raise what planning and evaluating one start at a time raises first
         for x0 in starts:
-            res = plan_greedy(policy, grid, h, k, [x0])[0]
-            evaluate(res.path, h, policy, mean=mean)
+            evaluate(plan_all([x0])[0].path, h, policy, mean=mean)
         raise
     for x0, res in zip(starts, results):
         out[x0] = (

@@ -28,12 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnisotropyViolated, ConditionViolated
+from .errors import AnisotropyViolated, ConditionViolated, TransectPlanError
 from .gp import Hyperparams, posterior_cov
 from .planners import (
     DEFAULT_BUDGET,
+    path_entropies,
     path_entropy,
     plan_exact,
+    plan_exact_all,
     plan_markov,
     rollout,
 )
@@ -312,6 +314,12 @@ def verify_performance_bounds(
     additionally checked at every stage along the oracle's optimal path.
     Raises ConditionViolated when the bounds are not valid on this instance;
     BudgetExceeded propagates from the oracle on oversized instances.
+
+    Every start is searched in one :func:`plan_exact_all` call, and every
+    rollout valued by one :func:`path_entropies` call. On a refusal the
+    starts are redone one at a time, searched by :func:`plan_exact` and
+    their rollouts valued by :func:`path_entropy`, so the first failing
+    start's refusal is raised.
     """
     report = bound_report(h, grid.widths, grid.horizon, team_size=k)
     if not report.condition_ok:
@@ -319,13 +327,20 @@ def verify_performance_bounds(
             "bound tables are not finite for this instance; nothing to verify"
         )
     policy = plan_markov(grid, h, k)
+    starts = enumerate_configs(grid, k)
+    try:
+        results = plan_exact_all(grid, h, k, starts, budget=budget)
+        rollout_values = path_entropies([rollout(policy, x0) for x0 in starts], h).tolist()
+    except TransectPlanError:
+        for x0 in starts:
+            plan_exact(grid, h, k, x0, budget=budget)
+            path_entropy(rollout(policy, x0), h)
+        raise
     audits = []
-    for x0 in enumerate_configs(grid, k):
-        res = plan_exact(grid, h, k, x0, budget=budget)
+    eps0 = float(report.tail_bounds[0])
+    for x0, res, v_roll in zip(starts, results, rollout_values):
         v_markov = policy.value(0, x0)
         v_exact = res.value
-        v_roll = path_entropy(rollout(policy, x0), h)
-        eps0 = float(report.tail_bounds[0])
         bracket = (v_exact <= v_markov + tol) and (v_exact >= v_markov - eps0 - tol)
         gap = v_exact - v_roll
         roll_ok = -tol <= gap <= eps0 + tol

@@ -38,7 +38,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceeded, GridTooLarge, InvalidArity, ParseError
+from .errors import (
+    BudgetExceeded,
+    GridTooLarge,
+    InvalidArity,
+    ParseError,
+    TransectPlanError,
+)
 from .gp import (
     DIAG_FLOOR,
     LOG_2PI_E,
@@ -136,6 +142,39 @@ def path_entropy(path: ObservationPath, h: Hyperparams) -> float:
     )
 
 
+def path_entropies(paths: list[ObservationPath], h: Hyperparams) -> np.ndarray:
+    """:func:`path_entropy` of each of ``paths``, which share one grid and
+    one team size, bit for bit.
+
+    The Gram matrices of every path and of every start are gathered by one
+    ``LagGram`` and factored by one stacked Cholesky each. If a stack does
+    not factor, or a factor reaches DIAG_FLOOR, every path is valued by
+    :func:`path_entropy` instead, with its jitter ladder and refusals, so the
+    first failing path's refusal is raised.
+    """
+    if not paths:
+        return np.empty(0)
+    grid, k = paths[0].grid, paths[0].k
+    cells = np.array(
+        [[c * grid.n_rows + r for c, x in enumerate(p.configs) for r in x.rows] for p in paths]
+    )
+    gram = LagGram(grid, h)(cells, cells)
+    try:
+        diags = [
+            np.diagonal(np.linalg.cholesky(g), axis1=1, axis2=2)
+            for g in (gram, gram[:, :k, :k])
+        ]
+        ok = not any(np.any(d < DIAG_FLOOR) for d in diags)
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        return np.array([path_entropy(p, h) for p in paths])
+    full, start = (
+        0.5 * (d.shape[1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=-1)) for d in diags
+    )
+    return full - start
+
+
 def stage_entropy_table(
     grid: TransectGrid, h: Hyperparams, configs: list[RobotConfig]
 ) -> np.ndarray:
@@ -231,22 +270,22 @@ def _grid_gram(blocks: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _level_entropies(grid, h, idx, blocks, x0, moves) -> np.ndarray:
+def _level_entropies(grid, h, idx, blocks, first, moves, redo=True):
     """The column step for nodes of one depth: entry (i, j) is the entropy of
     the row set ``idx[j]`` of the next column given the cells of the path
-    from ``x0`` through the configurations ``idx[moves[i]]``.
+    from the start rows ``first[i]`` through the configurations
+    ``idx[moves[i]]``.
 
     One stacked Cholesky factors every node's history-plus-next-column Gram
     matrix, gathered from ``blocks``; the trailing R x R block of a factor is
     the factor of the next column's posterior. If the stacked factor fails
     or reaches DIAG_FLOOR, the nodes are redone one by one through
-    :func:`_column_entropies`, with its jitter ladder and refusals.
+    :func:`_column_entropies`, with its jitter ladder and refusals, or,
+    without ``redo``, None is returned.
     """
     n, depth = moves.shape
     n_rows = grid.n_rows
-    hist_rows = np.column_stack(
-        [np.tile(x0.rows, (n, 1)), idx[moves].reshape(n, depth * idx.shape[1])]
-    )
+    hist_rows = np.column_stack([first, idx[moves].reshape(n, depth * idx.shape[1])])
     hist_cols = np.repeat(np.arange(depth + 1), idx.shape[1])
     rows = np.column_stack([hist_rows, np.tile(np.arange(n_rows), (n, 1))])
     cols = np.concatenate([hist_cols, np.full(n_rows, depth + 1)])
@@ -257,6 +296,8 @@ def _level_entropies(grid, h, idx, blocks, x0, moves) -> np.ndarray:
     except np.linalg.LinAlgError:
         ok = False
     if not ok:
+        if not redo:
+            return None
         hist_cols = hist_cols.tolist()
         observed = [list(map(Location, hist_cols, r)) for r in hist_rows.tolist()]
         return np.array(
@@ -282,34 +323,91 @@ def _fold_leaves(best, values: np.ndarray):
 
 
 # Nodes scored by one stacked factorization at most. The frontier is held in
-# chunks of sibling subtrees of this size, so memory does not grow with the
-# leaf count.
+# chunks of nodes of this size, so memory does not grow with the leaf count.
 _CHUNK_NODES = 1024
 
 
-def plan_exact(
+def _search(grid, h, idx, first, redo):
+    """The exhaustive search from the start rows ``first`` (shape (S, k)),
+    one tree whose root level holds every start: per start, the best
+    leaf's value, its configuration indices after the start and its gains.
+    None when a level's stacked factor fails and ``redo`` is off."""
+    m = len(idx)
+    stages = grid.n_cols - 1
+    blocks = LagGram(grid, h).blocks
+    found = [None] * len(first)
+    # chunks of nodes of one depth in lexicographic (start, moves) order,
+    # the first on top; a node is its start, its configuration indices after
+    # the start, its summed gains and its gains
+    root = (np.arange(len(first)), np.zeros((len(first), 0), dtype=np.int64),
+            np.zeros(len(first)), np.zeros((len(first), 0)))  # fmt: skip
+    stack = []
+
+    def push(nodes):
+        for lo in reversed(range(0, len(nodes[0]), _CHUNK_NODES)):
+            stack.append(tuple(a[lo : lo + _CHUNK_NODES] for a in nodes))
+
+    push(root)
+    while stack:
+        start, moves, acc, gains = stack.pop()
+        scores = _level_entropies(grid, h, idx, blocks, first[start], moves, redo)
+        if scores is None:
+            return None
+        totals = (acc[:, None] + scores).ravel()
+        if moves.shape[1] + 1 < stages:
+            push((
+                np.repeat(start, m),
+                np.column_stack([np.repeat(moves, m, axis=0), np.tile(range(m), len(acc))]),
+                totals,
+                np.column_stack([np.repeat(gains, m, axis=0), scores.ravel()]),
+            ))  # fmt: skip
+            continue
+        # the chunk's nodes of each start are consecutive
+        cuts = [0, *(np.flatnonzero(np.diff(start)) + 1).tolist(), len(start)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            s = int(start[lo])
+            best = None if found[s] is None else found[s][0]
+            best, won = _fold_leaves(best, totals[lo * m : hi * m])
+            if won is not None:
+                node, a = divmod(won, m)
+                node += lo
+                seq = (*moves[node].tolist(), a)
+                found[s] = (best, seq, (*gains[node].tolist(), float(scores[node, a])))
+    return found
+
+
+def plan_exact_all(
     grid: TransectGrid,
     h: Hyperparams,
     k: int,
-    x0: RobotConfig,
+    starts,
     budget: int = DEFAULT_BUDGET,
-) -> PlanResult:
-    """Start-rooted exhaustive search, scored one tree level at a time.
+) -> list[PlanResult]:
+    """Exhaustive search from every start in ``starts``, scored one tree
+    level at a time; one result per start, in order.
 
     Maximizes the summed full-history conditional entropies, which equals
     the joint path entropy given the start. Refuses to start when the leaf
-    count |A|^(n_cols - 1) exceeds ``budget``, then when ``x0`` is not a
-    k-robot configuration of the grid.
+    count |A|^(n_cols - 1) of one start exceeds ``budget``, then when a
+    start is not a k-robot configuration of the grid.
 
-    The nodes of one depth are scored together: their Gram matrices are
-    gathered from covariance blocks computed once per call and factored in
-    one stacked Cholesky (see :func:`_level_entropies`), and every node
-    carries the running sum of its gains. The frontier is held in chunks of
-    at most _CHUNK_NODES sibling nodes, expanded depth first, so leaves are
-    visited in lexicographic order. A later leaf replaces the incumbent only
-    when it is better by more than TIE_RTOL, so ties resolve to the
-    lexicographically smallest action sequence wherever the chunks split.
-    The result's ``stage_gains`` are the path's per-column gains.
+    One tree holds every search: its root level is the starts, and each
+    node carries its start's rows. The nodes of one depth are scored
+    together: their Gram matrices are gathered from covariance blocks
+    computed once per call and factored in one stacked Cholesky (see
+    :func:`_level_entropies`), and every node carries the running sum of its
+    gains. The frontier is held in chunks of at most _CHUNK_NODES nodes in
+    lexicographic (start, moves) order, expanded depth first, so each
+    start's leaves are visited in lexicographic order. A later leaf replaces
+    its start's incumbent only when it is better by more than TIE_RTOL, so
+    ties resolve to the lexicographically smallest action sequence wherever
+    the chunks split. A node's arithmetic does not depend on the other nodes
+    of its chunk, so each result is bit for bit that of searching its start
+    alone. When a level's stacked factor fails, or a level refuses, the
+    starts are searched one by one instead, where a failed level is redone
+    node by node; so the first failing start's refusal is raised. Each
+    result's ``stage_gains`` are its path's per-column gains, and its
+    ``plan_seconds`` the call's wall time divided by the number of starts.
     """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
@@ -320,38 +418,55 @@ def plan_exact(
         raise BudgetExceeded(
             f"{m}^{stages} = {leaves} leaf evaluations exceed the budget {budget}"
         )
-    if x0 not in configs:
-        raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
+    for x0 in starts:
+        if x0 not in configs:
+            raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
+    if not starts:
+        return []
 
     idx = np.array([c.rows for c in configs])
-    blocks = LagGram(grid, h).blocks
-    value = None
-    # chunks of nodes of one depth, lexicographically first on top; a node is
-    # its configuration indices after the start, its summed gains and gains
-    stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1), np.zeros((1, 0)))]
-    while stack:
-        moves, acc, gains = stack.pop()
-        scores = _level_entropies(grid, h, idx, blocks, x0, moves)
-        totals = (acc[:, None] + scores).ravel()
-        if moves.shape[1] + 1 < stages:
-            children = (
-                np.column_stack(
-                    [np.repeat(moves, m, axis=0), np.tile(range(m), len(acc))]
-                ),
-                totals,
-                np.column_stack([np.repeat(gains, m, axis=0), scores.ravel()]),
-            )
-            for lo in reversed(range(0, totals.size, _CHUNK_NODES)):
-                stack.append(tuple(a[lo : lo + _CHUNK_NODES] for a in children))
-            continue
-        value, won = _fold_leaves(value, totals)
-        if won is not None:
-            node, a = divmod(won, m)
-            seq = (*moves[node].tolist(), a)
-            stage_gains = (*gains[node].tolist(), float(scores[node, a]))
+    first = np.array([x0.rows for x0 in starts])
+    found = None
+    if len(starts) > 1:
+        try:
+            found = _search(grid, h, idx, first, redo=False)
+        except TransectPlanError:
+            pass
+    if found is None:
+        found = [_search(grid, h, idx, first[[s]], redo=True)[0] for s in range(len(starts))]
+    seconds = (time.perf_counter() - t0) / len(starts)
+    return [
+        PlanResult(
+            "exact",
+            ObservationPath(grid, (x0, *(configs[j] for j in seq))),
+            float(value),
+            seconds,
+            gains,
+        )
+        for x0, (value, seq, gains) in zip(starts, found)
+    ]
 
-    path = ObservationPath(grid, (x0, *(configs[j] for j in seq)))
-    return PlanResult("exact", path, float(value), time.perf_counter() - t0, stage_gains)
+
+def plan_exact(
+    grid: TransectGrid,
+    h: Hyperparams,
+    k: int,
+    x0: RobotConfig,
+    budget: int = DEFAULT_BUDGET,
+) -> PlanResult:
+    """Start-rooted exhaustive search, scored one tree level at a time: the
+    one-start call of :func:`plan_exact_all`.
+
+    Maximizes the summed full-history conditional entropies, which equals
+    the joint path entropy given the start. Refuses to start when the leaf
+    count |A|^(n_cols - 1) exceeds ``budget``, then when ``x0`` is not a
+    k-robot configuration of the grid. The frontier is held in chunks of at
+    most _CHUNK_NODES nodes, and ties resolve to the lexicographically
+    smallest action sequence wherever the chunks split; a level whose
+    stacked factor fails is redone node by node with the jitter ladder. The
+    result's ``stage_gains`` are the path's per-column gains.
+    """
+    return plan_exact_all(grid, h, k, [x0], budget=budget)[0]
 
 
 def plan_greedy(
@@ -430,7 +545,7 @@ def plan_greedy(
         ObservationPath(grid, (x0, *(configs[j] for j in seq)))
         for x0, seq in zip(starts, np.transpose(chosen).tolist())
     ]
-    values = [path_entropy(path, h) for path in paths]
+    values = path_entropies(paths, h).tolist()
     seconds = (time.perf_counter() - t0) / len(paths)
     return [PlanResult(policy, path, v, seconds) for path, v in zip(paths, values)]
 

@@ -272,12 +272,22 @@ def test_runtime_scaling():
     )
     amortized_ok = dp_once < greedy_all
 
+    # one verdict per leg, so a failure names the leg that failed
     verdict(
-        "planner runtimes scale as designed",
-        dp_ok and ex_ok and amortized_ok,
+        "dp planner stays near-flat as columns double",
+        dp_ok,
         f"dp doubling ratios {dp_times[30] / dp_times[15]:.2f}/"
-        f"{dp_times[60] / dp_times[30]:.2f}, exhaustive per-column ratios "
-        f"{ex_times[8] / ex_times[7]:.2f}/{ex_times[9] / ex_times[8]:.2f}, "
+        f"{dp_times[60] / dp_times[30]:.2f}",
+    )
+    verdict(
+        "exhaustive planner grows geometrically per added column",
+        ex_ok,
+        "exhaustive per-column ratios "
+        f"{ex_times[8] / ex_times[7]:.2f}/{ex_times[9] / ex_times[8]:.2f}",
+    )
+    verdict(
+        "one dp sweep beats greedy from every start",
+        amortized_ok,
         f"dp once {dp_once * 1e3:.1f}ms vs greedy all starts {greedy_all * 1e3:.0f}ms",
     )
 

@@ -8,6 +8,7 @@ from transectplan import (
     BoundParams,
     ConditionViolated,
     Hyperparams,
+    RobotConfig,
     TransectGrid,
     bound_params,
     bound_report,
@@ -18,6 +19,8 @@ from transectplan import (
     variance_reduction_bound,
     verify_performance_bounds,
 )
+from transectplan import bounds, planners
+from transectplan.errors import FactorizationFailure, SingularCovariance
 
 # frozen by a high-precision script before the implementation existed
 EXP_HALF = 0.6065306597126334
@@ -357,6 +360,50 @@ def test_verify_bounds_two_robot_instance():
     assert rep.value_bracket_ok
     assert rep.rollout_gap_ok
     assert len(rep.audits) == 6
+
+
+@pytest.mark.parametrize("deeper, searched", [((0,), (2,)), ((2,), (0,))])
+def test_verify_bounds_raises_the_first_failing_starts_error(monkeypatch, deeper, searched):
+    # one start's search is refused, another start is searched and then its
+    # rollout's value is refused; one start at a time, the earlier decides
+    g = TransectGrid(3, 5, 5.0, 5.0)
+    h = Hyperparams(ell1=2.5, ell2=2.5, signal_var=1.0, noise_var=1.0)
+    real_level, real_value, real_values = (
+        planners._level_entropies, bounds.path_entropy, bounds.path_entropies
+    )
+
+    def level_entropies(grid, h, idx, blocks, first, moves, *args):
+        if np.any(np.all(first == searched, axis=1)):
+            raise SingularCovariance("searching")
+        return real_level(grid, h, idx, blocks, first, moves, *args)
+
+    def path_entropy(path, h):
+        if path.start.rows == deeper:
+            raise FactorizationFailure("valuing the rollout")
+        return real_value(path, h)
+
+    def path_entropies(paths, h):
+        for path in paths:
+            path_entropy(path, h)
+        return real_values(paths, h)
+
+    monkeypatch.setattr(planners, "_level_entropies", level_entropies)
+    monkeypatch.setattr(bounds, "path_entropy", path_entropy)
+    monkeypatch.setattr(bounds, "path_entropies", path_entropies)
+    first_error = FactorizationFailure if deeper < searched else SingularCovariance
+    with pytest.raises(first_error):
+        verify_performance_bounds(g, h, k=1)
+
+
+def test_verify_bounds_audits_match_one_start_at_a_time():
+    g = TransectGrid(3, 5, 5.0, 5.0)
+    h = Hyperparams(ell1=2.5, ell2=2.5, signal_var=1.0, noise_var=1.0)
+    rep = verify_performance_bounds(g, h, k=1)
+    policy = planners.plan_markov(g, h, 1)
+    for a in rep.audits:
+        assert a.exact_value == planners.plan_exact(g, h, 1, a.start).value
+        assert a.rollout_value == planners.path_entropy(planners.rollout(policy, a.start), h)
+    assert [a.start for a in rep.audits] == [RobotConfig((r,)) for r in range(3)]
 
 
 def test_verify_bounds_raises_when_condition_unmet():

@@ -10,10 +10,12 @@ from transectplan import (
     ParseError,
     RobotConfig,
     TransectGrid,
+    enumerate_configs,
     read_field,
     sample_prior_field,
     sha256_of,
     sidecar_path,
+    unobserved_entropy,
     write_field,
 )
 from transectplan.bench import (
@@ -302,24 +304,65 @@ def test_benchmark_raises_the_first_failing_starts_error_type(monkeypatch):
     # start a is planned and then refused by its metrics, start b is refused
     # while planning; one start at a time, whichever comes first decides
     a, b = RobotConfig((0,)), RobotConfig((2,))
-    real_path_entropy, real_evaluate = planners.path_entropy, bench.evaluate
+    real_path_entropies, real_evaluate = planners.path_entropies, bench.evaluate
 
-    def path_entropy(path, h):
-        if path.start == b:
+    def path_entropies(paths, h):
+        if any(path.start == b for path in paths):
             raise SingularCovariance("planning from b")
-        return real_path_entropy(path, h)
+        return real_path_entropies(paths, h)
 
     def evaluate(path, h, policy, **kw):
         if policy == "greedy-ent" and path.start == a:
             raise FactorizationFailure("evaluating a")
         return real_evaluate(path, h, policy, **kw)
 
-    monkeypatch.setattr(planners, "path_entropy", path_entropy)
+    monkeypatch.setattr(planners, "path_entropies", path_entropies)
     monkeypatch.setattr(bench, "evaluate", evaluate)
     with pytest.raises(FactorizationFailure, match="evaluating a"):
         run_benchmark(spec_of(start_mode="explicit", starts=(a, b)))
     with pytest.raises(SingularCovariance, match="planning from b"):
         run_benchmark(spec_of(start_mode="explicit", starts=(b, a)))
+
+
+@pytest.mark.parametrize("order", ["deeper first", "searched first"])
+def test_benchmark_exact_raises_the_first_failing_starts_error(monkeypatch, order):
+    # start a is searched and then refused by its metrics, start b is refused
+    # while searching; one start at a time, whichever comes first decides
+    a, b = RobotConfig((0,)), RobotConfig((2,))
+    real_level, real_evaluate = planners._level_entropies, bench.evaluate
+
+    def level_entropies(grid, h, idx, blocks, first, moves, *args):
+        if np.any(np.all(first == b.rows, axis=1)):
+            raise SingularCovariance("searching from b")
+        return real_level(grid, h, idx, blocks, first, moves, *args)
+
+    def evaluate(path, h, policy, **kw):
+        if policy == "exact" and path.start == a:
+            raise FactorizationFailure("evaluating a")
+        return real_evaluate(path, h, policy, **kw)
+
+    monkeypatch.setattr(planners, "_level_entropies", level_entropies)
+    monkeypatch.setattr(bench, "evaluate", evaluate)
+    starts, first_error = (a, b), FactorizationFailure
+    if order == "searched first":
+        starts, first_error = (b, a), SingularCovariance
+    with pytest.raises(first_error):
+        run_benchmark(spec_of(policies=("exact",), start_mode="explicit", starts=starts))
+
+
+def test_benchmark_exact_rows_share_one_search():
+    rows = run_benchmark(spec_of(policies=("exact",)))
+    per_start = [r for r in rows if r["policy"] == "exact" and r["start"] != "mean"]
+    assert len(per_start) == 3
+    total = per_start[0]["plan_total_seconds"]
+    grid = TransectGrid(3, 4, 5.0, 5.0)
+    for r, x0 in zip(per_start, enumerate_configs(grid, 1)):
+        # one search's wall time, amortized over its starts
+        assert r["plan_total_seconds"] == total
+        assert r["plan_seconds"] * 3 == pytest.approx(total, rel=1e-12)
+        # the entropy metric of the one-start search's path, bit for bit
+        assert r["start"] == str(x0)
+        assert r["ent"] == unobserved_entropy(planners.plan_exact(grid, H, 1, x0).path, H)
 
 
 def test_write_csv_renders_none_as_empty(tmp_path):

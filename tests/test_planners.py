@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -15,14 +16,17 @@ from transectplan import (
     GridTooLarge,
     Hyperparams,
     InvalidArity,
+    ObservationPath,
     ParseError,
     RobotConfig,
     TransectGrid,
     conditional_entropy,
     enumerate_configs,
+    path_entropies,
     path_entropy,
     plan,
     plan_exact,
+    plan_exact_all,
     plan_greedy,
     plan_greedy_entropy,
     plan_greedy_mi,
@@ -352,6 +356,144 @@ def test_exact_answer_does_not_depend_on_chunking(monkeypatch, g, h, k, x0):
         res = plan_exact(g, h, k, x0)
         results.append((res.value, res.path.configs, res.stage_gains))
     assert results[0] == results[1] == results[2]
+
+
+def exact_bits(res):
+    return (res.value.hex(), res.path.configs, [g.hex() for g in res.stage_gains])
+
+
+@pytest.mark.parametrize(
+    "g, h, k, starts",
+    [
+        pytest.param(
+            TransectGrid(3, 4, 5.0, 5.0),
+            Hyperparams(ell1=1e-3, ell2=1e-3, signal_var=1.0, noise_var=0.1),
+            1, None, id="all-tied",
+        ),
+        pytest.param(
+            TransectGrid(3, 5, 5.0, 5.0), Hyperparams(40.45, 16.0, 0.1542, 0.0036), 2, None,
+            id="mirror-tie",
+        ),
+        pytest.param(
+            TransectGrid(4, 9, 5.0, 5.0), H, 1, [RobotConfig((1,)), RobotConfig((2,))], id="4x9"
+        ),
+    ],
+)  # fmt: skip
+def test_exact_all_matches_one_start_calls(monkeypatch, g, h, k, starts):
+    # every start's value, path and stage gains, bit for bit, however the
+    # chunks of the shared tree split the starts
+    starts = starts or enumerate_configs(g, k)
+    alone = [exact_bits(plan_exact(g, h, k, x0)) for x0 in starts]
+    for cap in (1, 7, planners._CHUNK_NODES):
+        monkeypatch.setattr(planners, "_CHUNK_NODES", cap)
+        assert [exact_bits(r) for r in plan_exact_all(g, h, k, starts)] == alone
+
+
+def test_exact_all_searches_start_by_start_when_a_level_fails(monkeypatch):
+    g = small_grid(4, 6)
+    starts = enumerate_configs(g, 1)
+    real = np.linalg.cholesky
+
+    def cholesky(a):
+        # every stacked factor of depth 2: 3 history cells plus the next column
+        if a.ndim == 3 and a.shape[-1] == 3 + g.n_rows:
+            raise np.linalg.LinAlgError("forced")
+        return real(a)
+
+    calls = []
+    column_entropies = planners._column_entropies
+
+    def counted(*args):
+        calls.append(args[3])
+        return column_entropies(*args)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(planners, "_column_entropies", counted)
+    alone = [exact_bits(plan_exact(g, H, 1, x0)) for x0 in starts]
+    calls.clear()
+    assert [exact_bits(r) for r in plan_exact_all(g, H, 1, starts)] == alone
+    # each start's 16 nodes of depth 2 were redone, as when searched alone
+    assert calls == [3] * 16 * len(starts)
+
+
+def test_exact_all_raises_the_first_failing_starts_refusal():
+    h = Hyperparams(ell1=1e6, ell2=1e6, signal_var=1.0, noise_var=0.0)
+    g = small_grid(3, 5)
+    starts = enumerate_configs(g, 1)
+    with pytest.raises((SingularCovariance, FactorizationFailure)) as alone:
+        plan_exact(g, h, 1, starts[0])
+    with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+        plan_exact_all(g, h, 1, starts)
+    assert plan_exact_all(g, h, 1, []) == []
+    with pytest.raises(InvalidArity):
+        plan_exact_all(g, H, 1, [starts[0], RobotConfig((3,))])
+
+
+@pytest.mark.filterwarnings("ignore:transect grids are expected")
+@pytest.mark.parametrize("ratio", [0.0, 1e-6, 1e-3, 0.3])
+def test_path_entropies_match_path_entropy_bits(ratio):
+    rng = np.random.default_rng(23)
+    answered = 0
+    for _ in range(25):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+        k = int(rng.integers(1, rows + 1))
+        omega = float(rng.uniform(1.0, 10.0))
+        ell1, ell2 = omega * rng.uniform(0.2, 6.0, size=2)
+        signal = float(rng.uniform(0.05, 5.0))
+        g = TransectGrid(rows, cols, omega, omega)
+        h = Hyperparams(float(ell1), float(ell2), signal, ratio * signal)
+        configs = enumerate_configs(g, k)
+        paths = [
+            ObservationPath(g, tuple(configs[j] for j in rng.integers(0, len(configs), cols)))
+            for _ in range(4)
+        ]
+        want = []
+        for path in paths:
+            try:
+                want.append(path_entropy(path, h).hex())
+            except (SingularCovariance, FactorizationFailure) as exc:
+                want.append(type(exc))
+        refused = [w for w in want if isinstance(w, type)]
+        if refused:
+            with pytest.raises(refused[0]):
+                path_entropies(paths, h)
+            continue
+        assert [v.hex() for v in path_entropies(paths, h).tolist()] == want
+        answered += 1
+    assert answered >= 20
+
+
+@pytest.mark.parametrize(
+    "h, refusal",
+    [
+        # noise-free and fully correlated: the stack does not factor, and
+        # the jitter ladder answers
+        (Hyperparams(ell1=1e6, ell2=1e6, signal_var=1.0, noise_var=0.0), None),
+        # every factor entry below DIAG_FLOOR
+        (Hyperparams(ell1=5.0, ell2=4.0, signal_var=1e-305, noise_var=0.0), SingularCovariance),
+    ],
+    ids=["collapsed", "below-floor"],
+)
+def test_path_entropies_fall_back_to_path_entropy(monkeypatch, h, refusal):
+    g = small_grid(3, 5)
+    paths = [ObservationPath(g, (RobotConfig((r,)),) * 5) for r in range(3)]
+    calls = []
+    real = planners.path_entropy
+    monkeypatch.setattr(planners, "path_entropy", lambda p, h: calls.append(p) or real(p, h))
+    if refusal is None:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gp.cov_matrix(paths[0].locations(), h, g.widths))
+        assert [v.hex() for v in path_entropies(paths, h).tolist()] == [
+            real(p, h).hex() for p in paths
+        ]
+        assert calls == paths
+    else:
+        with pytest.raises(refusal):
+            real(paths[0], h)
+        with pytest.raises(refusal):
+            path_entropies(paths, h)
+        assert calls == paths[:1]
+    assert path_entropies([], h).shape == (0,)
 
 
 def test_exact_frontier_memory_stays_chunked():

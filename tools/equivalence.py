@@ -7,9 +7,11 @@ classify every difference.
 ``record`` imports ``transectplan`` from ``DIR/src`` (a checkout of any
 revision, for example one unpacked with ``git archive``), runs every case of
 ``corpus()`` through every planner in ``PLANNERS`` and writes, per run, the
-value's exact bits, the path's rows and the refusal's type name. It also
-runs ``run_benchmark`` on the survey-fit cases (see :func:`survey`), so the
-benchmark's batched route and its map metrics are compared too. ``compare``
+value's exact bits, the path's rows, the exhaustive planner's stage gains and
+the refusal's type name. It also runs ``run_benchmark`` on the survey-fit
+cases (see :func:`survey`), so the benchmark's batched route and its map
+metrics are compared too, and ``verify_performance_bounds`` on the cases the
+exhaustive planner takes (see :func:`audit`). ``compare``
 puts each run in one class of ``CLASSES`` and prints the counts per planner
 and noise group; noise ratios 0 and 1e-6 are grouped apart from the rest,
 because at zero or tiny noise two algebraically equal routes are known to
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from collections import Counter
@@ -43,14 +46,22 @@ FITS = {
     "plankton": (27.53, 134.64, 2.152, 0.041),
 }
 
+# The exhaustive planner's leaf cap: larger cases are refused before any
+# work, so their runs record BudgetExceeded.
+EXACT_LEAVES = 50_000
+
 PLANNERS = {
     "greedy-ent": lambda tp, g, h, k, x0: tp.plan_greedy_entropy(g, h, k, x0),
     "greedy-mi": lambda tp, g, h, k, x0: tp.plan_greedy_mi(g, h, k, x0),
+    "exact": lambda tp, g, h, k, x0: tp.plan_exact(g, h, k, x0, budget=EXACT_LEAVES),
 }
 
 SURVEY_POLICIES = ("markov", "greedy-ent", "greedy-mi")
 
 CLASSES = ("identical", "close", "tied", "refusal", "other")
+
+# The fields holding float bits (one, or a list) that a run may carry.
+BITS = ("value", "err", "gains", "markov", "rollout")
 
 
 @dataclass(frozen=True)
@@ -74,9 +85,10 @@ class Case:
 
 def corpus() -> list[Case]:
     """The fixed corpus: random instances at every noise ratio, both survey
-    fits at their own noise and at noise 0 and 1e-6, and starts placed
+    fits at their own noise and at noise 0 and 1e-6, starts placed
     symmetrically about the middle row, whose first move ties with its
-    mirror image."""
+    mirror image, and small instances with a short along-track correlation
+    whose bound tables are finite, at every noise ratio."""
     rng = np.random.default_rng(0)
     cases = []
     for i in range(40):
@@ -111,6 +123,19 @@ def corpus() -> list[Case]:
                         Case(f"mirror-{rows}x6-{start}-{fit}-{ratio:g}", rows, 6, 5.0,
                              ell1, ell2, signal, ratio * signal, len(start), start)
                     )
+    for i in range(12):
+        rows = int(rng.integers(2, 6))
+        cols = int(rng.integers(3, 8))
+        # the team bound needs equal normalized length-scales
+        k = 2 if i % 3 == 2 else 1
+        ell1 = 5.0 * rng.uniform(0.2, 0.45)
+        ell2 = ell1 if k == 2 else 5.0 * rng.uniform(0.2, 2.0)
+        signal = float(rng.uniform(0.05, 5.0))
+        for ratio in NOISE_RATIOS:
+            cases.append(
+                Case(f"bounds-{i}-{ratio:g}", rows, cols, 5.0, float(ell1), float(ell2),
+                     signal, ratio * signal, k, tuple(range(k)))
+            )
     return cases
 
 
@@ -121,20 +146,42 @@ def refusal_name(tp, exc: Exception) -> str:
     return name if isinstance(exc, tp.TransectPlanError) else f"untyped {name}"
 
 
-def run(tp, case: Case, planner: str) -> dict:
-    """One planner on one case: value bits and path rows, or the refusal's
-    type name."""
+def instance(tp, case: Case):
+    """The case's grid and hyperparameters."""
     grid = tp.TransectGrid(case.rows, case.cols, case.omega, case.omega)
-    h = tp.Hyperparams(case.ell1, case.ell2, case.signal_var, case.noise_var)
+    return grid, tp.Hyperparams(case.ell1, case.ell2, case.signal_var, case.noise_var)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def run(tp, case: Case, planner: str) -> dict:
+    """One planner on one case: value bits, path rows and, for the
+    exhaustive planner, stage-gain bits, or the refusal's type name."""
+    grid, h = instance(tp, case)
     try:
         res = PLANNERS[planner](tp, grid, h, case.k, tp.RobotConfig(case.start))
     except Exception as exc:  # an untyped failure is recorded, not raised
         return {"refusal": refusal_name(tp, exc), "value": None, "path": None}
-    return {
+    out = {
         "refusal": None,
         "value": float(res.value).hex(),
         "path": [list(c.rows) for c in res.path.configs],
     }
+    if planner == "exact":
+        out["gains"] = hexes(res.stage_gains)
+    return out
+
+
+def instances(cases: list[Case], keep) -> dict:
+    """The cases that ``keep`` takes, grouped by instance (the case without
+    its name and start)."""
+    out = {}
+    for case in cases:
+        if keep(case):
+            out.setdefault(replace(case, name="", start=()), []).append(case)
+    return out
 
 
 def survey(tp, cases: list[Case]) -> dict:
@@ -143,12 +190,8 @@ def survey(tp, cases: list[Case]) -> dict:
     (policy, start) row is one run, keyed by its case, holding the row's
     ``ent`` bits as its value and its ``err`` bits; a refused call records
     its refusal for every row. Rows carry no path."""
-    instances = {}
-    for case in cases:
-        if case.name.split("-")[0] in FITS:
-            instances.setdefault(replace(case, name="", start=()), []).append(case)
     runs = {}
-    for inst, members in instances.items():
+    for inst, members in instances(cases, lambda c: c.name.split("-")[0] in FITS).items():
         spec = tp.ExperimentSpec(
             inst.rows, inst.cols, inst.omega, inst.omega,
             tp.Hyperparams(inst.ell1, inst.ell2, inst.signal_var, inst.noise_var),
@@ -169,6 +212,36 @@ def survey(tp, cases: list[Case]) -> dict:
     return runs
 
 
+def audit(tp, cases: list[Case]) -> dict:
+    """``verify_performance_bounds`` once per instance of the cases within
+    the exhaustive planner's leaf cap. Each audited start is one run, keyed
+    by the instance's first case, holding its exact value's bits as its
+    value, its markov and rollout value bits and its three verdict flags; a
+    refused call records its refusal for every start. Runs carry no path."""
+    leaves = lambda c: math.comb(c.rows, c.k) ** (c.cols - 1)
+    runs = {}
+    for inst, members in instances(cases, lambda c: leaves(c) <= EXACT_LEAVES).items():
+        grid, h = instance(tp, inst)
+        try:
+            audits = tp.verify_performance_bounds(grid, h, inst.k, budget=EXACT_LEAVES).audits
+            refusal = None
+        except Exception as exc:  # an untyped failure is recorded, not raised
+            refusal = refusal_name(tp, exc)
+            audits = [None] * len(tp.enumerate_configs(grid, inst.k))
+        for x0, a in zip(tp.enumerate_configs(grid, inst.k), audits):
+            out = {"refusal": refusal, "value": None, "path": None}
+            if a is not None:
+                out.update(
+                    value=float(a.exact_value).hex(),
+                    markov=float(a.markov_value).hex(),
+                    rollout=float(a.rollout_value).hex(),
+                    flags=[a.value_bracket_ok, a.rollout_gap_ok, a.stage_bracket_ok],
+                )
+            key = f"audit/{members[0].name}/{list(x0.rows)}"
+            runs[key] = {"planner": "audit", "group": inst.group, **out}
+    return runs
+
+
 def record(cases: list[Case]) -> dict:
     """Run every case through every planner with the ``transectplan`` that
     ``sys.path`` finds first; the record keeps that tree's tie window."""
@@ -185,6 +258,7 @@ def record(cases: list[Case]) -> dict:
                     **run(tp, case, planner),
                 }
         runs.update(survey(tp, cases))
+        runs.update(audit(tp, cases))
     return {
         "tie_rtol": tp.planners.TIE_RTOL,
         "cases": [asdict(c) for c in cases],
@@ -192,27 +266,39 @@ def record(cases: list[Case]) -> dict:
     }
 
 
+def floats(run: dict, key: str) -> list[float]:
+    """The floats of one ``BITS`` field of a run: one, or a list."""
+    v = run[key]
+    return [float.fromhex(x) for x in ([v] if isinstance(v, str) else v)]
+
+
 def classify(a: dict, b: dict, tie_rtol: float) -> str:
     """The class of one run recorded as ``a`` and again as ``b``: identical
-    (the same refusal, or the same path and value bits, and the same ``err``
-    bits where the run has them), close (the same path, values within 1e-12
+    (the same refusal, or the same path and the same bits in every ``BITS``
+    field the run has), close (the same path, every field within 1e-12
     relative), tied (another path, values within ``tie_rtol`` relative),
-    refusal (one side refused, or the type changed) or other."""
+    refusal (one side refused, or the type changed) or other. Verdict flags,
+    and which fields a run has, must match, or the run is other."""
     if a["refusal"] or b["refusal"]:
         return "identical" if a["refusal"] == b["refusal"] else "refusal"
-    keys = ("value", "err")
-    if [a.get(key) for key in keys] == [b.get(key) for key in keys]:
-        return "identical" if a["path"] == b["path"] else "tied"
-    if (a.get("err") is None) != (b.get("err") is None):
+    keys = [key for key in BITS if a.get(key) is not None]
+    if a.get("flags") != b.get("flags") or keys != [k for k in BITS if b.get(k) is not None]:
         return "other"
+    if all(a[key] == b[key] for key in keys):
+        return "identical" if a["path"] == b["path"] else "tied"
 
-    def within(rtol: float) -> bool:
-        pairs = [(float.fromhex(a[key]), float.fromhex(b[key])) for key in keys if a.get(key)]
-        return all(abs(x - y) <= rtol * max(abs(x), abs(y), 1.0) for x, y in pairs)
+    def within(rtol: float, keys) -> bool:
+        pairs = [(floats(a, key), floats(b, key)) for key in keys]
+        return all(len(x) == len(y) for x, y in pairs) and all(
+            abs(p - q) <= rtol * max(abs(p), abs(q), 1.0)
+            for x, y in pairs
+            for p, q in zip(x, y)
+        )
 
     if a["path"] == b["path"]:
-        return "close" if within(1e-12) else "other"
-    return "tied" if within(tie_rtol) else "other"
+        return "close" if within(1e-12, keys) else "other"
+    # another path has other stage gains, so only the values can tie
+    return "tied" if within(tie_rtol, ["value"]) else "other"
 
 
 def compare(a: dict, b: dict) -> dict:
@@ -233,6 +319,9 @@ def describe(run: dict | None) -> str:
         return "missing"
     if run["refusal"]:
         return f"refused {run['refusal']}"
+    if run["planner"] == "audit":
+        flags = "".join("+" if f else "-" for f in run["flags"])
+        return f"exact {float.fromhex(run['value']):.15g}, flags {flags}"
     if run["path"] is None:
         return f"ent {float.fromhex(run['value']):.15g}, err {float.fromhex(run['err']):.15g}"
     return f"{float.fromhex(run['value']):.15g} via {run['path'][1:4]}..."
