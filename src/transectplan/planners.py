@@ -12,8 +12,8 @@ differ in what they condition on:
   every action sequence from the start, so it is the ground truth and
   exponentially priced; it scores the nodes of one tree level together with
   one stacked factorization, over chunks of at most a fixed number of
-  sibling nodes taken in lexicographic order, and keeps the first leaf
-  within TIE_RTOL of the best;
+  nodes taken in lexicographic order, and keeps the first leaf within
+  TIE_RTOL of the best;
 * ``plan_greedy_entropy`` conditions on the full history but commits one
   stage at a time, growing one Cholesky factor of the history by the chosen
   rows instead of refactoring it;
@@ -22,12 +22,17 @@ differ in what they condition on:
   the whole grid's precision matrix through a second growing factor.
 
 ``plan_greedy`` runs either greedy planner from many starts in one sweep, in
-which the starts advance column by column together; the two functions above
-are its one-start calls.
+which the starts advance column by column together, and ``plan_exact_all``
+searches from many starts in one tree whose root level holds them all;
+``plan_greedy_entropy``, ``plan_greedy_mi`` and ``plan_exact`` are their
+one-start calls, and each start's result is bit for bit the one-start
+call's.
 
 Values are reported in nats. The exact and greedy planners report a path's
-joint entropy given the start; ``plan("markov", ...)`` reports the policy's
-stagewise value, which bounds that of every path from the start from above.
+joint entropy given the start (``path_entropy``; ``path_entropies`` values
+many paths of one grid from one stacked factor, with the same bits);
+``plan("markov", ...)`` reports the policy's stagewise value, which bounds
+that of every path from the start from above.
 """
 
 from __future__ import annotations
@@ -332,22 +337,20 @@ def _search(grid, h, idx, first, redo):
     one tree whose root level holds every start: per start, the best
     leaf's value, its configuration indices after the start and its gains.
     None when a level's stacked factor fails and ``redo`` is off."""
-    m = len(idx)
+    m, n = len(idx), len(first)
     stages = grid.n_cols - 1
     blocks = LagGram(grid, h).blocks
-    found = [None] * len(first)
+    found = [None] * n
     # chunks of nodes of one depth in lexicographic (start, moves) order,
     # the first on top; a node is its start, its configuration indices after
     # the start, its summed gains and its gains
-    root = (np.arange(len(first)), np.zeros((len(first), 0), dtype=np.int64),
-            np.zeros(len(first)), np.zeros((len(first), 0)))  # fmt: skip
     stack = []
 
     def push(nodes):
         for lo in reversed(range(0, len(nodes[0]), _CHUNK_NODES)):
             stack.append(tuple(a[lo : lo + _CHUNK_NODES] for a in nodes))
 
-    push(root)
+    push((np.arange(n), np.zeros((n, 0), dtype=np.int64), np.zeros(n), np.zeros((n, 0))))
     while stack:
         start, moves, acc, gains = stack.pop()
         scores = _level_entropies(grid, h, idx, blocks, first[start], moves, redo)
@@ -355,12 +358,13 @@ def _search(grid, h, idx, first, redo):
             return None
         totals = (acc[:, None] + scores).ravel()
         if moves.shape[1] + 1 < stages:
-            push((
+            children = (
                 np.repeat(start, m),
                 np.column_stack([np.repeat(moves, m, axis=0), np.tile(range(m), len(acc))]),
                 totals,
                 np.column_stack([np.repeat(gains, m, axis=0), scores.ravel()]),
-            ))  # fmt: skip
+            )
+            push(children)
             continue
         # the chunk's nodes of each start are consecutive
         cuts = [0, *(np.flatnonzero(np.diff(start)) + 1).tolist(), len(start)]
@@ -433,6 +437,8 @@ def plan_exact_all(
         except TransectPlanError:
             pass
     if found is None:
+        # one start at a time, a failed level is redone node by node as when
+        # the start is searched alone, and the first refusal is its start's
         found = [_search(grid, h, idx, first[[s]], redo=True)[0] for s in range(len(starts))]
     seconds = (time.perf_counter() - t0) / len(starts)
     return [

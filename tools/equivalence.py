@@ -10,8 +10,8 @@ revision, for example one unpacked with ``git archive``), runs every case of
 value's exact bits, the path's rows, the exhaustive planner's stage gains and
 the refusal's type name. It also runs ``run_benchmark`` on the survey-fit
 cases (see :func:`survey`), so the benchmark's batched route and its map
-metrics are compared too, and ``verify_performance_bounds`` on the cases the
-exhaustive planner takes (see :func:`audit`). ``compare``
+metrics are compared too, and ``verify_performance_bounds`` on the cases
+within the exhaustive planner's leaf cap (see :func:`audit`). ``compare``
 puts each run in one class of ``CLASSES`` and prints the counts per planner
 and noise group; noise ratios 0 and 1e-6 are grouped apart from the rest,
 because at zero or tiny noise two algebraically equal routes are known to
@@ -222,13 +222,14 @@ def audit(tp, cases: list[Case]) -> dict:
     runs = {}
     for inst, members in instances(cases, lambda c: leaves(c) <= EXACT_LEAVES).items():
         grid, h = instance(tp, inst)
+        starts = tp.enumerate_configs(grid, inst.k)
         try:
             audits = tp.verify_performance_bounds(grid, h, inst.k, budget=EXACT_LEAVES).audits
             refusal = None
         except Exception as exc:  # an untyped failure is recorded, not raised
             refusal = refusal_name(tp, exc)
-            audits = [None] * len(tp.enumerate_configs(grid, inst.k))
-        for x0, a in zip(tp.enumerate_configs(grid, inst.k), audits):
+            audits = [None] * len(starts)
+        for x0, a in zip(starts, audits):
             out = {"refusal": refusal, "value": None, "path": None}
             if a is not None:
                 out.update(
@@ -282,7 +283,7 @@ def classify(a: dict, b: dict, tie_rtol: float) -> str:
     if a["refusal"] or b["refusal"]:
         return "identical" if a["refusal"] == b["refusal"] else "refusal"
     keys = [key for key in BITS if a.get(key) is not None]
-    if a.get("flags") != b.get("flags") or keys != [k for k in BITS if b.get(k) is not None]:
+    if a.get("flags") != b.get("flags") or keys != [key for key in BITS if b.get(key) is not None]:
         return "other"
     if all(a[key] == b[key] for key in keys):
         return "identical" if a["path"] == b["path"] else "tied"
