@@ -377,15 +377,21 @@ def exact_bits(res):
         pytest.param(
             TransectGrid(4, 9, 5.0, 5.0), H, 1, [RobotConfig((1,)), RobotConfig((2,))], id="4x9"
         ),
+        # noise-free and long-correlated: some levels need the per-node
+        # route, which must not spread to other starts' nodes
+        pytest.param(
+            TransectGrid(3, 4, 5.0, 5.0), Hyperparams(1000.0, 100.0, 1.0, 0.0), 2, None,
+            id="noise-free-fallback",
+        ),
     ],
 )  # fmt: skip
 def test_exact_all_matches_one_start_calls(monkeypatch, g, h, k, starts):
     # every start's value, path and stage gains, bit for bit, however the
     # chunks of the shared tree split the starts
     starts = starts or enumerate_configs(g, k)
-    alone = [exact_bits(plan_exact(g, h, k, x0)) for x0 in starts]
     for cap in (1, 7, planners._CHUNK_NODES):
         monkeypatch.setattr(planners, "_CHUNK_NODES", cap)
+        alone = [exact_bits(plan_exact(g, h, k, x0)) for x0 in starts]
         assert [exact_bits(r) for r in plan_exact_all(g, h, k, starts)] == alone
 
 
