@@ -26,11 +26,16 @@ Within a covariance matrix over a list of observations the noise term sits on
 the index diagonal: two observations taken at the same cell share the signal
 but not the noise, which keeps the matrix nonsingular when noise_var > 0.
 Repeated rows with noise_var == 0 are rejected as singular.
+
+Whole-grid draws go through the Kronecker eigenfactors of the grid's
+covariance instead of a dense factor. Each 1-D factor is a symmetric Toeplitz
+matrix, hence centrosymmetric, so its eigenproblem splits exactly into two
+half-size ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -422,6 +427,50 @@ def cond_mutual_info(
     return value
 
 
+def _unit_toeplitz(n: int, step: float) -> np.ndarray:
+    """Unit-variance squared-exponential Gram of ``n`` equally spaced points
+    ``step`` length-scales apart, K[i, j] = row[|i - j|] with
+    row[l] = exp(-0.5 * (l * step)^2): the same bits as :func:`_signal_gram`
+    on those points, from n exponentials instead of n^2."""
+    lag = np.arange(n) * step
+    row = np.exp(-0.5 * (lag * lag))
+    i = np.arange(n)
+    return row[np.abs(i[:, None] - i[None, :])]
+
+
+def _centro_eigh(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of a symmetric
+    centrosymmetric matrix ``k`` (J k J = k, J the exchange matrix), as
+    ``(lam, q)`` with ``q @ diag(lam) @ q.T == k``, from two half-size
+    eigenproblems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
+
+    With m = n // 2, A the leading m x m block and B the trailing m rows'
+    leading m columns, the symmetric half A + JB gives the eigenvectors
+    [u; Ju] / sqrt(2) and the skew half A - JB gives [v; -Jv] / sqrt(2).
+    For odd n the symmetric half also holds the middle row, coupled to the
+    others by sqrt(2), and its eigenvectors carry their middle entry as is.
+    The eigenvalues are not sorted: the symmetric half's come first.
+    """
+    n = k.shape[0]
+    m, odd = divmod(n, 2)
+    a, jb = k[:m, :m], k[n - m :, :m][::-1]
+    sym = np.empty((m + odd, m + odd))
+    sym[:m, :m] = a + jb
+    if odd:
+        sym[:m, m] = sym[m, :m] = np.sqrt(2.0) * k[:m, m]
+        sym[m, m] = k[m, m]
+    lam_s, u = np.linalg.eigh(sym)
+    lam_a, v = np.linalg.eigh(a - jb)
+    r = np.sqrt(0.5)
+    q = np.zeros((n, n))
+    q[:m, : m + odd] = r * u[:m]
+    q[m : n - m, : m + odd] = u[m:]
+    q[n - m :, : m + odd] = r * u[:m][::-1]
+    q[:m, m + odd :] = r * v
+    q[n - m :, m + odd :] = -r * v[::-1]
+    return np.concatenate([lam_s, lam_a]), q
+
+
 def _kron_eigen(
     grid: TransectGrid, h: Hyperparams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -430,16 +479,16 @@ def _kron_eigen(
     On a regular grid the squared-exponential kernel separates, so over the
     column-major cell order the covariance is
     signal_var * kron(K_col, K_row) + noise_var * I with unit-variance
-    along-track (C x C) and across-track (R x R) factors. Returns ``(q_c, q_r,
-    var)`` with ``kron(q_c, q_r) @ diag(var.ravel()) @ kron(q_c, q_r).T``
-    equal to that covariance; ``var`` has shape (C, R). Eigenvalues that
-    rounding pushes below zero are clipped to zero.
+    along-track (C x C) and across-track (R x R) factors. Both are symmetric
+    Toeplitz, so each is gathered from its first row by
+    :func:`_unit_toeplitz` and decomposed by :func:`_centro_eigh` as two
+    half-size eigenproblems. Returns ``(q_c, q_r, var)`` with
+    ``kron(q_c, q_r) @ diag(var.ravel()) @ kron(q_c, q_r).T`` equal to that
+    covariance; ``var`` has shape (C, R). Eigenvalues that rounding pushes
+    below zero are clipped to zero.
     """
-    unit = replace(h, signal_var=1.0)
-    cols = _as_int_array([Location(c, 0) for c in range(grid.n_cols)])
-    rows = _as_int_array([Location(0, r) for r in range(grid.n_rows)])
-    lam_c, q_c = np.linalg.eigh(_signal_gram(cols, cols, unit, grid.widths))
-    lam_r, q_r = np.linalg.eigh(_signal_gram(rows, rows, unit, grid.widths))
+    lam_c, q_c = _centro_eigh(_unit_toeplitz(grid.n_cols, grid.omega1 / h.ell1))
+    lam_r, q_r = _centro_eigh(_unit_toeplitz(grid.n_rows, grid.omega2 / h.ell2))
     lam_c, lam_r = np.clip(lam_c, 0.0, None), np.clip(lam_r, 0.0, None)
     var = h.signal_var * np.outer(lam_c, lam_r) + h.noise_var
     return q_c, q_r, var
@@ -456,12 +505,14 @@ def sample_prior_field(
     The covariance over all cells is signal_var * kron(K_col, K_row) +
     noise_var * I (see :func:`_kron_eigen`), so standard normals scaled by
     the square roots of its eigenvalues and rotated by the two 1-D
-    eigenbases carry the exact joint law. That costs one C x C and one R x R
-    eigendecomposition, O(C^3 + R^3), instead of a dense factor of the
-    (R*C) x (R*C) covariance. Eigenvalues that rounding makes slightly
-    negative are clipped to zero, so an ill-conditioned or noise-free
-    covariance still draws. Deterministic for a given seed. Grids beyond
-    MAX_DENSE_CELLS cells are refused.
+    eigenbases carry the exact joint law. That costs the eigendecompositions
+    of one C x C and one R x R factor, each split into two half-size
+    eigenproblems (about a quarter of a full ``eigh``'s flops), O(C^3 + R^3)
+    instead of a dense factor of the (R*C) x (R*C) covariance. The order of
+    the eigenpairs decides which field a seed draws, not its law. Eigenvalues
+    that rounding makes slightly negative are clipped to zero, so an
+    ill-conditioned or noise-free covariance still draws. Deterministic for
+    a given seed. Grids beyond MAX_DENSE_CELLS cells are refused.
     """
     n = grid.n_rows * grid.n_cols
     if n > MAX_DENSE_CELLS:

@@ -621,6 +621,41 @@ def test_kron_eigen_rebuilds_grid_covariance(grid, h):
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize(
+    "width, ell", [(5.0, 40.45), (5.0, 16.0), (4.0, 134.64), (2.5, 0.3), (1.0, 1.0)]
+)
+def test_unit_toeplitz_is_the_signal_gram(n, width, ell):
+    along = gp._as_int_array([Location(c, 0) for c in range(n)])
+    across = gp._as_int_array([Location(0, r) for r in range(n)])
+    want_along = gp._signal_gram(along, along, Hyperparams(ell, 7.0, 1.0, 0.0), (width, 3.0))
+    want_across = gp._signal_gram(across, across, Hyperparams(7.0, ell, 1.0, 0.0), (3.0, width))
+    got = gp._unit_toeplitz(n, width / ell)
+    assert np.array_equal(got, want_along) and np.array_equal(got, want_across)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41, 400])
+@pytest.mark.parametrize("ell", [0.2, 0.7, 3.0, 20.0, 100.0])
+def test_centro_eigh_rebuilds_the_toeplitz_factor(n, ell):
+    # ell in cell widths: from nearly the identity to nearly all ones
+    k = gp._unit_toeplitz(n, 1.0 / ell)
+    lam, q = gp._centro_eigh(k)
+    assert lam.shape == (n,) and q.shape == (n, n)
+    np.testing.assert_allclose(q @ np.diag(lam) @ q.T, k, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(q.T @ q, np.eye(n), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_centro_eigh_takes_any_symmetric_centrosymmetric_matrix(n):
+    s = np.random.default_rng(n).standard_normal((n, n))
+    k = s + s.T
+    k = k + k[::-1, ::-1]
+    lam, q = gp._centro_eigh(k)
+    np.testing.assert_allclose(q @ np.diag(lam) @ q.T, k, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(q.T @ q, np.eye(n), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(k), rtol=0.0, atol=1e-12)
+
+
 def test_sample_prior_field_draws_the_grid_covariance():
     # A draw is mean + A e with e = default_rng(seed).standard_normal(n), so
     # n seeds recover the linear map A, and A A^T is the law of every draw.
