@@ -53,9 +53,10 @@ def write_field(
     if grid.measurements is None:
         raise ValueError("grid carries no measurements to write")
     field_path = Path(field_path)
-    lines = [
-        ",".join(fmt(v) for v in row) for row in np.asarray(grid.measurements)
-    ]
+    values = np.asarray(grid.measurements)
+    # one %-format per row, the same text as fmt on each value
+    row_fmt = ",".join([FLOAT_FMT] * values.shape[1])
+    lines = [row_fmt % tuple(row) for row in values.tolist()]
     field_path.write_text("\n".join(lines) + "\n")
     meta = {
         "rows": str(grid.n_rows),

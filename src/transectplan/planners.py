@@ -221,8 +221,9 @@ def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
     vnext = np.zeros(m)
     for i in range(stages - 1, -1, -1):
         scores = table + vnext[None, :]
-        actions[i] = _first_best(scores)
-        values[i] = scores.max(axis=1)
+        best = scores.max(axis=1, keepdims=True)
+        actions[i] = _first_best(scores, best)
+        values[i] = best[:, 0]
         vnext = values[i]
     return MarkovPolicy(
         grid=grid,
@@ -237,11 +238,11 @@ def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
 
 def rollout(policy: MarkovPolicy, x0: RobotConfig) -> ObservationPath:
     """Execute a Markov policy from a start configuration."""
+    j = policy._index(x0)
     configs = [x0]
-    x = x0
     for stage in range(policy.grid.n_cols - 1):
-        x = policy.action(stage, x)
-        configs.append(x)
+        j = int(policy.actions[stage, j])
+        configs.append(policy.configs[j])
     return ObservationPath(policy.grid, tuple(configs))
 
 
@@ -249,9 +250,11 @@ def _tie_tol(best):
     return TIE_RTOL * np.maximum(np.abs(best), 1.0)
 
 
-def _first_best(scores: np.ndarray) -> np.ndarray:
-    """Index of the first score tied with the maximum along the last axis."""
-    best = scores.max(axis=-1, keepdims=True)
+def _first_best(scores: np.ndarray, best: np.ndarray | None = None) -> np.ndarray:
+    """Index of the first score tied with the maximum along the last axis;
+    ``best`` is that maximum with its axis kept, when the caller has it."""
+    if best is None:
+        best = scores.max(axis=-1, keepdims=True)
     return np.argmax(scores >= best - _tie_tol(best), axis=-1)
 
 

@@ -66,6 +66,17 @@ def test_field_round_trip_bit_exact(tmp_path):
     assert bundle.seed == 0
 
 
+def test_write_field_prints_each_value_as_fmt(tmp_path):
+    # negative, subnormal, huge, integral and signed-zero values
+    z = np.array(
+        [[-1.5, 5e-324, 1e300, 3.0], [-0.0, 1e-310, -1e300, 1.0 / 3.0], [7.0, -2.0, 0.0, -4e-320]]
+    )
+    path = tmp_path / "field.csv"
+    write_field(path, TransectGrid(3, 4, 5.0, 5.0, measurements=z), H, 10.0, 0)
+    assert path.read_text() == "".join(",".join(fmt(v) for v in row) + "\n" for row in z)
+    assert read_field(path).grid.measurements.tobytes() == z.tobytes()
+
+
 def test_sidecar_path_swaps_suffix():
     assert sidecar_path("a/b/field.csv") == Path("a/b/field.meta")
 
