@@ -206,3 +206,49 @@ def test_each_class_fires_on_a_perturbed_audit_record(small_record):
     missing = copy.deepcopy(small_record)
     del missing["runs"][key]
     assert eq.compare(small_record, missing)["changed"][0][:2] == (key, "other")
+
+
+def test_markov_records_each_instance_and_start(small_record):
+    runs = small_record["runs"]
+    assert {r["group"] for r in runs.values() if r["planner"] == "markov"} == {
+        "0", "1e-6", ">=1e-3"
+    }
+    for case in small_record["cases"]:
+        run = runs[f"markov/{case['name']}"]
+        assert run["refusal"] is None
+        assert len(run["path"]) == case["cols"] and run["path"][0] == list(case["start"])
+    dps = [r for k, r in runs.items() if k.startswith("markov/") and k.endswith("/dp")]
+    assert dps
+    for r in dps:
+        assert r["refusal"] is None and r["value"] is None and r["path"] is None
+        m = len(r["actions"][0])
+        assert len(r["table"]) == m * m and len(r["values"]) == len(r["actions"]) * m
+        assert all(0 <= a < m for row in r["actions"] for a in row)
+
+
+def test_each_class_fires_on_a_perturbed_markov_record(small_record):
+    runs = small_record["runs"]
+    dp = next(k for k, r in runs.items() if k.startswith("markov/") and k.endswith("/dp"))
+    start = next(k for k in runs if k.startswith("markov/") and not k.endswith("/dp"))
+
+    def cls(key, **changes):
+        result = eq.compare(small_record, perturbed(small_record, key, **changes))
+        assert [c[0] for c in result["changed"]] == [key]
+        return result["changed"][0][1]
+
+    for field in ("table", "values"):
+        bits = eq.floats(runs[dp], field)
+        assert cls(dp, **{field: eq.hexes([np.nextafter(bits[0], np.inf), *bits[1:]])}) == "close"
+        assert cls(dp, **{field: eq.hexes([bits[0] * (1 + 1e-6) + 1e-9, *bits[1:]])}) == "other"
+        assert cls(dp, **{field: runs[dp][field][:-1]}) == "other"
+    actions = copy.deepcopy(runs[dp]["actions"])
+    actions[-1][0] = (actions[-1][0] + 1) % len(actions[-1])
+    assert cls(dp, actions=actions) == "other"
+    assert cls(dp, actions=None) == "other"
+    assert cls(dp, refusal="SingularCovariance", table=None, values=None, actions=None) == "refusal"
+    value = float.fromhex(runs[start]["value"])
+    assert cls(start, value=float(np.nextafter(value, np.inf)).hex()) == "close"
+    assert cls(start, value=(value * (1 + 1e-6) + 1e-9).hex()) == "other"
+    path = copy.deepcopy(runs[start]["path"])
+    path[-1] = [r + 1 for r in path[-1]]
+    assert cls(start, path=path) == "tied"

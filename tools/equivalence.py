@@ -10,16 +10,17 @@ revision, for example one unpacked with ``git archive``), runs every case of
 value's exact bits, the path's rows, the exhaustive planner's stage gains and
 the refusal's type name. It also runs ``run_benchmark`` on the survey-fit
 cases (see :func:`survey`), so the benchmark's batched route and its map
-metrics are compared too, and ``verify_performance_bounds`` on the cases
-within the exhaustive planner's leaf cap (see :func:`audit`). ``compare``
-puts each run in one class of ``CLASSES`` and prints the counts per planner
-and noise group; noise ratios 0 and 1e-6 are grouped apart from the rest,
-because at zero or tiny noise two algebraically equal routes are known to
-round differently. Set ``OPENBLAS_NUM_THREADS=1`` in both runs: the BLAS
-thread count changes rounding, and at noise ratio 1e-6 rounding can decide a
-near-tied choice, so one tree recorded under two thread counts is the floor
-that a comparison of two trees can be read against. ``.equivalence/`` is
-ignored by git.
+metrics are compared too, ``verify_performance_bounds`` on the cases within
+the exhaustive planner's leaf cap (see :func:`audit`), and ``plan_markov``
+with its stage table, its rollouts and their ``path_entropy`` on every
+instance (see :func:`markov`). ``compare`` puts each run in one class of
+``CLASSES`` and prints the counts per planner and noise group; noise ratios
+0 and 1e-6 are grouped apart from the rest, because at zero or tiny noise
+two algebraically equal routes are known to round differently. Set
+``OPENBLAS_NUM_THREADS=1`` in both runs: the BLAS thread count changes
+rounding, and at noise ratio 1e-6 rounding can decide a near-tied choice, so
+one tree recorded under two thread counts is the floor that a comparison of
+two trees can be read against. ``.equivalence/`` is ignored by git.
 
 To cover another planner, add a runner to ``PLANNERS`` that maps a built
 ``(tp, grid, h, k, x0)`` to a ``PlanResult``.
@@ -61,7 +62,10 @@ SURVEY_POLICIES = ("markov", "greedy-ent", "greedy-mi")
 CLASSES = ("identical", "close", "tied", "refusal", "other")
 
 # The fields holding float bits (one, or a list) that a run may carry.
-BITS = ("value", "err", "gains", "markov", "rollout")
+BITS = ("value", "err", "gains", "markov", "rollout", "table", "values")
+
+# The fields that must match exactly: audit verdict flags, markov actions.
+EXACT = ("flags", "actions")
 
 
 @dataclass(frozen=True)
@@ -243,6 +247,50 @@ def audit(tp, cases: list[Case]) -> dict:
     return runs
 
 
+def markov(tp, cases: list[Case]) -> dict:
+    """``plan_markov`` once per instance, then ``rollout`` and
+    ``path_entropy`` from each of its cases' starts. The instance's run,
+    keyed by its first case with a ``/dp`` suffix, holds the bits of the
+    stage table and of the DP values, and the actions, row by row; a refused
+    table or DP records its refusal for every run of the instance. Each
+    start's run holds the rollout path and its ``path_entropy`` bits as its
+    value, or that start's refusal."""
+
+    def refused(exc: Exception) -> dict:
+        return {"refusal": refusal_name(tp, exc), "value": None, "path": None}
+
+    runs = {}
+    for inst, members in instances(cases, lambda c: True).items():
+        grid, h = instance(tp, inst)
+        tag = {"planner": "markov", "group": inst.group}
+        try:
+            table = tp.planners.stage_entropy_table(grid, h, tp.enumerate_configs(grid, inst.k))
+            policy = tp.plan_markov(grid, h, inst.k)
+            dp = {
+                "refusal": None, "value": None, "path": None,
+                "table": hexes(table.ravel()),
+                "values": hexes(policy.values.ravel()),
+                "actions": policy.actions.tolist(),
+            }  # fmt: skip
+        except Exception as exc:  # an untyped failure is recorded, not raised
+            policy, dp = None, refused(exc)
+        runs[f"markov/{members[0].name}/dp"] = {**tag, **dp}
+        for case in members:
+            out = dp
+            if policy is not None:
+                try:
+                    path = tp.rollout(policy, tp.RobotConfig(case.start))
+                    out = {
+                        "refusal": None,
+                        "value": float(tp.path_entropy(path, h)).hex(),
+                        "path": [list(c.rows) for c in path.configs],
+                    }
+                except Exception as exc:  # an untyped failure is recorded, not raised
+                    out = refused(exc)
+            runs[f"markov/{case.name}"] = {**tag, **out}
+    return runs
+
+
 def record(cases: list[Case]) -> dict:
     """Run every case through every planner with the ``transectplan`` that
     ``sys.path`` finds first; the record keeps that tree's tie window."""
@@ -260,6 +308,7 @@ def record(cases: list[Case]) -> dict:
                 }
         runs.update(survey(tp, cases))
         runs.update(audit(tp, cases))
+        runs.update(markov(tp, cases))
     return {
         "tie_rtol": tp.planners.TIE_RTOL,
         "cases": [asdict(c) for c in cases],
@@ -278,12 +327,13 @@ def classify(a: dict, b: dict, tie_rtol: float) -> str:
     (the same refusal, or the same path and the same bits in every ``BITS``
     field the run has), close (the same path, every field within 1e-12
     relative), tied (another path, values within ``tie_rtol`` relative),
-    refusal (one side refused, or the type changed) or other. Verdict flags,
-    and which fields a run has, must match, or the run is other."""
+    refusal (one side refused, or the type changed) or other. The ``EXACT``
+    fields, and which fields a run has, must match, or the run is other."""
     if a["refusal"] or b["refusal"]:
         return "identical" if a["refusal"] == b["refusal"] else "refusal"
     keys = [key for key in BITS if a.get(key) is not None]
-    if a.get("flags") != b.get("flags") or keys != [key for key in BITS if b.get(key) is not None]:
+    same_fields = keys == [key for key in BITS if b.get(key) is not None]
+    if not same_fields or any(a.get(key) != b.get(key) for key in EXACT):
         return "other"
     if all(a[key] == b[key] for key in keys):
         return "identical" if a["path"] == b["path"] else "tied"
@@ -323,6 +373,8 @@ def describe(run: dict | None) -> str:
     if run["planner"] == "audit":
         flags = "".join("+" if f else "-" for f in run["flags"])
         return f"exact {float.fromhex(run['value']):.15g}, flags {flags}"
+    if run.get("table") is not None:
+        return f"dp value {max(floats(run, 'values')):.15g}, {len(run['actions'])} stages"
     if run["path"] is None:
         return f"ent {float.fromhex(run['value']):.15g}, err {float.fromhex(run['err']):.15g}"
     return f"{float.fromhex(run['value']):.15g} via {run['path'][1:4]}..."
