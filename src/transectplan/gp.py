@@ -432,9 +432,9 @@ def _unit_toeplitz(n: int, step: float) -> np.ndarray:
     ``step`` length-scales apart, K[i, j] = row[|i - j|] with
     row[l] = exp(-0.5 * (l * step)^2): the same bits as :func:`_signal_gram`
     on those points, from n exponentials instead of n^2."""
-    lag = np.arange(n) * step
-    row = np.exp(-0.5 * (lag * lag))
     i = np.arange(n)
+    lag = i * step
+    row = np.exp(-0.5 * (lag * lag))
     return row[np.abs(i[:, None] - i[None, :])]
 
 
