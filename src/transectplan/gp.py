@@ -18,6 +18,11 @@ Numerical policy, applied uniformly:
   1e-8 times the mean diagonal before giving up with FactorizationFailure;
 * the one explicit inverse, in :func:`precision`, is formed from one such
   factor as L^-T L^-1; nothing else inverts a matrix;
+* triangular solves and that inverse use SciPy's LAPACK routines, which
+  :func:`_scipy_linalg` imports on first use; the Markov stage table solves
+  its k x k factors by numpy's LU solve instead, so the Markov, exhaustive
+  and bounds paths and the field draws run on numpy alone, and only the
+  greedy planners, the map metrics and a redone exhaustive level load SciPy;
 * log-determinants come from the triangular factor, and a factor diagonal
   entry below 1e-150 raises SingularCovariance instead of overflowing the log;
 * entropies are reported in nats.
@@ -35,12 +40,11 @@ half-size ones.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotri, dtrtrs
 
 from .errors import FactorizationFailure, GridTooLarge, SingularCovariance
 from .transect import Location, TransectGrid
@@ -81,6 +85,17 @@ class Hyperparams:
             raise ValueError("signal variance must be positive")
         if not self.noise_var >= 0:
             raise ValueError("noise variance cannot be negative")
+
+
+@functools.cache
+def _scipy_linalg():
+    """``scipy.linalg``, imported on the first call: its triangular solve and
+    LAPACK ``trtrs`` and ``potri`` serve the history factors and the
+    precision, and importing SciPy costs more than the Markov path's whole
+    run, so only the calls that need it pay."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def _as_int_array(locs: Sequence[Location]) -> np.ndarray:
@@ -207,6 +222,7 @@ def posterior_mean(
     _duplicate_guard(obs_locs, h)
     L = chol_factor(cov_matrix(obs_locs, h, widths))
     resid = obs_vals - mean
+    solve_triangular = _scipy_linalg().solve_triangular
     alpha = solve_triangular(L, resid, lower=True, check_finite=False)
     alpha = solve_triangular(L.T, alpha, lower=False, check_finite=False)
     k_tx = cross_cov(targets, obs_locs, h, widths)
@@ -233,7 +249,7 @@ def posterior_cov(
     _duplicate_guard(obs_locs, h)
     L = chol_factor(cov_matrix(obs_locs, h, widths))
     k_xt = cross_cov(obs_locs, targets, h, widths)
-    w = solve_triangular(L, k_xt, lower=True, check_finite=False)
+    w = _scipy_linalg().solve_triangular(L, k_xt, lower=True, check_finite=False)
     return prior - w.T @ w
 
 
@@ -284,7 +300,7 @@ def precision(cov: np.ndarray) -> np.ndarray:
     logdet_from_factor(L)  # refuses a factor that reaches DIAG_FLOOR
     del cov
     # L^T is the upper factor in Fortran order, which potri overwrites
-    p, info = dpotri(L.T, lower=0, overwrite_c=1)
+    p, info = _scipy_linalg().lapack.dpotri(L.T, lower=0, overwrite_c=1)
     if info != 0:
         raise SingularCovariance(f"potri failed with info {info}")
     p += np.triu(p, 1).T
@@ -354,6 +370,7 @@ class GrowingFactor:
         n = self.size
         # M[cells, V_s] is M[V_s, cells]^T; each member's W_s^T is solved in it
         wt = self.entries(cells, self.cells[:, :n])
+        dtrtrs = _scipy_linalg().lapack.dtrtrs
         for factor, w in zip(self.factor, wt):
             # L_s^T, read in place from the buffer with leading dimension capacity
             _, info = dtrtrs(factor.T[:, :n], w.T, lower=0, trans=1, overwrite_b=1)

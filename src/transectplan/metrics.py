@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import EmptyUnobservedSet, MismatchedInstances, ZeroMeanField
-from .gp import Hyperparams, LagGram, chol_factor, gaussian_entropy
+from .gp import Hyperparams, LagGram, _scipy_linalg, chol_factor, gaussian_entropy
 from .transect import ObservationPath, RobotConfig
 
 
@@ -60,7 +59,7 @@ class _PathMap:
     def unobserved_entropy(self) -> float:
         if not self.rest.size:
             raise EmptyUnobservedSet("path covers every cell")
-        w = solve_triangular(
+        w = _scipy_linalg().solve_triangular(
             self.factor, self.prior(self.visited, self.rest), lower=True, check_finite=False
         )
         return gaussian_entropy(self.prior(self.rest, self.rest) - w.T @ w)
@@ -76,6 +75,7 @@ class _PathMap:
             mean = zbar
         # column-major cell i holds z[i % n_rows, i // n_rows]
         z_all = z.T.ravel()
+        solve_triangular = _scipy_linalg().solve_triangular
         alpha = solve_triangular(
             self.factor, z_all[self.visited] - mean, lower=True, check_finite=False
         )

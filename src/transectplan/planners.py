@@ -57,7 +57,7 @@ from .gp import (
     GrowingFactor,
     Hyperparams,
     LagGram,
-    conditional_entropy,
+    chol_factor,
     cov_matrix,
     gaussian_entropy,
     minor_entropies,
@@ -189,16 +189,35 @@ def stage_entropy_table(
     configs[i]]. The covariance is stationary and every stage advances by
     exactly one column, so the table is computed once for columns (0, 1) and
     reused at every stage.
+
+    The conditioning is done once per current configuration: one Gram
+    matrix of the two columns holds every block, each K_xx is factored by
+    :func:`chol_factor`, W = L^-1 K_x,next is solved by numpy's LU solve on
+    the k x k factor, and the whole next column's posterior is
+    K_next - W^T W. Entry (i, j) is :func:`gaussian_entropy` of its minor
+    at configs[j], with that function's jitter ladder and refusals; entries
+    are taken in row-major order, so the first refusal raised is the first
+    entry's, as from :func:`~transectplan.gp.conditional_entropy` entry by
+    entry.
     """
-    m = len(configs)
-    table = np.empty((m, m))
+    n_rows = grid.n_rows
+    cells = [Location(col, r) for col in (0, 1) for r in range(n_rows)]
+    gram = cov_matrix(cells, h, grid.widths)
+    nxt = gram[n_rows:, n_rows:]
+    idx = [np.ix_(x.rows, x.rows) for x in configs]
+    table = np.empty((len(configs), len(configs)))
     for i, x in enumerate(configs):
-        cur = list(config_locations(x, 0))
-        for j, a in enumerate(configs):
-            table[i, j] = conditional_entropy(
-                config_locations(a, 1), cur, h, grid.widths
-            )
+        factor = chol_factor(gram[idx[i]])
+        w = np.linalg.solve(factor, gram[x.rows, n_rows:])
+        post = nxt - w.T @ w
+        for j, minor in enumerate(idx):
+            table[i, j] = gaussian_entropy(post[minor])
     return table
+
+
+# The DP's actions are taken over stacks of (stages, m, m) scores of at most
+# this many elements, so the sweep's memory does not grow with the horizon.
+_SWEEP_ELEMENTS = 1 << 15
 
 
 def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
@@ -207,8 +226,9 @@ def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
     Solves value(i, x) = max_a H[a at column i+1 | x at column i] +
     value(i+1, a) for every stage and configuration. One stage-entropy table
     serves all stages, so the sweep costs |A|^2 per stage on top of the
-    |A|^2 entropy evaluations. Deterministic; ties within TIE_RTOL go to the
-    smallest action.
+    |A|^2 entropy evaluations. The values are swept stage by stage; the
+    actions then come from stacks of stages at once. Deterministic; ties
+    within TIE_RTOL go to the smallest action.
     """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
@@ -216,21 +236,22 @@ def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
     stages = grid.n_cols - 1
     table = stage_entropy_table(grid, h, configs)
 
-    values = np.zeros((stages, m))
-    actions = np.zeros((stages, m), dtype=np.int64)
-    vnext = np.zeros(m)
+    # values[stages] is the zero value past the last decision
+    values = np.zeros((stages + 1, m))
     for i in range(stages - 1, -1, -1):
-        scores = table + vnext[None, :]
-        best = scores.max(axis=1, keepdims=True)
-        actions[i] = _first_best(scores, best)
-        values[i] = best[:, 0]
-        vnext = values[i]
+        values[i] = (table + values[i + 1]).max(axis=1)
+    actions = np.empty((stages, m), dtype=np.int64)
+    chunk = max(1, _SWEEP_ELEMENTS // (m * m))
+    for lo in range(0, stages, chunk):
+        hi = min(lo + chunk, stages)
+        scores = table + values[lo + 1 : hi + 1, None, :]
+        actions[lo:hi] = _first_best(scores, values[lo:hi, :, None])
     return MarkovPolicy(
         grid=grid,
         h=h,
         k=k,
         configs=tuple(configs),
-        values=values,
+        values=values[:stages],
         actions=actions,
         plan_seconds=time.perf_counter() - t0,
     )

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ from transectplan.errors import FactorizationFailure, SingularCovariance
 from transectplan.fieldio import fmt
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 H = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.1)
 
@@ -754,3 +758,44 @@ def test_cli_help_runs():
     for args in (["--help"], ["plan", "--help"], ["synth", "--help"],
                  ["bounds", "--help"], ["bench", "--help"]):
         assert run_cli(args).exit_code == 0
+
+
+# Runs in a fresh interpreter: the Markov, exact and bounds paths and the
+# field IO must not import SciPy, whose import costs more than their runs.
+NUMPY_ONLY_PATHS = """
+import math
+import sys
+
+from click.testing import CliRunner
+
+import transectplan as tp
+import transectplan.cli
+
+
+def run(*args):
+    res = CliRunner().invoke(transectplan.cli.main, [str(a) for a in args])
+    assert res.exit_code == 0, res.output
+
+
+run("synth", "--rows", 3, "--cols", 5, "--omega1", 5, "--omega2", 5,
+    "--ell1", 2.5, "--ell2", 2.5, "--noise-var", 1.0, "--out", "f.csv")
+run("plan", "--field", "f.csv", "--policy", "markov")
+run("plan", "--field", "f.csv", "--policy", "markov", "-k", 2, "--start", "0,2")
+grid = tp.read_field("f.csv").grid
+h = tp.Hyperparams(ell1=2.5, ell2=2.5, signal_var=1.0, noise_var=1.0)
+tp.plan_exact(grid, h, 1, tp.RobotConfig((1,)))
+assert tp.verify_performance_bounds(grid, h, k=1).value_bracket_ok
+assert "scipy" not in sys.modules, "scipy imported"
+path = tp.plan_greedy_mi(grid, h, 1, tp.RobotConfig((1,))).path
+record = tp.evaluate(path, h, "greedy-mi")
+assert math.isfinite(record.ent) and math.isfinite(record.err)
+"""
+
+
+def test_markov_exact_and_bounds_paths_run_without_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_PATHS], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr

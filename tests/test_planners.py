@@ -34,7 +34,7 @@ from transectplan import (
     rollout,
 )
 from transectplan import gp, planners
-from transectplan.errors import FactorizationFailure, SingularCovariance
+from transectplan.errors import FactorizationFailure, SingularCovariance, TransectPlanError
 from transectplan.gp import MAX_DENSE_CELLS
 from transectplan.planners import TIE_RTOL, stage_entropy_table
 from transectplan.transect import config_locations
@@ -125,18 +125,45 @@ def test_markov_full_team_single_config():
 
 
 def test_stage_entropy_table_entries():
-    g = small_grid(3, 4)
+    plankton = Hyperparams(ell1=27.53, ell2=134.64, signal_var=2.152, noise_var=0.041)
+    noise_free = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.0)
+    cases = [
+        (small_grid(3, 4), H, 1),
+        (small_grid(5, 6), H, 2),
+        (small_grid(5, 6), H, 3),
+        (small_grid(5, 6), noise_free, 2),
+        (small_grid(5, 6), noise_free, 3),
+        (small_grid(5, 6), plankton, 2),
+    ]
+    for g, h, k in cases:
+        configs = enumerate_configs(g, k)
+        table = stage_entropy_table(g, h, configs)
+        for i, xi in enumerate(configs):
+            for j, xj in enumerate(configs):
+                want = conditional_entropy(
+                    list(config_locations(xj, 1)),
+                    list(config_locations(xi, 0)),
+                    h,
+                    g.widths,
+                )
+                assert table[i, j] == pytest.approx(want, abs=1e-12)
+
+    # noise free, with the columns correlated to 1.0 in float64: a cell's
+    # posterior given the same row of the previous column is exactly zero
+    g, h = small_grid(3, 4), Hyperparams(ell1=1e9, ell2=4.0, signal_var=1.0, noise_var=0.0)
     configs = enumerate_configs(g, 1)
-    table = stage_entropy_table(g, H, configs)
-    for i, xi in enumerate(configs):
-        for j, xj in enumerate(configs):
-            want = conditional_entropy(
-                list(config_locations(xj, 1)),
-                list(config_locations(xi, 0)),
-                H,
-                g.widths,
+    refusals = []
+    for xi, xj in itertools.product(configs, configs):
+        try:
+            conditional_entropy(
+                list(config_locations(xj, 1)), list(config_locations(xi, 0)), h, g.widths
             )
-            assert table[i, j] == pytest.approx(want, abs=1e-12)
+        except TransectPlanError as e:
+            refusals.append(type(e))
+    assert refusals
+    with pytest.raises(TransectPlanError) as info:
+        stage_entropy_table(g, h, configs)
+    assert type(info.value) is refusals[0]
 
 
 def test_markov_bellman_consistency():
