@@ -21,8 +21,9 @@ Numerical policy, applied uniformly:
 * triangular solves and that inverse use SciPy's LAPACK routines, which
   :func:`_scipy_linalg` imports on first use; the Markov stage table solves
   its k x k factors by numpy's LU solve instead, so the Markov, exhaustive
-  and bounds paths and the field draws run on numpy alone, and only the
-  greedy planners, the map metrics and a redone exhaustive level load SciPy;
+  and bounds paths and the field draws run on numpy alone, while the
+  posterior helpers here, the greedy planners, the map metrics and a redone
+  exhaustive level load SciPy;
 * log-determinants come from the triangular factor, and a factor diagonal
   entry below 1e-150 raises SingularCovariance instead of overflowing the log;
 * entropies are reported in nats.
