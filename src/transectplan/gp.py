@@ -14,18 +14,22 @@ factorizations and triangular solves, never through determinants.
 
 Numerical policy, applied uniformly:
 
-* factorization attempts escalate a diagonal jitter of 0, 1e-12, 1e-10 and
-  1e-8 times the mean diagonal before giving up with FactorizationFailure;
+* every factorization goes through :func:`chol_factor`, over one matrix or a
+  stack: one stacked Cholesky with no jitter, then, for the matrices that
+  fail it only, one by one, a diagonal jitter of 1e-12, 1e-10 and 1e-8
+  times the matrix's mean diagonal before giving up with
+  FactorizationFailure; a factor diagonal entry below 1e-150 raises
+  SingularCovariance instead of overflowing a log-determinant, and the
+  first failing matrix's refusal is the one raised;
 * the one explicit inverse, in :func:`precision`, is formed from one such
   factor as L^-T L^-1; nothing else inverts a matrix;
 * triangular solves and that inverse use SciPy's LAPACK routines, which
   :func:`_scipy_linalg` imports on first use; the Markov stage table solves
   its k x k factors by numpy's LU solve instead, so the Markov, exhaustive
   and bounds paths and the field draws run on numpy alone, while the
-  posterior helpers here, the greedy planners, the map metrics and a redone
-  exhaustive level load SciPy;
-* log-determinants come from the triangular factor, and a factor diagonal
-  entry below 1e-150 raises SingularCovariance instead of overflowing the log;
+  posterior helpers here, the greedy planners, the map metrics and an
+  exhaustive node whose level factor failed load SciPy;
+* log-determinants come from the triangular factor;
 * entropies are reported in nats.
 
 Within a covariance matrix over a list of observations the noise term sits on
@@ -160,19 +164,32 @@ def cross_cov(
     return m
 
 
-def chol_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with the escalating-jitter policy.
+def _probe(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rung 0 of the ladder over a stack of shape (..., n, n): ``(L, ok)``,
+    with ``L`` the lower factors and ``ok`` (shape (...)) true where a matrix
+    factored with every pivot at least DIAG_FLOOR.
 
-    Jitter steps are scaled by the mean diagonal of ``cov``; the first
-    attempt adds nothing. Raises FactorizationFailure once the ladder is
-    exhausted.
+    One stacked Cholesky factors every matrix; if it raises, the matrices
+    are factored one by one, and a matrix that does not factor gets NaNs.
     """
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        L = np.full(cov.shape, np.nan)
+        for i in np.ndindex(cov.shape[:-2]):
+            try:
+                L[i] = np.linalg.cholesky(cov[i])
+            except np.linalg.LinAlgError:
+                pass
+    return L, np.all(np.diagonal(L, axis1=-2, axis2=-1) >= DIAG_FLOOR, axis=-1)
+
+
+def _climb(cov: np.ndarray) -> np.ndarray:
+    """The jitter ladder past rung 0 for one matrix, scaled by its mean
+    diagonal; FactorizationFailure once the ladder is exhausted."""
     scale = float(np.mean(np.diag(cov)))
-    for step in JITTER_STEPS:
+    for step in JITTER_STEPS[1:]:
         try:
-            if step == 0.0:
-                return np.linalg.cholesky(cov)
             return np.linalg.cholesky(cov + (step * scale) * np.eye(cov.shape[0]))
         except np.linalg.LinAlgError:
             continue
@@ -180,6 +197,29 @@ def chol_factor(cov: np.ndarray) -> np.ndarray:
         f"covariance of order {cov.shape[0]} is not factorizable "
         f"(max jitter {JITTER_STEPS[-1]:g} * {scale:g})"
     )
+
+
+def chol_factor(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a matrix or a stack of shape (..., n, n),
+    the one factorization routine behind every other.
+
+    One stacked Cholesky runs with no jitter. Only the matrices that fail it
+    are retried, one by one in C order, up the jitter ladder, so the others
+    keep the bits of a plain Cholesky and the first failing matrix's error
+    is the one raised: FactorizationFailure when the ladder is exhausted,
+    SingularCovariance when a pivot is below DIAG_FLOOR.
+    """
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    L, ok = _probe(cov)
+    if ok.all():
+        return L
+    n = cov.shape[-1]
+    flat, covs = L.reshape(-1, n, n), cov.reshape(-1, n, n)
+    for i in np.flatnonzero(~ok):
+        if np.isnan(flat[i]).any():
+            flat[i] = _climb(covs[i])
+        logdet_from_factor(flat[i])  # refuses a pivot below DIAG_FLOOR
+    return L
 
 
 def logdet_from_factor(factor: np.ndarray) -> float:
@@ -254,51 +294,38 @@ def posterior_cov(
     return prior - w.T @ w
 
 
-def gaussian_entropy(cov: np.ndarray) -> float:
-    """Differential entropy 0.5 * log((2 pi e)^n |cov|) in nats.
+def gaussian_entropy(cov: np.ndarray) -> float | np.ndarray:
+    """Differential entropy 0.5 * log((2 pi e)^n |cov|) in nats of a matrix,
+    or of each matrix of a stack of shape (..., n, n), as an array of shape
+    (...), from :func:`chol_factor`'s factors.
 
     Negative values are legitimate for small variances; a singular matrix
     raises instead of returning -inf.
     """
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = cov.shape[0]
     L = chol_factor(cov)
-    return 0.5 * (n * LOG_2PI_E + logdet_from_factor(L))
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    e = 0.5 * (L.shape[-1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=-1))
+    return e if e.ndim else float(e)
 
 
 def minor_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Entropies of the principal minors ``cov[..., idx[j]][..., idx[j]]``,
     one per row of the (m, k) index array and per matrix of the stack
-    ``cov`` (shape (..., R, R)), from one stacked Cholesky factorization;
-    the result has shape (..., m).
-
-    A stack that is not positive definite, or whose factor reaches
-    DIAG_FLOOR, is redone minor by minor through :func:`gaussian_entropy`,
-    so the jitter ladder and the SingularCovariance check still apply.
+    ``cov`` (shape (..., R, R)): :func:`gaussian_entropy` of the gathered
+    minors, shape (..., m).
     """
     idx = np.asarray(idx)
-    minors = cov[..., idx[:, :, None], idx[:, None, :]]
-    try:
-        d = np.diagonal(np.linalg.cholesky(minors), axis1=-2, axis2=-1)
-    except np.linalg.LinAlgError:
-        d = None
-    if d is None or np.any(d < DIAG_FLOOR):
-        k = idx.shape[1]
-        flat = [gaussian_entropy(s) for s in minors.reshape(-1, k, k)]
-        return np.reshape(flat, minors.shape[:-2])
-    return 0.5 * (idx.shape[1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=-1))
+    return gaussian_entropy(cov[..., idx[:, :, None], idx[:, None, :]])
 
 
 def precision(cov: np.ndarray) -> np.ndarray:
     """Inverse of a covariance matrix, L^-T L^-1 from its factor L by
-    :func:`chol_factor`, so the jitter ladder and its FactorizationFailure
-    apply; a factor that reaches DIAG_FLOOR raises SingularCovariance.
+    :func:`chol_factor`, with its jitter ladder and refusals.
 
     LAPACK ``potri`` inverts in the factor's own storage, so besides ``cov``
     one more matrix of its size is held at a time.
     """
     L = chol_factor(cov)
-    logdet_from_factor(L)  # refuses a factor that reaches DIAG_FLOOR
     del cov
     # L^T is the upper factor in Fortran order, which potri overwrites
     p, info = _scipy_linalg().lapack.dpotri(L.T, lower=0, overwrite_c=1)
@@ -320,10 +347,12 @@ class LagGram:
     """
 
     def __init__(self, grid: TransectGrid, h: Hyperparams):
-        cells = grid.locations()
-        self.n_rows = grid.n_rows
-        block = cross_cov(cells, cells[: grid.n_rows], h, grid.widths)
-        self.blocks = block.reshape(grid.n_cols, grid.n_rows, grid.n_rows)
+        n_rows = self.n_rows = grid.n_rows
+        # every cell's (col, row), column-major, against column 0's cells
+        cells = np.column_stack(np.divmod(np.arange(grid.n_cols * n_rows), n_rows))
+        block = _signal_gram(cells, cells[:n_rows], h, grid.widths)
+        block[np.arange(n_rows), np.arange(n_rows)] += h.noise_var
+        self.blocks = block.reshape(grid.n_cols, n_rows, n_rows)
 
     def __call__(self, a, b) -> np.ndarray:
         """The block M[a][:, b] for cell index arrays ``a`` and ``b``, whose
@@ -383,27 +412,17 @@ class GrowingFactor:
         """Append ``cells[s]`` (shape (stack, k)) to each V_s, given the rows
         ``wt[s]`` of W_s^T and the Schur block ``s[s]`` from
         :meth:`condition`: L_s' = [[L_s, 0], [W_s^T, chol(S_s)]]. A member
-        whose Schur block does not factor, or whose factor reaches
-        DIAG_FLOOR, is refactored alone from all of M[V_s', V_s'] through
-        :func:`chol_factor`, with its jitter ladder and refusal.
+        whose Schur block fails rung 0 of :func:`chol_factor`'s ladder is
+        refactored alone from all of M[V_s', V_s'] by :func:`chol_factor`,
+        with its jitter ladder and refusals.
         """
         n, k = self.size, cells.shape[1]
         new = slice(n, n + k)
         self.size = n + k
         self.cells[:, new] = cells
         self.factor[:, new, :n] = wt
-        try:
-            d = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            d = np.full_like(s, np.nan)  # nan marks a member to refactor
-            for member, block in enumerate(s):
-                try:
-                    d[member] = np.linalg.cholesky(block)
-                except np.linalg.LinAlgError:
-                    pass
-        self.factor[:, new, new] = d
-        diag = np.diagonal(d, axis1=-2, axis2=-1)
-        for member in np.flatnonzero(~np.all(diag >= DIAG_FLOOR, axis=-1)):
+        self.factor[:, new, new], ok = _probe(s)
+        for member in np.flatnonzero(~ok):
             v = self.cells[member, : self.size]
             self.factor[member, : self.size, : self.size] = chol_factor(self.entries(v, v))
 

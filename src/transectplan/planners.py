@@ -51,12 +51,12 @@ from .errors import (
     TransectPlanError,
 )
 from .gp import (
-    DIAG_FLOOR,
     LOG_2PI_E,
     MAX_DENSE_CELLS,
     GrowingFactor,
     Hyperparams,
     LagGram,
+    _probe,
     chol_factor,
     cov_matrix,
     gaussian_entropy,
@@ -69,7 +69,6 @@ from .transect import (
     ObservationPath,
     RobotConfig,
     TransectGrid,
-    config_locations,
     enumerate_configs,
 )
 
@@ -137,25 +136,20 @@ def path_entropy(path: ObservationPath, h: Hyperparams) -> float:
 
     By the chain rule this equals the sum of the per-stage conditional
     entropies with full-history conditioning, so it is the objective the
-    exact planner maximizes.
+    exact planner maximizes. The one-path call of :func:`path_entropies`.
     """
-    widths = path.grid.widths
-    all_locs = path.locations()
-    start_locs = list(config_locations(path.configs[0], 0))
-    return gaussian_entropy(cov_matrix(all_locs, h, widths)) - gaussian_entropy(
-        cov_matrix(start_locs, h, widths)
-    )
+    return float(path_entropies([path], h)[0])
 
 
 def path_entropies(paths: list[ObservationPath], h: Hyperparams) -> np.ndarray:
     """:func:`path_entropy` of each of ``paths``, which share one grid and
-    one team size, bit for bit.
+    one team size; each value is the same whatever the other paths are.
 
     The Gram matrices of every path and of every start are gathered by one
-    ``LagGram`` and factored by one stacked Cholesky each. If a stack does
-    not factor, or a factor reaches DIAG_FLOOR, every path is valued by
-    :func:`path_entropy` instead, with its jitter ladder and refusals, so the
-    first failing path's refusal is raised.
+    ``LagGram``, and each stack is valued by :func:`gaussian_entropy`, so
+    only a path whose matrix fails the stacked Cholesky climbs the jitter
+    ladder. The joint matrices are factored before the starts', and within
+    a stack the first failing path's refusal is raised.
     """
     if not paths:
         return np.empty(0)
@@ -164,20 +158,7 @@ def path_entropies(paths: list[ObservationPath], h: Hyperparams) -> np.ndarray:
         [[c * grid.n_rows + r for c, x in enumerate(p.configs) for r in x.rows] for p in paths]
     )
     gram = LagGram(grid, h)(cells, cells)
-    try:
-        diags = [
-            np.diagonal(np.linalg.cholesky(g), axis1=1, axis2=2)
-            for g in (gram, gram[:, :k, :k])
-        ]
-        ok = not any(np.any(d < DIAG_FLOOR) for d in diags)
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        return np.array([path_entropy(p, h) for p in paths])
-    full, start = (
-        0.5 * (d.shape[1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=-1)) for d in diags
-    )
-    return full - start
+    return gaussian_entropy(gram) - gaussian_entropy(gram[:, :k, :k])
 
 
 def stage_entropy_table(
@@ -280,7 +261,7 @@ def _first_best(scores: np.ndarray, best: np.ndarray | None = None) -> np.ndarra
 
 
 def _column_entropies(grid, h, idx, col, observed) -> np.ndarray:
-    """The column step of one exhaustive node, which a level falls back to:
+    """The column step of one exhaustive node whose level factor failed:
     entropy of each row set ``idx[j]`` of column ``col`` given the cells
     ``observed``."""
     column = [Location(col, r) for r in range(grid.n_rows)]
@@ -299,7 +280,7 @@ def _grid_gram(blocks: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _level_entropies(grid, h, idx, blocks, first, moves, redo=True):
+def _level_entropies(grid, h, idx, blocks, first, moves):
     """The column step for nodes of one depth: entry (i, j) is the entropy of
     the row set ``idx[j]`` of the next column given the cells of the path
     from the start rows ``first[i]`` through the configurations
@@ -307,10 +288,9 @@ def _level_entropies(grid, h, idx, blocks, first, moves, redo=True):
 
     One stacked Cholesky factors every node's history-plus-next-column Gram
     matrix, gathered from ``blocks``; the trailing R x R block of a factor is
-    the factor of the next column's posterior. If the stacked factor fails
-    or reaches DIAG_FLOOR, the nodes are redone one by one through
-    :func:`_column_entropies`, with its jitter ladder and refusals, or,
-    without ``redo``, None is returned.
+    the factor of the next column's posterior. Only the nodes whose factor
+    fails or reaches DIAG_FLOOR are redone, one by one through
+    :func:`_column_entropies`, with its jitter ladder and refusals.
     """
     n, depth = moves.shape
     n_rows = grid.n_rows
@@ -319,21 +299,14 @@ def _level_entropies(grid, h, idx, blocks, first, moves, redo=True):
     rows = np.column_stack([hist_rows, np.tile(np.arange(n_rows), (n, 1))])
     cols = np.concatenate([hist_cols, np.full(n_rows, depth + 1)])
     lag = np.abs(cols[:, None] - cols[None, :])
-    try:
-        factor = np.linalg.cholesky(blocks[lag, rows[:, :, None], rows[:, None, :]])
-        ok = not np.any(np.diagonal(factor, axis1=1, axis2=2) < DIAG_FLOOR)
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        if not redo:
-            return None
-        hist_cols = hist_cols.tolist()
-        observed = [list(map(Location, hist_cols, r)) for r in hist_rows.tolist()]
-        return np.array(
-            [_column_entropies(grid, h, idx, depth + 1, o) for o in observed]
-        )
+    factor, ok = _probe(blocks[lag, rows[:, :, None], rows[:, None, :]])
     tail = factor[:, -n_rows:, -n_rows:]
-    return minor_entropies(tail @ tail.transpose(0, 2, 1), idx)
+    scores = np.empty((n, len(idx)))
+    scores[ok] = minor_entropies((tail @ tail.transpose(0, 2, 1))[ok], idx)
+    for i in np.flatnonzero(~ok).tolist():
+        observed = list(map(Location, hist_cols.tolist(), hist_rows[i].tolist()))
+        scores[i] = _column_entropies(grid, h, idx, depth + 1, observed)
+    return scores
 
 
 def _fold_leaves(best, values: np.ndarray):
@@ -356,11 +329,10 @@ def _fold_leaves(best, values: np.ndarray):
 _CHUNK_NODES = 1024
 
 
-def _search(grid, h, idx, first, redo):
+def _search(grid, h, idx, first):
     """The exhaustive search from the start rows ``first`` (shape (S, k)),
     one tree whose root level holds every start: per start, the best
-    leaf's value, its configuration indices after the start and its gains.
-    None when a level's stacked factor fails and ``redo`` is off."""
+    leaf's value, its configuration indices after the start and its gains."""
     m, n = len(idx), len(first)
     stages = grid.n_cols - 1
     blocks = LagGram(grid, h).blocks
@@ -377,9 +349,7 @@ def _search(grid, h, idx, first, redo):
     push((np.arange(n), np.zeros((n, 0), dtype=np.int64), np.zeros(n), np.zeros((n, 0))))
     while stack:
         start, moves, acc, gains = stack.pop()
-        scores = _level_entropies(grid, h, idx, blocks, first[start], moves, redo)
-        if scores is None:
-            return None
+        scores = _level_entropies(grid, h, idx, blocks, first[start], moves)
         totals = (acc[:, None] + scores).ravel()
         if moves.shape[1] + 1 < stages:
             children = (
@@ -423,19 +393,20 @@ def plan_exact_all(
     node carries its start's rows. The nodes of one depth are scored
     together: their Gram matrices are gathered from covariance blocks
     computed once per call and factored in one stacked Cholesky (see
-    :func:`_level_entropies`), and every node carries the running sum of its
-    gains. The frontier is held in chunks of at most _CHUNK_NODES nodes in
-    lexicographic (start, moves) order, expanded depth first, so each
-    start's leaves are visited in lexicographic order. A later leaf replaces
-    its start's incumbent only when it is better by more than TIE_RTOL, so
-    ties resolve to the lexicographically smallest action sequence wherever
-    the chunks split. A node's arithmetic does not depend on the other nodes
-    of its chunk, so each result is bit for bit that of searching its start
-    alone. When a level's stacked factor fails, or a level refuses, the
-    starts are searched one by one instead, where a failed level is redone
-    node by node; so the first failing start's refusal is raised. Each
-    result's ``stage_gains`` are its path's per-column gains, and its
-    ``plan_seconds`` the call's wall time divided by the number of starts.
+    :func:`_level_entropies`), where only a node whose factor fails is
+    redone alone with the jitter ladder, and every node carries the running
+    sum of its gains. The frontier is held in chunks of at most _CHUNK_NODES
+    nodes in lexicographic (start, moves) order, expanded depth first, so
+    each start's leaves are visited in lexicographic order. A later leaf
+    replaces its start's incumbent only when it is better by more than
+    TIE_RTOL, so ties resolve to the lexicographically smallest action
+    sequence wherever the chunks split. A node's arithmetic does not depend
+    on the other nodes of its chunk, so each result is bit for bit that of
+    searching its start alone. Only when the search refuses are the starts
+    searched again one by one, so the first failing start's refusal is
+    raised. Each result's ``stage_gains`` are its path's per-column gains,
+    and its ``plan_seconds`` the call's wall time divided by the number of
+    starts.
     """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
@@ -454,16 +425,14 @@ def plan_exact_all(
 
     idx = np.array([c.rows for c in configs])
     first = np.array([x0.rows for x0 in starts])
-    found = None
-    if len(starts) > 1:
-        try:
-            found = _search(grid, h, idx, first, redo=False)
-        except TransectPlanError:
-            pass
-    if found is None:
-        # one start at a time, a failed level is redone node by node as when
-        # the start is searched alone, and the first refusal is its start's
-        found = [_search(grid, h, idx, first[[s]], redo=True)[0] for s in range(len(starts))]
+    try:
+        found = _search(grid, h, idx, first)
+    except TransectPlanError:
+        if len(starts) > 1:
+            # one start at a time, the first refusal is the first failing start's
+            for s in range(len(starts)):
+                _search(grid, h, idx, first[[s]])
+        raise
     seconds = (time.perf_counter() - t0) / len(starts)
     return [
         PlanResult(
@@ -492,9 +461,10 @@ def plan_exact(
     count |A|^(n_cols - 1) exceeds ``budget``, then when ``x0`` is not a
     k-robot configuration of the grid. The frontier is held in chunks of at
     most _CHUNK_NODES nodes, and ties resolve to the lexicographically
-    smallest action sequence wherever the chunks split; a level whose
-    stacked factor fails is redone node by node with the jitter ladder. The
-    result's ``stage_gains`` are the path's per-column gains.
+    smallest action sequence wherever the chunks split; a node whose
+    factor fails the level's stacked Cholesky is redone alone with the
+    jitter ladder. The result's ``stage_gains`` are the path's per-column
+    gains.
     """
     return plan_exact_all(grid, h, k, [x0], budget=budget)[0]
 

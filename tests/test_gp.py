@@ -1,5 +1,8 @@
+import ast
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +226,16 @@ def test_posterior_cov_matches_dense_inverse_oracle():
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+def test_posterior_refuses_a_history_below_the_floor():
+    # two distinct cells whose factor pivots sit near 3e-153, below DIAG_FLOOR
+    tiny = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1e-305, noise_var=0.0)
+    obs = [Location(0, 0), Location(3, 2)]
+    with pytest.raises(SingularCovariance):
+        posterior_cov([Location(1, 1)], obs, tiny, W)
+    with pytest.raises(SingularCovariance):
+        posterior_mean([Location(1, 1)], obs, [0.0, 0.0], tiny, W)
+
+
 def test_posterior_cov_is_measurement_free_api():
     # the mean changes with the data, the covariance cannot
     obs = [Location(0, 0), Location(1, 3)]
@@ -269,6 +282,37 @@ def test_entropy_rejects_indefinite_matrix():
 def test_singular_floor_detected():
     with pytest.raises(SingularCovariance):
         logdet_from_factor(np.diag([1.0, 1e-200]))
+
+
+def test_chol_factor_retries_only_the_failing_members():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(2, 3, 3, 3))
+    stack = a @ a.transpose(0, 1, 3, 2) + 0.5 * np.eye(3)
+    # exactly singular: only this member needs the jitter ladder
+    stack[1, 0] = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack[1, 0])
+    L = chol_factor(stack)
+    assert L.shape == stack.shape
+    np.testing.assert_array_equal(L[1, 0], chol_factor(stack[1, 0]))
+    for i in np.ndindex(2, 3):
+        if i != (1, 0):
+            np.testing.assert_array_equal(L[i], np.linalg.cholesky(stack[i]))
+    want = [gaussian_entropy(m) for m in stack[1]]
+    np.testing.assert_array_equal(gaussian_entropy(stack)[1], want)
+
+
+@pytest.mark.parametrize(
+    "order", [(0, 1), (1, 0)], ids=["not-factorizable-first", "below-floor-first"]
+)
+def test_chol_factor_raises_the_first_failing_members_refusal(order):
+    refusing = [-np.eye(3), np.diag([1.0, 1e-310, 1.0])]
+    stack = np.stack([np.eye(3), refusing[order[0]], 2.0 * np.eye(3), refusing[order[1]]])
+    with pytest.raises((FactorizationFailure, SingularCovariance)) as alone:
+        chol_factor(refusing[order[0]])
+    assert type(alone.value) is (FactorizationFailure, SingularCovariance)[order[0]]
+    with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+        chol_factor(stack)
 
 
 def test_jitter_rescues_rank_deficient():
@@ -336,6 +380,17 @@ def test_lag_gram_matches_cross_cov_bits():
     # shared cells pick up the noise, as cross_cov adds it
     b[0] = a[1, 2]
     np.testing.assert_array_equal(gp.LagGram(g, h)(a, b), grid_entries(g, h)(a, b))
+    # every block, on random grids and noise ratios from none to large
+    for ratio in (0.0, 1e-6, 1e-3, 0.3):
+        for _ in range(5):
+            rows = int(rng.integers(1, 8))
+            cols = int(rng.integers(rows + 1, 30))
+            g = TransectGrid(rows, cols, *rng.uniform(1.0, 10.0, size=2))
+            signal = float(rng.uniform(0.05, 5.0))
+            h = Hyperparams(*rng.uniform(0.5, 60.0, size=2), signal, ratio * signal)
+            cells = g.locations()
+            want = cross_cov(cells, cells[:rows], h, g.widths).reshape(cols, rows, rows)
+            np.testing.assert_array_equal(gp.LagGram(g, h).blocks, want)
 
 
 def pivot_blocks(s, members, chosen):
@@ -417,7 +472,7 @@ def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
         return real_cholesky(a)
 
     def counted(cov):
-        refactored.append(cov.shape[0])
+        refactored.append(cov.shape[-1])
         return real_chol_factor(cov)
 
     grown = grown_history(g, H, 4, 2)
@@ -455,7 +510,7 @@ def test_growing_factor_refactors_only_the_member_whose_pivot_fails(monkeypatch,
     real_chol_factor = gp.chol_factor
 
     def counted(cov):
-        refactored.append(cov.shape[0])
+        refactored.append(cov.shape[-1])
         return real_chol_factor(cov)
 
     monkeypatch.setattr(gp, "chol_factor", counted)
@@ -481,6 +536,21 @@ def test_precision_inverts_through_chol_factor():
     # a matrix that needs jitter is inverted as chol_factor jitters it
     L = chol_factor(np.ones((3, 3)))
     np.testing.assert_allclose(precision(np.ones((3, 3))), np.linalg.inv(L @ L.T), rtol=1e-6)
+
+
+def test_cholesky_is_called_only_inside_chol_factor():
+    # one factorization routine: every other module and function factors
+    # through chol_factor, whose rung-0 probe and jitter ladder call LAPACK
+    sites = []
+    for path in sorted(Path(gp.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        functions = [f for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)]
+        for line, text in enumerate(source.splitlines(), start=1):
+            if re.search(r"cholesky|potrf|cho_factor", text):
+                owner = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
+                sites.append((path.name, *owner))
+    assert sites
+    assert set(sites) <= {("gp.py", "_probe"), ("gp.py", "_climb")}
 
 
 def test_precision_refuses_a_matrix_it_cannot_invert():

@@ -422,14 +422,15 @@ def test_exact_all_matches_one_start_calls(monkeypatch, g, h, k, starts):
         assert [exact_bits(r) for r in plan_exact_all(g, h, k, starts)] == alone
 
 
-def test_exact_all_searches_start_by_start_when_a_level_fails(monkeypatch):
+def test_exact_all_redoes_failed_nodes_in_the_shared_tree(monkeypatch):
     g = small_grid(4, 6)
     starts = enumerate_configs(g, 1)
     real = np.linalg.cholesky
 
     def cholesky(a):
-        # every stacked factor of depth 2: 3 history cells plus the next column
-        if a.ndim == 3 and a.shape[-1] == 3 + g.n_rows:
+        # every factor of depth 2, stacked or alone: 3 history cells plus the
+        # next column
+        if a.shape[-1] == 3 + g.n_rows:
             raise np.linalg.LinAlgError("forced")
         return real(a)
 
@@ -507,25 +508,29 @@ def test_path_entropies_match_path_entropy_bits(ratio):
     ],
     ids=["collapsed", "below-floor"],
 )
-def test_path_entropies_fall_back_to_path_entropy(monkeypatch, h, refusal):
+def test_path_entropies_fall_back_to_path_entropy(h, refusal):
     g = small_grid(3, 5)
     paths = [ObservationPath(g, (RobotConfig((r,)),) * 5) for r in range(3)]
-    calls = []
-    real = planners.path_entropy
-    monkeypatch.setattr(planners, "path_entropy", lambda p, h: calls.append(p) or real(p, h))
+
+    def reference(path):
+        # the Location-list route: the joint entropy less the start's
+        start = list(config_locations(path.configs[0], 0))
+        full = gp.cov_matrix(path.locations(), h, g.widths)
+        return gp.gaussian_entropy(full) - gp.gaussian_entropy(gp.cov_matrix(start, h, g.widths))
+
     if refusal is None:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(gp.cov_matrix(paths[0].locations(), h, g.widths))
-        assert [v.hex() for v in path_entropies(paths, h).tolist()] == [
-            real(p, h).hex() for p in paths
-        ]
-        assert calls == paths
+        want = [reference(p).hex() for p in paths]
+        assert [v.hex() for v in path_entropies(paths, h).tolist()] == want
+        assert [path_entropy(p, h).hex() for p in paths] == want
     else:
         with pytest.raises(refusal):
-            real(paths[0], h)
+            reference(paths[0])
+        with pytest.raises(refusal):
+            path_entropy(paths[0], h)
         with pytest.raises(refusal):
             path_entropies(paths, h)
-        assert calls == paths[:1]
     assert path_entropies([], h).shape == (0,)
 
 
@@ -546,11 +551,12 @@ def test_exact_redoes_a_failed_level_node_by_node(monkeypatch):
     x0 = RobotConfig((1,))
     want = plan_exact(g, H, 1, x0)
 
-    # the stacked factor of depth 2: 3 history cells plus the next column
+    # every factor of depth 2, stacked or alone: 3 history cells plus the
+    # next column
     real = np.linalg.cholesky
 
     def cholesky(a):
-        if a.ndim == 3 and a.shape[-1] == 3 + g.n_rows:
+        if a.shape[-1] == 3 + g.n_rows:
             raise np.linalg.LinAlgError("forced")
         return real(a)
 
@@ -569,6 +575,43 @@ def test_exact_redoes_a_failed_level_node_by_node(monkeypatch):
     assert res.path.configs == want.path.configs
     assert res.value == pytest.approx(want.value, rel=1e-12)
     assert res.stage_gains == pytest.approx(want.stage_gains, rel=1e-12)
+
+
+def test_exact_redoes_only_the_failed_node_of_a_level(monkeypatch):
+    g = small_grid(4, 6)
+    x0 = RobotConfig((1,))
+    want = plan_exact(g, H, 1, x0)
+    configs = enumerate_configs(g, 1)
+    on_path = [configs.index(x) for x in want.path.configs[1:3]]
+    # a node of depth 2 off the optimal path: same first move, next second move
+    failing = on_path[0] * len(configs) + (on_path[1] + 1) % len(configs)
+
+    real = np.linalg.cholesky
+    alone = []
+
+    def cholesky(a):
+        # the stacked factor of depth 2 fails, then that one node's alone
+        if a.shape[-1] == 3 + g.n_rows:
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("forced")
+            alone.append(a)
+            if len(alone) == failing + 1:
+                raise np.linalg.LinAlgError("forced")
+        return real(a)
+
+    calls = []
+    column_entropies = planners._column_entropies
+
+    def counted(*args):
+        calls.append(args[3])
+        return column_entropies(*args)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(planners, "_column_entropies", counted)
+    res = plan_exact(g, H, 1, x0)
+    assert len(alone) == 16
+    assert calls == [3]
+    assert exact_bits(res) == exact_bits(want)
 
 
 def test_exact_refuses_collapsed_noise_free_instance():
@@ -748,7 +791,7 @@ def test_greedy_sweep_matches_one_start_calls_through_refactors(monkeypatch, pol
     real_chol_factor = gp.chol_factor
 
     def counted(cov):
-        orders.append(cov.shape[0])
+        orders.append(cov.shape[-1])
         return real_chol_factor(cov)
 
     monkeypatch.setattr(gp, "chol_factor", counted)
