@@ -309,21 +309,6 @@ def _level_entropies(grid, h, idx, blocks, first, moves):
     return scores
 
 
-def _fold_leaves(best, values: np.ndarray):
-    """Fold leaf values, in lexicographic order, into the incumbent value
-    ``best`` (None before the first leaf): a leaf replaces the incumbent only
-    when it is better by more than TIE_RTOL. Returns the new incumbent and
-    the index of the last leaf here that replaced it, or None."""
-    # a leaf not above every earlier one is within the incumbent's tolerance
-    floor = -np.inf if best is None else best
-    earlier = np.maximum.accumulate(np.concatenate(([floor], values[:-1])))
-    won = None
-    for j in np.flatnonzero(values > earlier).tolist():
-        if best is None or values[j] > best + _tie_tol(best):
-            best, won = values[j], j
-    return best, won
-
-
 # Nodes scored by one stacked factorization at most. The frontier is held in
 # chunks of nodes of this size, so memory does not grow with the leaf count.
 _CHUNK_NODES = 1024
@@ -331,12 +316,16 @@ _CHUNK_NODES = 1024
 
 def _search(grid, h, idx, first):
     """The exhaustive search from the start rows ``first`` (shape (S, k)),
-    one tree whose root level holds every start: per start, the best
-    leaf's value, its configuration indices after the start and its gains."""
+    one tree whose root level holds every start: per start, the value of its
+    first leaf tied with its best, that leaf's configuration indices after
+    the start and its gains."""
     m, n = len(idx), len(first)
     stages = grid.n_cols - 1
     blocks = LagGram(grid, h).blocks
-    found = [None] * n
+    # per start, the leaves so far that are above every earlier leaf and
+    # within the tie window of the best of them, in order: the first one left
+    # at the end is the first leaf tied with the best, as _first_best picks
+    tied = [[] for _ in range(n)]
     # chunks of nodes of one depth in lexicographic (start, moves) order,
     # the first on top; a node is its start, its configuration indices after
     # the start, its summed gains and its gains
@@ -363,15 +352,18 @@ def _search(grid, h, idx, first):
         # the chunk's nodes of each start are consecutive
         cuts = [0, *(np.flatnonzero(np.diff(start)) + 1).tolist(), len(start)]
         for lo, hi in zip(cuts, cuts[1:]):
-            s = int(start[lo])
-            best = None if found[s] is None else found[s][0]
-            best, won = _fold_leaves(best, totals[lo * m : hi * m])
-            if won is not None:
-                node, a = divmod(won, m)
+            leaves = tied[int(start[lo])]
+            values = totals[lo * m : hi * m]
+            floor = leaves[-1][0] if leaves else -np.inf
+            earlier = np.maximum.accumulate(np.concatenate(([floor], values[:-1])))
+            for j in np.flatnonzero(values > earlier).tolist():
+                node, a = divmod(j, m)
                 node += lo
                 seq = (*moves[node].tolist(), a)
-                found[s] = (best, seq, (*gains[node].tolist(), float(scores[node, a])))
-    return found
+                leaves.append((values[j], seq, (*gains[node].tolist(), float(scores[node, a]))))
+            best = leaves[-1][0]
+            leaves[:] = [leaf for leaf in leaves if leaf[0] >= best - _tie_tol(best)]
+    return [leaves[0] for leaves in tied]
 
 
 def plan_exact_all(
@@ -397,10 +389,12 @@ def plan_exact_all(
     redone alone with the jitter ladder, and every node carries the running
     sum of its gains. The frontier is held in chunks of at most _CHUNK_NODES
     nodes in lexicographic (start, moves) order, expanded depth first, so
-    each start's leaves are visited in lexicographic order. A later leaf
-    replaces its start's incumbent only when it is better by more than
-    TIE_RTOL, so ties resolve to the lexicographically smallest action
-    sequence wherever the chunks split. A node's arithmetic does not depend
+    each start's leaves are visited in lexicographic order. A start's result
+    is its first leaf within TIE_RTOL of its best leaf, the leaf
+    :func:`_first_best` picks over all of them, so ties resolve to the
+    lexicographically smallest action sequence wherever the chunks split;
+    only the leaves above every earlier one that are still tied with the
+    best so far are kept on the way. A node's arithmetic does not depend
     on the other nodes of its chunk, so each result is bit for bit that of
     searching its start alone. Only when the search refuses are the starts
     searched again one by one, so the first failing start's refusal is

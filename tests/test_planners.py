@@ -385,6 +385,33 @@ def test_exact_answer_does_not_depend_on_chunking(monkeypatch, g, h, k, x0):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("cap", [1, 1024])
+def test_exact_tie_chain_takes_the_first_best_leaf(monkeypatch, cap):
+    # leaves 10, 10 + 0.9t and 10 + 1.8t in lexicographic order, t the tie
+    # window: the second is within t of the best and the first is not, so
+    # the shared tie rule picks the second, however the chunks split them
+    g = small_grid(3, 4)
+    t = float(planners._tie_tol(10.0))
+    chain = {0: 10.0, 1: 10.0 + 0.9 * t, 2: 10.0 + 1.8 * t}
+
+    def level_entropies(grid, h, idx, blocks, first, moves):
+        # the leaf (a, 0, 0) scores chain[a] at the last column, all else 0
+        scores = np.zeros((len(first), len(idx)))
+        if moves.shape[1] == 2:
+            scores[:, 0] = [chain[a] if b == 0 else 0.0 for a, b in moves.tolist()]
+        return scores
+
+    monkeypatch.setattr(planners, "_level_entropies", level_entropies)
+    monkeypatch.setattr(planners, "_CHUNK_NODES", cap)
+    leaves = [chain[a] if (b, c) == (0, 0) else 0.0 for a, b, c in np.ndindex(3, 3, 3)]
+    pick = np.unravel_index(int(planners._first_best(np.array(leaves))), (3, 3, 3))
+    assert pick == (1, 0, 0)
+    x0 = RobotConfig((0,))
+    res = plan_exact(g, H, 1, x0)
+    assert res.path.configs == (x0, *(RobotConfig((int(j),)) for j in pick))
+    assert res.value == chain[1]
+
+
 def exact_bits(res):
     return (res.value.hex(), res.path.configs, [g.hex() for g in res.stage_gains])
 
