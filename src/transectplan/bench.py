@@ -15,13 +15,14 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-from .errors import ParseError, TransectPlanError
+from .errors import ParseError
 from .gp import Hyperparams, sample_prior_field
 from .fieldio import fmt
 from .metrics import EvalRecord, evaluate, metric_diff
 from .planners import (
     DEFAULT_BUDGET,
     POLICIES,
+    _one_at_a_time,
     plan_exact_all,
     plan_greedy,
     plan_markov,
@@ -111,19 +112,15 @@ def _records_for(
         plan_all = lambda some: plan_exact_all(grid, h, k, some, budget=budget)
     else:
         plan_all = lambda some: plan_greedy(policy, grid, h, k, some)
-    try:
-        results = plan_all(starts)
-    except TransectPlanError:
-        # raise what planning and evaluating one start at a time raises first
-        for x0 in starts:
-            evaluate(plan_all([x0])[0].path, h, policy, mean=mean)
-        raise
-    for x0, res in zip(starts, results):
-        out[x0] = (
-            evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
-            res.plan_seconds * len(starts),
-        )
-    return out
+
+    def records(some):
+        return [
+            (evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
+             res.plan_seconds * len(some))
+            for res in plan_all(some)
+        ]
+
+    return dict(zip(starts, _one_at_a_time(records, starts)))
 
 
 def _row(

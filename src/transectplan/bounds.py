@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnisotropyViolated, ConditionViolated, TransectPlanError
+from .errors import AnisotropyViolated, ConditionViolated
 from .gp import Hyperparams, posterior_cov
 from .planners import (
     DEFAULT_BUDGET,
+    _one_at_a_time,
     path_entropies,
-    path_entropy,
-    plan_exact,
     plan_exact_all,
     plan_markov,
     rollout,
@@ -316,10 +315,9 @@ def verify_performance_bounds(
     BudgetExceeded propagates from the oracle on oversized instances.
 
     Every start is searched in one :func:`plan_exact_all` call, and every
-    rollout valued by one :func:`path_entropies` call. On a refusal the
-    starts are redone one at a time, searched by :func:`plan_exact` and
-    their rollouts valued by :func:`path_entropy`, so the first failing
-    start's refusal is raised.
+    rollout valued by one :func:`path_entropies` call. On a refusal both
+    are redone one start at a time, so the first failing start's refusal is
+    raised.
     """
     report = bound_report(h, grid.widths, grid.horizon, team_size=k)
     if not report.condition_ok:
@@ -328,14 +326,12 @@ def verify_performance_bounds(
         )
     policy = plan_markov(grid, h, k)
     starts = enumerate_configs(grid, k)
-    try:
-        results = plan_exact_all(grid, h, k, starts, budget=budget)
-        rollout_values = path_entropies([rollout(policy, x0) for x0 in starts], h).tolist()
-    except TransectPlanError:
-        for x0 in starts:
-            plan_exact(grid, h, k, x0, budget=budget)
-            path_entropy(rollout(policy, x0), h)
-        raise
+
+    def search(some):
+        results = plan_exact_all(grid, h, k, some, budget=budget)
+        return results, path_entropies([rollout(policy, x0) for x0 in some], h).tolist()
+
+    results, rollout_values = _one_at_a_time(search, starts)
     audits = []
     eps0 = float(report.tail_bounds[0])
     for x0, res, v_roll in zip(starts, results, rollout_values):

@@ -309,6 +309,19 @@ def _level_entropies(grid, h, idx, blocks, first, moves):
     return scores
 
 
+def _one_at_a_time(run, starts):
+    """``run(starts)``, refusing as its one-start calls would: when it
+    refuses, each start is run again alone, in order, so the first failing
+    start's refusal is the one raised."""
+    try:
+        return run(starts)
+    except TransectPlanError:
+        if len(starts) > 1:
+            for x0 in starts:
+                run([x0])
+        raise
+
+
 # Nodes scored by one stacked factorization at most. The frontier is held in
 # chunks of nodes of this size, so memory does not grow with the leaf count.
 _CHUNK_NODES = 1024
@@ -418,15 +431,8 @@ def plan_exact_all(
         return []
 
     idx = np.array([c.rows for c in configs])
-    first = np.array([x0.rows for x0 in starts])
-    try:
-        found = _search(grid, h, idx, first)
-    except TransectPlanError:
-        if len(starts) > 1:
-            # one start at a time, the first refusal is the first failing start's
-            for s in range(len(starts)):
-                _search(grid, h, idx, first[[s]])
-        raise
+    search = lambda some: _search(grid, h, idx, np.array([x0.rows for x0 in some]))
+    found = _one_at_a_time(search, starts)
     seconds = (time.perf_counter() - t0) / len(starts)
     return [
         PlanResult(

@@ -369,7 +369,7 @@ def test_verify_bounds_raises_the_first_failing_starts_error(monkeypatch, deeper
     g = TransectGrid(3, 5, 5.0, 5.0)
     h = Hyperparams(ell1=2.5, ell2=2.5, signal_var=1.0, noise_var=1.0)
     real_level, real_value, real_values = (
-        planners._level_entropies, bounds.path_entropy, bounds.path_entropies
+        planners._level_entropies, planners.path_entropy, bounds.path_entropies
     )
 
     def level_entropies(grid, h, idx, blocks, first, moves, *args):
@@ -388,7 +388,6 @@ def test_verify_bounds_raises_the_first_failing_starts_error(monkeypatch, deeper
         return real_values(paths, h)
 
     monkeypatch.setattr(planners, "_level_entropies", level_entropies)
-    monkeypatch.setattr(bounds, "path_entropy", path_entropy)
     monkeypatch.setattr(bounds, "path_entropies", path_entropies)
     first_error = FactorizationFailure if deeper < searched else SingularCovariance
     with pytest.raises(first_error):
