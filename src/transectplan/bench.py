@@ -2,32 +2,24 @@
 
 Each seed draws one exact field realization, every requested planner runs
 from every requested start, and both map metrics land in one flat table
-together with their gaps against the Markov planner. The Markov planner is
-planned once per (field, team size), each greedy planner plans all of a
-team size's starts in one sweep, and the exhaustive planner searches them
-all in one tree; a row's ``plan_seconds`` is that planning time amortized
-over the starts it serves, and its ``plan_total_seconds`` the whole of it.
+together with their gaps against the Markov planner. Each planner plans all
+of a (field, team size)'s starts in one :func:`~transectplan.planners.plan_all`
+call: one Markov table, one greedy sweep or one exhaustive tree. A row's
+``plan_seconds`` is that planning time amortized over the starts it serves,
+and its ``plan_total_seconds`` the whole of it. A refusal is the one that
+planning and evaluating the starts one at a time meets first.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 from .errors import ParseError
 from .gp import Hyperparams, sample_prior_field
 from .fieldio import fmt
 from .metrics import EvalRecord, evaluate, metric_diff
-from .planners import (
-    DEFAULT_BUDGET,
-    POLICIES,
-    _one_at_a_time,
-    plan_exact_all,
-    plan_greedy,
-    plan_markov,
-    rollout,
-)
+from .planners import DEFAULT_BUDGET, POLICIES, _one_at_a_time, plan_all
 from .transect import RobotConfig, TransectGrid, enumerate_configs
 
 # the exhaustive search is exponentially priced, so it runs only on request
@@ -95,29 +87,14 @@ def _records_for(
     budget: int,
 ) -> dict[RobotConfig, tuple[EvalRecord, float]]:
     """Evaluation record and total planning time per start."""
-    out: dict[RobotConfig, tuple[EvalRecord, float]] = {}
-    if policy == "markov":
-        pol = plan_markov(grid, h, k)
-        amortized = pol.plan_seconds / len(starts)
-        for x0 in starts:
-            t0 = time.perf_counter()
-            path = rollout(pol, x0)
-            per_start = amortized + (time.perf_counter() - t0)
-            out[x0] = (
-                evaluate(path, h, "markov", plan_seconds=per_start, mean=mean),
-                pol.plan_seconds,
-            )
-        return out
-    if policy == "exact":
-        plan_all = lambda some: plan_exact_all(grid, h, k, some, budget=budget)
-    else:
-        plan_all = lambda some: plan_greedy(policy, grid, h, k, some)
 
     def records(some):
         return [
-            (evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
-             res.plan_seconds * len(some))
-            for res in plan_all(some)
+            (
+                evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
+                res.plan_seconds * len(some),
+            )
+            for res in plan_all(policy, grid, h, k, some, budget=budget)
         ]
 
     return dict(zip(starts, _one_at_a_time(records, starts)))

@@ -3,7 +3,9 @@
 All four planners maximize entropy-flavored objectives over the same action
 space (the team's destination rows in the next column) and break ties toward
 the lexicographically smallest action, counting scores within TIE_RTOL of the
-best as tied. ``plan`` runs any of them by its name in ``POLICIES``. They
+best as tied: each takes the first score tied with the best, as
+``_first_best`` does. ``plan_all`` runs any of them by its name in
+``POLICIES`` from many starts, and ``plan`` is its one-start call. They
 differ in what they condition on:
 
 * ``plan_markov`` keeps only the current column in the conditioning set,
@@ -21,12 +23,15 @@ differ in what they condition on:
   candidate observations and the rest of the grid, whose term it reads from
   the whole grid's precision matrix through a second growing factor.
 
-``plan_greedy`` runs either greedy planner from many starts in one sweep, in
-which the starts advance column by column together, and ``plan_exact_all``
-searches from many starts in one tree whose root level holds them all;
+``plan_all`` rolls one Markov table out from every start, ``plan_greedy``
+runs either greedy planner from many starts in one sweep, in which the starts
+advance column by column together, and ``plan_exact_all`` searches from many
+starts in one tree whose root level holds them all; ``plan``,
 ``plan_greedy_entropy``, ``plan_greedy_mi`` and ``plan_exact`` are their
 one-start calls, and each start's result is bit for bit the one-start
-call's.
+call's. A many-start call refuses as its one-start calls would: when it
+refuses, ``_one_at_a_time`` runs the starts again one by one, so the first
+failing start's refusal is raised.
 
 Values are reported in nats. The exact and greedy planners report a path's
 joint entropy given the start (``path_entropy``; ``path_entropies`` values
@@ -410,8 +415,8 @@ def plan_exact_all(
     best so far are kept on the way. A node's arithmetic does not depend
     on the other nodes of its chunk, so each result is bit for bit that of
     searching its start alone. Only when the search refuses are the starts
-    searched again one by one, so the first failing start's refusal is
-    raised. Each result's ``stage_gains`` are its path's per-column gains,
+    searched again one by one, by :func:`_one_at_a_time`, so the first
+    failing start's refusal is raised. Each result's ``stage_gains`` are its path's per-column gains,
     and its ``plan_seconds`` the call's wall time divided by the number of
     starts.
     """
@@ -579,6 +584,39 @@ def plan_greedy_mi(
     return plan_greedy("greedy-mi", grid, h, k, [x0])[0]
 
 
+def plan_all(
+    policy: str,
+    grid: TransectGrid,
+    h: Hyperparams,
+    k: int,
+    starts,
+    budget: int = DEFAULT_BUDGET,
+) -> list[PlanResult]:
+    """Plan from every start in ``starts`` with the planner named ``policy``,
+    one of POLICIES; one result per start, in order, whose value, path and
+    stage gains are bit for bit those of its one-start call.
+
+    ``budget`` caps the exhaustive search only. The markov planner builds
+    one table and rolls it out from each start, and each result is valued by
+    the policy's stagewise value: an upper bound on the joint entropy of any
+    path from its start, not the rollout's own joint entropy. The exact
+    planner is :func:`plan_exact_all` and the greedy ones :func:`plan_greedy`.
+    Every result's ``plan_seconds`` is the planning time divided by the
+    number of starts; for markov, that of the table alone.
+    """
+    if policy == "markov":
+        pol = plan_markov(grid, h, k)
+        return [
+            PlanResult(policy, rollout(pol, x0), pol.value(0, x0), pol.plan_seconds / len(starts))
+            for x0 in starts
+        ]
+    if policy == "exact":
+        return plan_exact_all(grid, h, k, starts, budget=budget)
+    if policy in ("greedy-ent", "greedy-mi"):
+        return plan_greedy(policy, grid, h, k, starts)
+    raise ParseError(f"unknown policy {policy!r}; choose from {POLICIES}")
+
+
 def plan(
     policy: str,
     grid: TransectGrid,
@@ -587,20 +625,12 @@ def plan(
     x0: RobotConfig,
     budget: int = DEFAULT_BUDGET,
 ) -> PlanResult:
-    """Plan from ``x0`` with the planner named ``policy``, one of POLICIES.
+    """Plan from ``x0`` with the planner named ``policy``, one of POLICIES:
+    the one-start call of :func:`plan_all`.
 
     ``budget`` caps the exhaustive search only. The markov result is the
     rollout from ``x0`` with the whole table's planning time, valued by the
     policy's stagewise value: an upper bound on the joint entropy of any
     path from ``x0``, not the rollout's own joint entropy.
     """
-    if policy == "markov":
-        pol = plan_markov(grid, h, k)
-        return PlanResult(policy, rollout(pol, x0), pol.value(0, x0), pol.plan_seconds)
-    if policy == "exact":
-        return plan_exact(grid, h, k, x0, budget=budget)
-    if policy == "greedy-ent":
-        return plan_greedy_entropy(grid, h, k, x0)
-    if policy == "greedy-mi":
-        return plan_greedy_mi(grid, h, k, x0)
-    raise ParseError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    return plan_all(policy, grid, h, k, [x0], budget=budget)[0]

@@ -294,6 +294,17 @@ def test_benchmark_greedy_rows_share_one_sweep():
             assert r["plan_seconds"] * 3 == pytest.approx(total, rel=1e-12)
 
 
+def test_benchmark_markov_rows_share_one_table():
+    rows = run_benchmark(spec_of(policies=("markov",)))
+    per_start = [r for r in rows if r["policy"] == "markov" and r["start"] != "mean"]
+    assert len(per_start) == 3
+    total = per_start[0]["plan_total_seconds"]
+    for r in per_start:
+        # one table's wall time, amortized over its starts
+        assert r["plan_total_seconds"] == total
+        assert r["plan_seconds"] * 3 == pytest.approx(total, rel=1e-12)
+
+
 def test_benchmark_refusal_is_the_first_failing_starts():
     # noise-free plankton fit: greedy-ent refuses from every start, and a
     # sweep of (0,1) and (2,4) meets (2,4)'s refusal first

@@ -25,6 +25,7 @@ from transectplan import (
     path_entropies,
     path_entropy,
     plan,
+    plan_all,
     plan_exact,
     plan_exact_all,
     plan_greedy,
@@ -886,6 +887,25 @@ def test_plan_passes_budget_to_exact_only():
 def test_plan_refuses_unknown_policy(policy):
     with pytest.raises(ParseError, match="unknown policy"):
         plan(policy, small_grid(3, 4), H, 1, RobotConfig((0,)))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_plan_all_matches_one_start_calls(policy):
+    # every start's value, path and stage gains, bit for bit
+    g = small_grid(4, 5)
+    starts = enumerate_configs(g, 2)
+    results = plan_all(policy, g, H, 2, starts)
+    assert [r.policy_kind for r in results] == [policy] * len(starts)
+    assert [exact_bits(r) for r in results] == [
+        exact_bits(plan(policy, g, H, 2, x0)) for x0 in starts
+    ]
+
+
+@pytest.mark.parametrize("policy", ["", "greedy", "Markov", "greedy_mi", "exact "])
+def test_plan_all_refuses_unknown_policy(policy):
+    g = small_grid(3, 4)
+    with pytest.raises(ParseError, match="unknown policy"):
+        plan_all(policy, g, H, 1, enumerate_configs(g, 1))
 
 
 def test_planner_kinds_labelled():
