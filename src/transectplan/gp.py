@@ -19,8 +19,9 @@ Numerical policy, applied uniformly:
   fail it only, one by one, a diagonal jitter of 1e-12, 1e-10 and 1e-8
   times the matrix's mean diagonal before giving up with
   FactorizationFailure; a factor diagonal entry below 1e-150 raises
-  SingularCovariance instead of overflowing a log-determinant, and the
-  first failing matrix's refusal is the one raised;
+  SingularCovariance instead of overflowing a log-determinant, a NaN or inf
+  one in a retried factor FactorizationFailure, and the first failing
+  matrix's refusal is the one raised;
 * the one explicit inverse, in :func:`precision`, is formed from one such
   factor as L^-T L^-1; nothing else inverts a matrix;
 * triangular solves and that inverse use SciPy's LAPACK routines, which
@@ -90,6 +91,9 @@ class Hyperparams:
             raise ValueError("signal variance must be positive")
         if not self.noise_var >= 0:
             raise ValueError("noise variance cannot be negative")
+        # the diagonal of every covariance matrix
+        if not np.isfinite(self.signal_var + self.noise_var):
+            raise ValueError(f"signal_var + noise_var must be finite, got {self}")
 
 
 @functools.cache
@@ -206,8 +210,9 @@ def chol_factor(cov: np.ndarray) -> np.ndarray:
     One stacked Cholesky runs with no jitter. Only the matrices that fail it
     are retried, one by one in C order, up the jitter ladder, so the others
     keep the bits of a plain Cholesky and the first failing matrix's error
-    is the one raised: FactorizationFailure when the ladder is exhausted,
-    SingularCovariance when a pivot is below DIAG_FLOOR.
+    is the one raised: FactorizationFailure when the ladder is exhausted or
+    a retried factor has a NaN or inf pivot, SingularCovariance when a
+    pivot is below DIAG_FLOOR.
     """
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     L, ok = _probe(cov)
@@ -218,13 +223,15 @@ def chol_factor(cov: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~ok):
         if np.isnan(flat[i]).any():
             flat[i] = _climb(covs[i])
-        logdet_from_factor(flat[i])  # refuses a pivot below DIAG_FLOOR
+        logdet_from_factor(flat[i])  # refuses a non-finite or sub-floor pivot
     return L
 
 
 def logdet_from_factor(factor: np.ndarray) -> float:
     """Log-determinant from a triangular factor, guarding the log."""
     d = np.diag(factor)
+    if not np.all(np.isfinite(d)):
+        raise FactorizationFailure("factor diagonal holds a NaN or inf pivot")
     if np.any(d < DIAG_FLOOR):
         raise SingularCovariance(
             f"factor diagonal reaches {d.min():g}, below {DIAG_FLOOR:g}"

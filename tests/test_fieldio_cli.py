@@ -169,6 +169,18 @@ def test_read_field_non_finite_sidecar_number_raises(tmp_path, key, bad):
         read_field(path)
 
 
+def test_read_field_overflowing_sidecar_variance_raises(tmp_path):
+    path, _ = make_field(tmp_path)
+    meta = sidecar_path(path)
+    lines = [
+        l.split("=")[0] + "=1e308" if l.startswith(("signal_var=", "noise_var=")) else l
+        for l in meta.read_text().splitlines()
+    ]
+    meta.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="finite"):
+        read_field(path)
+
+
 def test_sidecar_comments_and_blanks_tolerated(tmp_path):
     path, _ = make_field(tmp_path)
     meta = sidecar_path(path)
@@ -596,6 +608,9 @@ BAD_VALUES = {
                        "--start", "0", "--noise-var", "nan"],
     "plan-inf-signal": ["plan", "--field", "{field}", "--policy", "exact",
                         "--start", "0", "--signal-var", "inf"],
+    "plan-overflowing-variance": ["plan", "--field", "{field}", "--policy", "markov",
+                                  "--start", "0", "--signal-var", "1e308",
+                                  "--noise-var", "1e308"],
     "plan-inf-omega1": ["plan", "--field", "{field}", "--policy", "markov",
                         "--start", "0", "--omega1", "inf"],
     "plan-nan-field": ["plan", "--field", "{nan_field}", "--policy", "markov",

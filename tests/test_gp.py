@@ -83,6 +83,13 @@ def test_hyperparams_refuse_non_finite(field, bad):
         Hyperparams(**parts)
 
 
+def test_hyperparams_refuse_an_overflowing_variance():
+    # each value is finite, but the covariance diagonal they sum to is not
+    with pytest.raises(ValueError, match="finite"):
+        Hyperparams(ell1=5.0, ell2=4.0, signal_var=1e308, noise_var=1e308)
+    Hyperparams(ell1=5.0, ell2=4.0, signal_var=1e308, noise_var=0.0)
+
+
 def test_covariance_one_column_step():
     # ell1 equals omega1, so one horizontal step decays by exp(-1/2)
     got = covariance(Location(0, 0), Location(1, 0), H, W)
@@ -282,6 +289,19 @@ def test_entropy_rejects_indefinite_matrix():
 def test_singular_floor_detected():
     with pytest.raises(SingularCovariance):
         logdet_from_factor(np.diag([1.0, 1e-200]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_logdet_refuses_a_non_finite_pivot(bad):
+    with pytest.raises(FactorizationFailure, match="NaN or inf"):
+        logdet_from_factor(np.diag([1.0, bad]))
+
+
+def test_chol_factor_refuses_a_nan_matrix():
+    # its Cholesky returns NaNs without raising, on every rung of the ladder
+    good = np.eye(2)
+    with pytest.raises(FactorizationFailure, match="NaN or inf"):
+        chol_factor(np.stack([good, np.diag([1.0, math.nan])]))
 
 
 def test_chol_factor_retries_only_the_failing_members():

@@ -908,6 +908,18 @@ def test_plan_all_refuses_unknown_policy(policy):
         plan_all(policy, g, H, 1, enumerate_configs(g, 1))
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_planners_answer_finite_or_refuse_at_the_largest_variance(policy):
+    # signal_var + noise_var is still finite, so Hyperparams takes it
+    g = small_grid(3, 5)
+    h = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1e308, noise_var=0.0)
+    try:
+        results = plan_all(policy, g, h, 1, enumerate_configs(g, 1))
+    except SingularCovariance:
+        return
+    assert all(np.isfinite(r.value) for r in results)
+
+
 def test_planner_kinds_labelled():
     g = small_grid(3, 4)
     x0 = RobotConfig((0,))
