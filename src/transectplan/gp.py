@@ -418,10 +418,11 @@ class GrowingFactor:
     def extend(self, cells: np.ndarray, wt: np.ndarray, s: np.ndarray) -> None:
         """Append ``cells[s]`` (shape (stack, k)) to each V_s, given the rows
         ``wt[s]`` of W_s^T and the Schur block ``s[s]`` from
-        :meth:`condition`: L_s' = [[L_s, 0], [W_s^T, chol(S_s)]]. A member
-        whose Schur block fails rung 0 of :func:`chol_factor`'s ladder is
-        refactored alone from all of M[V_s', V_s'] by :func:`chol_factor`,
-        with its jitter ladder and refusals.
+        :meth:`condition`: L_s' = [[L_s, 0], [W_s^T, chol(S_s)]]. The
+        members whose Schur block fails rung 0 of :func:`chol_factor`'s
+        ladder are refactored from all of M[V_s', V_s'] by one
+        :func:`chol_factor` call over their stack, with its jitter ladder and
+        refusals, the first failing member's first.
         """
         n, k = self.size, cells.shape[1]
         new = slice(n, n + k)
@@ -429,9 +430,10 @@ class GrowingFactor:
         self.cells[:, new] = cells
         self.factor[:, new, :n] = wt
         self.factor[:, new, new], ok = _probe(s)
-        for member in np.flatnonzero(~ok):
-            v = self.cells[member, : self.size]
-            self.factor[member, : self.size, : self.size] = chol_factor(self.entries(v, v))
+        failed = np.flatnonzero(~ok)
+        if failed.size:
+            v = self.cells[failed, : self.size]
+            self.factor[failed, : self.size, : self.size] = chol_factor(self.entries(v, v))
 
 
 def conditional_entropy(

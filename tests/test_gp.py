@@ -492,7 +492,7 @@ def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
         return real_cholesky(a)
 
     def counted(cov):
-        refactored.append(cov.shape[-1])
+        refactored.append(cov.shape)
         return real_chol_factor(cov)
 
     grown = grown_history(g, H, 4, 2)
@@ -500,8 +500,8 @@ def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     monkeypatch.setattr(gp, "chol_factor", counted)
     forced = list(grown)[-1][0]
-    # one whole-history refactor per member and append
-    assert refactored == [n for n in (4, 6, 8, 10, 12) for _ in range(3)]
+    # one whole-history refactor of the three members' stack per append
+    assert refactored == [(3, n, n) for n in (4, 6, 8, 10, 12)]
     np.testing.assert_array_equal(forced.cells, f.cells)
     np.testing.assert_allclose(forced.factor, f.factor, rtol=0, atol=1e-13)
     for L, v in members_of(forced):
@@ -519,7 +519,7 @@ def test_growing_factor_refactors_only_the_member_whose_pivot_fails(monkeypatch,
     cells = g.locations()
     entries = grid_entries(g, H)
     starts = np.array([[0, 1], [1, 3], [2, 3]])
-    grown, forced = (GrowingFactor(entries, starts, 12) for _ in range(2))
+    grown = GrowingFactor(entries, starts, 12)
     column = g.n_rows + np.arange(g.n_rows)
     chosen = np.array([[0, 2], [1, 2], [0, 3]])
     members = np.arange(3)[:, None]
@@ -530,21 +530,29 @@ def test_growing_factor_refactors_only_the_member_whose_pivot_fails(monkeypatch,
     real_chol_factor = gp.chol_factor
 
     def counted(cov):
-        refactored.append(cov.shape[-1])
+        refactored.append(cov.shape)
         return real_chol_factor(cov)
 
     monkeypatch.setattr(gp, "chol_factor", counted)
     grown.extend(column[chosen], wt[members, chosen], blocks)
     assert refactored == []
-    failing = blocks.copy()
-    failing[1] = bad_block
-    forced.extend(column[chosen], wt[members, chosen], failing)
-    assert refactored == [4]
-    for member in (0, 2):
-        np.testing.assert_array_equal(forced.factor[member], grown.factor[member])
-    want = cov_matrix([cells[i] for i in forced.cells[1, :4]], H, g.widths)
-    np.testing.assert_array_equal(forced.factor[1, :4, :4], np.linalg.cholesky(want))
-    np.testing.assert_allclose(forced.factor[1], grown.factor[1], rtol=0, atol=1e-13)
+    for bad in ([1], [0, 2]):
+        forced = GrowingFactor(entries, starts, 12)
+        failing = blocks.copy()
+        failing[bad] = bad_block
+        refactored.clear()
+        forced.extend(column[chosen], wt[members, chosen], failing)
+        # the failing members are refactored in one call over their stack
+        assert refactored == [(len(bad), 4, 4)]
+        for member in range(3):
+            if member not in bad:
+                np.testing.assert_array_equal(forced.factor[member], grown.factor[member])
+                continue
+            want = cov_matrix([cells[i] for i in forced.cells[member, :4]], H, g.widths)
+            np.testing.assert_array_equal(forced.factor[member, :4, :4], np.linalg.cholesky(want))
+            np.testing.assert_allclose(
+                forced.factor[member], grown.factor[member], rtol=0, atol=1e-13
+            )
 
 
 def test_precision_inverts_through_chol_factor():

@@ -811,7 +811,7 @@ def test_greedy_sweep_matches_one_start_calls(policy, fit, k):
 def test_greedy_sweep_matches_one_start_calls_through_refactors(monkeypatch, policy):
     # noise-free and nearly constant across the track: chosen posterior
     # minors need jitter, so some members' pivot blocks fail and are
-    # refactored alone while the others grow
+    # refactored while the others grow
     g = TransectGrid(5, 8, 5.0, 5.0)
     h = Hyperparams(ell1=15.0, ell2=1000.0, signal_var=1.0, noise_var=0.0)
     k = 4
