@@ -7,7 +7,6 @@ broke, not that the numbers need adjusting.
 """
 
 import itertools
-import statistics
 import time
 import warnings
 
@@ -231,13 +230,15 @@ def test_team_conditioning_cap():
 # --------------------------------------------------- 6. runtime behaviour
 
 
-def median_time(fn, n=5):
+def min_time(fn, n=7):
+    # the minimum, not the median: a host stall only ever adds time, so the
+    # fastest of several calls is the one least disturbed by other load
     times = []
     for _ in range(n):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return min(times)
 
 
 def test_runtime_scaling():
@@ -249,7 +250,7 @@ def test_runtime_scaling():
     dp_times = {}
     for n_cols in (15, 30, 60):
         g = TransectGrid(5, n_cols, 5.0, 5.0)
-        dp_times[n_cols] = median_time(lambda g=g: plan_markov(g, h, 1))
+        dp_times[n_cols] = min_time(lambda g=g: plan_markov(g, h, 1))
     dp_ok = (
         dp_times[30] / dp_times[15] <= 2.5 and dp_times[60] / dp_times[30] <= 2.5
     )
@@ -260,14 +261,14 @@ def test_runtime_scaling():
     for n_cols in (7, 8, 9):
         g = TransectGrid(3, n_cols, 5.0, 5.0)
         x0 = enumerate_configs(g, 1)[0]
-        ex_times[n_cols] = median_time(lambda g=g, x0=x0: plan_exact(g, h, 1, x0))
+        ex_times[n_cols] = min_time(lambda g=g, x0=x0: plan_exact(g, h, 1, x0))
     ex_ok = (
         ex_times[8] / ex_times[7] >= 1.5 and ex_times[9] / ex_times[8] >= 1.5
     )
 
     g = TransectGrid(5, 30, 5.0, 5.0)
-    dp_once = median_time(lambda: plan_markov(g, h, 1))
-    greedy_all = median_time(
+    dp_once = min_time(lambda: plan_markov(g, h, 1))
+    greedy_all = min_time(
         lambda: [plan_greedy_entropy(g, h, 1, x0) for x0 in enumerate_configs(g, 1)]
     )
     amortized_ok = dp_once < greedy_all
