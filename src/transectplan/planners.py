@@ -2,11 +2,10 @@
 
 All four planners maximize entropy-flavored objectives over the same action
 space (the team's destination rows in the next column) and break ties toward
-the lexicographically smallest action, counting scores within TIE_RTOL of the
-best as tied: each takes the first score tied with the best, as
-``_first_best`` does. ``plan_all`` runs any of them by its name in
-``POLICIES`` from many starts, and ``plan`` is its one-start call. They
-differ in what they condition on:
+the lexicographically smallest action: each takes the first score within
+TIE_RTOL of the best (``_first_best``). ``plan_all`` runs any of them by its
+name in ``POLICIES`` from many starts, and ``plan`` from one. They differ in
+what they condition on:
 
 * ``plan_markov`` keeps only the current column in the conditioning set,
   which buys a backward-induction solution over per-stage tables;
@@ -408,17 +407,15 @@ def plan_exact_all(
     sum of its gains. The frontier is held in chunks of at most _CHUNK_NODES
     nodes in lexicographic (start, moves) order, expanded depth first, so
     each start's leaves are visited in lexicographic order. A start's result
-    is its first leaf within TIE_RTOL of its best leaf, the leaf
-    :func:`_first_best` picks over all of them, so ties resolve to the
-    lexicographically smallest action sequence wherever the chunks split;
-    only the leaves above every earlier one that are still tied with the
-    best so far are kept on the way. A node's arithmetic does not depend
-    on the other nodes of its chunk, so each result is bit for bit that of
-    searching its start alone. Only when the search refuses are the starts
-    searched again one by one, by :func:`_one_at_a_time`, so the first
-    failing start's refusal is raised. Each result's ``stage_gains`` are its path's per-column gains,
-    and its ``plan_seconds`` the call's wall time divided by the number of
-    starts.
+    is its first leaf within TIE_RTOL of its best, as :func:`_first_best`
+    picks, so ties resolve to the lexicographically smallest action sequence
+    wherever the chunks split. A node's arithmetic does not depend on the
+    other nodes of its chunk, so each result is bit for bit that of
+    searching its start alone. On a refusal the starts are searched again
+    one by one (:func:`_one_at_a_time`), so the first failing start's
+    refusal is raised. Each result's ``stage_gains`` are its path's
+    per-column gains, and its ``plan_seconds`` the call's wall time divided
+    by the number of starts.
     """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
@@ -458,18 +455,9 @@ def plan_exact(
     x0: RobotConfig,
     budget: int = DEFAULT_BUDGET,
 ) -> PlanResult:
-    """Start-rooted exhaustive search, scored one tree level at a time: the
-    one-start call of :func:`plan_exact_all`.
-
-    Maximizes the summed full-history conditional entropies, which equals
-    the joint path entropy given the start. Refuses to start when the leaf
-    count |A|^(n_cols - 1) exceeds ``budget``, then when ``x0`` is not a
-    k-robot configuration of the grid. The frontier is held in chunks of at
-    most _CHUNK_NODES nodes, and ties resolve to the lexicographically
-    smallest action sequence wherever the chunks split; a node whose
-    factor fails the level's stacked Cholesky is redone alone with the
-    jitter ladder. The result's ``stage_gains`` are the path's per-column
-    gains.
+    """Start-rooted exhaustive search: the one-start call of
+    :func:`plan_exact_all`, which maximizes the joint path entropy given the
+    start, refuses, breaks ties and fills ``stage_gains`` as described there.
     """
     return plan_exact_all(grid, h, k, [x0], budget=budget)[0]
 
@@ -626,11 +614,6 @@ def plan(
     budget: int = DEFAULT_BUDGET,
 ) -> PlanResult:
     """Plan from ``x0`` with the planner named ``policy``, one of POLICIES:
-    the one-start call of :func:`plan_all`.
-
-    ``budget`` caps the exhaustive search only. The markov result is the
-    rollout from ``x0`` with the whole table's planning time, valued by the
-    policy's stagewise value: an upper bound on the joint entropy of any
-    path from ``x0``, not the rollout's own joint entropy.
-    """
+    the one-start call of :func:`plan_all`. The markov result carries the
+    whole table's planning time."""
     return plan_all(policy, grid, h, k, [x0], budget=budget)[0]

@@ -885,8 +885,11 @@ def test_plan_passes_budget_to_exact_only():
 
 @pytest.mark.parametrize("policy", ["", "greedy", "Markov", "greedy_mi", "exact "])
 def test_plan_refuses_unknown_policy(policy):
+    g = small_grid(3, 4)
     with pytest.raises(ParseError, match="unknown policy"):
-        plan(policy, small_grid(3, 4), H, 1, RobotConfig((0,)))
+        plan(policy, g, H, 1, RobotConfig((0,)))
+    with pytest.raises(ParseError, match="unknown policy"):
+        plan_all(policy, g, H, 1, enumerate_configs(g, 1))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -899,13 +902,6 @@ def test_plan_all_matches_one_start_calls(policy):
     assert [exact_bits(r) for r in results] == [
         exact_bits(plan(policy, g, H, 2, x0)) for x0 in starts
     ]
-
-
-@pytest.mark.parametrize("policy", ["", "greedy", "Markov", "greedy_mi", "exact "])
-def test_plan_all_refuses_unknown_policy(policy):
-    g = small_grid(3, 4)
-    with pytest.raises(ParseError, match="unknown policy"):
-        plan_all(policy, g, H, 1, enumerate_configs(g, 1))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
