@@ -373,13 +373,14 @@ def _search(grid, h, idx, first):
             values = totals[lo * m : hi * m]
             floor = leaves[-1][0] if leaves else -np.inf
             earlier = np.maximum.accumulate(np.concatenate(([floor], values[:-1])))
-            for j in np.flatnonzero(values > earlier).tolist():
+            best = max(floor, values.max())
+            cut = best - _tie_tol(best)
+            leaves[:] = [leaf for leaf in leaves if leaf[0] >= cut]
+            for j in np.flatnonzero((values > earlier) & (values >= cut)).tolist():
                 node, a = divmod(j, m)
                 node += lo
                 seq = (*moves[node].tolist(), a)
                 leaves.append((values[j], seq, (*gains[node].tolist(), float(scores[node, a]))))
-            best = leaves[-1][0]
-            leaves[:] = [leaf for leaf in leaves if leaf[0] >= best - _tie_tol(best)]
     return [leaves[0] for leaves in tied]
 
 
