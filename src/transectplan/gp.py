@@ -171,7 +171,7 @@ def cross_cov(
 def _probe(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rung 0 of the ladder over a stack of shape (..., n, n): ``(L, ok)``,
     with ``L`` the lower factors and ``ok`` (shape (...)) true where a matrix
-    factored with every pivot at least DIAG_FLOOR.
+    factored with every pivot finite and at least DIAG_FLOOR.
 
     One stacked Cholesky factors every matrix; if it raises, the matrices
     are factored one by one, and a matrix that does not factor gets NaNs.
@@ -185,7 +185,8 @@ def _probe(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 L[i] = np.linalg.cholesky(cov[i])
             except np.linalg.LinAlgError:
                 pass
-    return L, np.all(np.diagonal(L, axis1=-2, axis2=-1) >= DIAG_FLOOR, axis=-1)
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    return L, np.all((d >= DIAG_FLOOR) & (d < np.inf), axis=-1)
 
 
 def _climb(cov: np.ndarray) -> np.ndarray:

@@ -304,6 +304,17 @@ def test_chol_factor_refuses_a_nan_matrix():
         chol_factor(np.stack([good, np.diag([1.0, math.nan])]))
 
 
+def test_chol_factor_refuses_an_inf_pivot():
+    # its Cholesky returns the inf pivot without raising, so the rung-0 probe
+    # must reject it, alone or in a stack, and so must an entropy of it
+    inf_pivot = np.diag([1.0, math.inf])
+    for call in (chol_factor, gaussian_entropy):
+        with pytest.raises(FactorizationFailure, match="NaN or inf"):
+            call(inf_pivot)
+        with pytest.raises(FactorizationFailure, match="NaN or inf"):
+            call(np.stack([np.eye(2), inf_pivot]))
+
+
 def test_chol_factor_retries_only_the_failing_members():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(2, 3, 3, 3))
