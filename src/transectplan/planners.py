@@ -41,6 +41,7 @@ that of every path from the start from above.
 
 from __future__ import annotations
 
+import contextvars
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -313,10 +314,19 @@ def _level_entropies(grid, h, idx, blocks, first, moves):
     return scores
 
 
+# Whether an enclosing _one_at_a_time call will replay the starts.
+_replaying = contextvars.ContextVar("_replaying", default=False)
+
+
 def _one_at_a_time(run, starts):
     """``run(starts)``, refusing as its one-start calls would: when it
     refuses, each start is run again alone, in order, so the first failing
-    start's refusal is the one raised."""
+    start's refusal is the one raised. Only the outermost call replays: a
+    call made inside ``run`` just runs, so no start is searched again by a
+    replay nested in another one."""
+    if _replaying.get():
+        return run(starts)
+    token = _replaying.set(True)
     try:
         return run(starts)
     except TransectPlanError:
@@ -324,18 +334,39 @@ def _one_at_a_time(run, starts):
             for x0 in starts:
                 run([x0])
         raise
+    finally:
+        _replaying.reset(token)
 
 
 # Nodes scored by one stacked factorization at most. The frontier is held in
 # chunks of nodes of this size, so memory does not grow with the leaf count.
 _CHUNK_NODES = 1024
 
+# A pruned search keeps a node whose summed gains plus its bound come within
+# the tie window and this relative margin of the incumbent. The margin covers
+# the rounding between the routes that give the bound, the floor and the
+# searched values, which differ by at most 9.2e-14 relative at noise ratios
+# of 1e-3 and above.
+_BOUND_RTOL = 1e-9
 
-def _search(grid, h, idx, first):
+
+def _search(grid, h, idx, first, bound=None, floor=None):
     """The exhaustive search from the start rows ``first`` (shape (S, k)),
     one tree whose root level holds every start: per start, the value of its
     first leaf tied with its best, that leaf's configuration indices after
-    the start and its gains."""
+    the start and its gains.
+
+    Given ``bound`` (shape (n_cols, m)), an upper bound on the value to go
+    from each column in each configuration, zero at the last column, and
+    ``floor`` (shape (S,)), a value each start's best leaf reaches, the search
+    is branch and bound. After a chunk is scored, each child whose summed
+    gains plus ``bound`` at its column and configuration fall below its
+    start's incumbent, the larger of the start's floor and its best leaf so
+    far, by more than the tie window and _BOUND_RTOL relative, is dropped
+    with its subtree. Every leaf dropped so lies below the best by more than
+    the tie window, so the result is the unpruned search's, bit for bit; a
+    dropped subtree is never factored, so it cannot refuse either.
+    """
     m, n = len(idx), len(first)
     stages = grid.n_cols - 1
     blocks = LagGram(grid, h).blocks
@@ -343,6 +374,7 @@ def _search(grid, h, idx, first):
     # within the tie window of the best of them, in order: the first one left
     # at the end is the first leaf tied with the best, as _first_best picks
     tied = [[] for _ in range(n)]
+    incumbent = None if bound is None else np.array(floor, dtype=float)
     # chunks of nodes of one depth in lexicographic (start, moves) order,
     # the first on top; a node is its start, its configuration indices after
     # the start, its summed gains and its gains
@@ -357,31 +389,72 @@ def _search(grid, h, idx, first):
         start, moves, acc, gains = stack.pop()
         scores = _level_entropies(grid, h, idx, blocks, first[start], moves)
         totals = (acc[:, None] + scores).ravel()
-        if moves.shape[1] + 1 < stages:
-            children = (
-                np.repeat(start, m),
-                np.column_stack([np.repeat(moves, m, axis=0), np.tile(range(m), len(acc))]),
-                totals,
-                np.column_stack([np.repeat(gains, m, axis=0), scores.ravel()]),
-            )
-            push(children)
+        depth = moves.shape[1] + 1
+        # the children, node i's child a at i * m + a
+        keep = np.arange(totals.size)
+        if incumbent is not None:
+            inc = incumbent[start]
+            cut = inc - _tie_tol(inc) - _BOUND_RTOL * np.maximum(np.abs(inc), 1.0)
+            reach = totals + np.tile(bound[depth], len(acc))
+            keep = np.flatnonzero(reach >= np.repeat(cut, m))
+        node, a = np.divmod(keep, m)
+        if depth < stages:
+            push((start[node], np.column_stack([moves[node], a]), totals[keep],
+                  np.column_stack([gains[node], scores[node, a]])))  # fmt: skip
             continue
-        # the chunk's nodes of each start are consecutive
-        cuts = [0, *(np.flatnonzero(np.diff(start)) + 1).tolist(), len(start)]
+        # the chunk's leaves of each start are consecutive
+        values = totals[keep]
+        cuts = np.flatnonzero(np.diff(start[node], prepend=-1, append=-1)).tolist()
         for lo, hi in zip(cuts, cuts[1:]):
-            leaves = tied[int(start[lo])]
-            values = totals[lo * m : hi * m]
-            floor = leaves[-1][0] if leaves else -np.inf
-            earlier = np.maximum.accumulate(np.concatenate(([floor], values[:-1])))
-            best = max(floor, values.max())
+            s = int(start[node[lo]])
+            leaves = tied[s]
+            mine = values[lo:hi]
+            prior = leaves[-1][0] if leaves else -np.inf
+            earlier = np.maximum.accumulate(np.concatenate(([prior], mine[:-1])))
+            best = max(prior, mine.max())
             cut = best - _tie_tol(best)
             leaves[:] = [leaf for leaf in leaves if leaf[0] >= cut]
-            for j in np.flatnonzero((values > earlier) & (values >= cut)).tolist():
-                node, a = divmod(j, m)
-                node += lo
-                seq = (*moves[node].tolist(), a)
-                leaves.append((values[j], seq, (*gains[node].tolist(), float(scores[node, a]))))
+            for j in (lo + np.flatnonzero((mine > earlier) & (mine >= cut))).tolist():
+                i = node[j]
+                seq = (*moves[i].tolist(), int(a[j]))
+                leaves.append((values[j], seq, (*gains[i].tolist(), float(scores[i, a[j]]))))
+            if incumbent is not None:
+                incumbent[s] = max(incumbent[s], leaves[-1][0])
     return [leaves[0] for leaves in tied]
+
+
+def _exact_configs(grid: TransectGrid, k: int, budget: int) -> list[RobotConfig]:
+    """The configurations the exhaustive search moves through; refuses when
+    the leaf count |A|^(n_cols - 1) of one start exceeds ``budget``."""
+    configs = enumerate_configs(grid, k)
+    m, stages = len(configs), grid.n_cols - 1
+    if m**stages > budget:
+        raise BudgetExceeded(
+            f"{m}^{stages} = {m**stages} leaf evaluations exceed the budget {budget}"
+        )
+    return configs
+
+
+def _exact_results(grid, h, configs, starts, bound=None, floor=None) -> list[PlanResult]:
+    """One :func:`_search` tree over ``starts``, with no replay on a
+    refusal, and its results, one per start, each ``plan_seconds`` the
+    call's wall time divided by the number of starts."""
+    if not starts:
+        return []
+    t0 = time.perf_counter()
+    idx = np.array([c.rows for c in configs])
+    found = _search(grid, h, idx, np.array([x0.rows for x0 in starts]), bound, floor)
+    seconds = (time.perf_counter() - t0) / len(starts)
+    return [
+        PlanResult(
+            "exact",
+            ObservationPath(grid, (x0, *(configs[j] for j in seq))),
+            float(value),
+            seconds,
+            gains,
+        )
+        for x0, (value, seq, gains) in zip(starts, found)
+    ]
 
 
 def plan_exact_all(
@@ -412,41 +485,19 @@ def plan_exact_all(
     picks, so ties resolve to the lexicographically smallest action sequence
     wherever the chunks split. A node's arithmetic does not depend on the
     other nodes of its chunk, so each result is bit for bit that of
-    searching its start alone. On a refusal the starts are searched again
-    one by one (:func:`_one_at_a_time`), so the first failing start's
-    refusal is raised. Each result's ``stage_gains`` are its path's
-    per-column gains, and its ``plan_seconds`` the call's wall time divided
-    by the number of starts.
+    searching its start alone. Every node is scored: the search is not
+    pruned, so it is the oracle that pruned searches are checked against.
+    On a refusal the starts are searched again one by one
+    (:func:`_one_at_a_time`), so the first failing start's refusal is
+    raised. Each result's ``stage_gains`` are its path's per-column gains,
+    and its ``plan_seconds`` the search's wall time divided by the number of
+    starts.
     """
-    t0 = time.perf_counter()
-    configs = enumerate_configs(grid, k)
-    m = len(configs)
-    stages = grid.n_cols - 1
-    leaves = m**stages
-    if leaves > budget:
-        raise BudgetExceeded(
-            f"{m}^{stages} = {leaves} leaf evaluations exceed the budget {budget}"
-        )
+    configs = _exact_configs(grid, k, budget)
     for x0 in starts:
         if x0 not in configs:
             raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
-    if not starts:
-        return []
-
-    idx = np.array([c.rows for c in configs])
-    search = lambda some: _search(grid, h, idx, np.array([x0.rows for x0 in some]))
-    found = _one_at_a_time(search, starts)
-    seconds = (time.perf_counter() - t0) / len(starts)
-    return [
-        PlanResult(
-            "exact",
-            ObservationPath(grid, (x0, *(configs[j] for j in seq))),
-            float(value),
-            seconds,
-            gains,
-        )
-        for x0, (value, seq, gains) in zip(starts, found)
-    ]
+    return _one_at_a_time(lambda some: _exact_results(grid, h, configs, some), starts)
 
 
 def plan_exact(

@@ -394,15 +394,71 @@ def test_verify_bounds_raises_the_first_failing_starts_error(monkeypatch, deeper
         verify_performance_bounds(g, h, k=1)
 
 
+def audit_draws(count, seed, ratios=(0.005, 0.5)):
+    """(grid, h) drawn as the bound_audit benchmark draws them: 4 x 6 cells
+    of 5 m, noise ratio uniform in ``ratios``, redrawn until the bound
+    tables are finite."""
+    rng = np.random.default_rng(seed)
+    g = TransectGrid(4, 6, 5.0, 5.0)
+    while count:
+        signal = rng.uniform(0.05, 5.0)
+        h = Hyperparams(
+            ell1=5.0 * rng.uniform(0.2, 0.8),
+            ell2=5.0 * rng.uniform(0.2, 2.0),
+            signal_var=signal,
+            noise_var=signal * rng.uniform(*ratios),
+        )
+        if bound_report(h, g.widths, g.horizon).condition_ok:
+            count -= 1
+            yield g, h
+
+
 def test_verify_bounds_audits_match_one_start_at_a_time():
+    # every instance is pruned (noise ratio at least PRUNE_NOISE_RATIO), and
+    # its exact values keep the bits of the unpruned one-start search
     g = TransectGrid(3, 5, 5.0, 5.0)
     h = Hyperparams(ell1=2.5, ell2=2.5, signal_var=1.0, noise_var=1.0)
-    rep = verify_performance_bounds(g, h, k=1)
-    policy = planners.plan_markov(g, h, 1)
-    for a in rep.audits:
-        assert a.exact_value == planners.plan_exact(g, h, 1, a.start).value
-        assert a.rollout_value == planners.path_entropy(planners.rollout(policy, a.start), h)
-    assert [a.start for a in rep.audits] == [RobotConfig((r,)) for r in range(3)]
+    for g, h in [(g, h), *audit_draws(6, seed=11)]:
+        assert h.noise_var >= bounds.PRUNE_NOISE_RATIO * h.signal_var
+        rep = verify_performance_bounds(g, h, k=1)
+        policy = planners.plan_markov(g, h, 1)
+        for a in rep.audits:
+            assert a.exact_value == planners.plan_exact(g, h, 1, a.start).value
+            assert a.rollout_value == planners.path_entropy(planners.rollout(policy, a.start), h)
+        assert [a.start for a in rep.audits] == [RobotConfig((r,)) for r in range(g.n_rows)]
+
+
+def scored_nodes(monkeypatch):
+    """Patch the exhaustive level scores to count the nodes scored."""
+    real = planners._level_entropies
+    scored = [0]
+
+    def level_entropies(grid, h, idx, blocks, first, moves):
+        scored[0] += len(first)
+        return real(grid, h, idx, blocks, first, moves)
+
+    monkeypatch.setattr(planners, "_level_entropies", level_entropies)
+    return scored
+
+
+# an unpruned 4 x 6, k=1 search scores 1 + 4 + 16 + 64 + 256 nodes per start
+UNPRUNED_4X6 = 4 * 341
+
+
+def test_verify_bounds_prunes_bound_audit_draws(monkeypatch):
+    scored = scored_nodes(monkeypatch)
+    for g, h in audit_draws(32, seed=5):
+        verify_performance_bounds(g, h, k=1)
+    assert scored[0] <= 32 * UNPRUNED_4X6 / 4
+
+
+def test_verify_bounds_scores_every_node_below_the_noise_floor(monkeypatch):
+    scored = scored_nodes(monkeypatch)
+    draws = list(audit_draws(4, seed=7, ratios=(1e-6, bounds.PRUNE_NOISE_RATIO)))
+    for g, h in draws:
+        assert h.noise_var < bounds.PRUNE_NOISE_RATIO * h.signal_var
+        verify_performance_bounds(g, h, k=1)
+    assert scored[0] == len(draws) * UNPRUNED_4X6
 
 
 def test_verify_bounds_raises_when_condition_unmet():

@@ -33,8 +33,10 @@ from transectplan import (
     plan_greedy_mi,
     plan_markov,
     rollout,
+    verify_performance_bounds,
 )
 from transectplan import gp, planners
+from transectplan.bench import ExperimentSpec, run_benchmark
 from transectplan.errors import FactorizationFailure, SingularCovariance, TransectPlanError
 from transectplan.gp import MAX_DENSE_CELLS
 from transectplan.planners import TIE_RTOL, stage_entropy_table
@@ -489,6 +491,115 @@ def test_exact_all_raises_the_first_failing_starts_refusal():
     assert plan_exact_all(g, h, 1, []) == []
     with pytest.raises(InvalidArity):
         plan_exact_all(g, H, 1, [starts[0], RobotConfig((3,))])
+
+
+def test_a_refusing_start_is_searched_once_more(monkeypatch):
+    # 3 starts, (2,) refused: one shared search, then one search per start,
+    # through the bench's exact rows and through the bound audit alike; a
+    # replay nested in another replay would search each start again
+    real = planners._search
+    calls = []
+
+    def search(grid, h, idx, first, *args):
+        calls.append(len(first))
+        if np.any(np.all(first == (2,), axis=1)):
+            raise SingularCovariance("searching from (2,)")
+        return real(grid, h, idx, first, *args)
+
+    monkeypatch.setattr(planners, "_search", search)
+    h = Hyperparams(ell1=2.5, ell2=2.5, signal_var=1.0, noise_var=1.0)
+    spec = ExperimentSpec(n_rows=3, n_cols=5, omega1=5.0, omega2=5.0, h=h, policies=("exact",))
+    with pytest.raises(SingularCovariance, match=re.escape("searching from (2,)")):
+        run_benchmark(spec)
+    assert calls == [3, 1, 1, 1]
+    calls.clear()
+    with pytest.raises(SingularCovariance, match=re.escape("searching from (2,)")):
+        verify_performance_bounds(TransectGrid(3, 5, 5.0, 5.0), h, k=1)
+    assert calls == [3, 1, 1, 1]
+
+
+def pruning_instances():
+    """(grid, h, k) draws for the pruned search: both team sizes, short and
+    long along-track correlation, both survey fits, and noise ratios from
+    the pruning floor 1e-3 to 0.5."""
+    rng = np.random.default_rng(29)
+    fits = [Hyperparams(40.45, 16.0, 0.1542, 0.0036), Hyperparams(27.53, 134.64, 2.152, 0.041)]
+    ratios = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 0.5)
+    for i in range(210):
+        k = 1 + i % 2
+        rows = int(rng.integers(3, 5))
+        cols = int(rng.integers(rows + 1, 7 if k == 1 else 6))
+        ratio = ratios[i % len(ratios)]
+        if i % 3 < 2:
+            # normalized along-track length-scale: short, then long
+            lo, hi = ((0.2, 0.8), (0.8, 3.0))[i % 3]
+            g = TransectGrid(rows, cols, 5.0, 5.0)
+            ell1, ell2, signal = 5.0 * rng.uniform(lo, hi), 5.0 * rng.uniform(0.2, 2.0), 1.0
+        else:
+            fit = fits[(i // 3) % 2]
+            g = TransectGrid(rows, cols, rng.uniform(10.0, 60.0), rng.uniform(5.0, 30.0))
+            ell1, ell2, signal = fit.ell1, fit.ell2, fit.signal_var
+        yield g, Hyperparams(ell1, ell2, signal, ratio * signal), k
+
+
+def test_pruned_search_matches_the_unpruned_search(monkeypatch):
+    # bounded by the Markov values and floored by the rollouts' values, as
+    # the bound audit calls it: every start's value, moves and gains, bit
+    # for bit, while fewer nodes are scored
+    real = planners._level_entropies
+    scored = [0]
+
+    def level_entropies(grid, h, idx, blocks, first, moves):
+        scored[0] += len(first)
+        return real(grid, h, idx, blocks, first, moves)
+
+    monkeypatch.setattr(planners, "_level_entropies", level_entropies)
+    nodes = {"pruned": 0, "unpruned": 0}
+    for g, h, k in pruning_instances():
+        configs = enumerate_configs(g, k)
+        idx = np.array([c.rows for c in configs])
+        policy = plan_markov(g, h, k)
+        bound = np.vstack([policy.values, np.zeros(len(configs))])
+        floor = path_entropies([rollout(policy, x0) for x0 in configs], h)
+        found = {}
+        for kind, args in (("unpruned", ()), ("pruned", (bound, floor))):
+            scored[0] = 0
+            found[kind] = [
+                (float(v).hex(), seq, [x.hex() for x in gains])
+                for v, seq, gains in planners._search(g, h, idx, idx, *args)
+            ]
+            nodes[kind] += scored[0]
+        assert found["pruned"] == found["unpruned"]
+    assert nodes["pruned"] < nodes["unpruned"] / 2
+
+
+def test_pruning_keeps_the_tie_window_of_the_incumbent(monkeypatch):
+    # only the last column gains; the first move's bound puts subtree 1 half
+    # a tie window below the incumbent's cut (the tie window plus the
+    # rounding margin), and subtree 2 and the leaf (0, 0, 0) half a tie
+    # window above it
+    g = small_grid(3, 4)
+    idx = np.array([[0], [1], [2]])
+    best = 10.0
+    tie, margin = float(planners._tie_tol(best)), planners._BOUND_RTOL * best
+    inside, outside = best - margin - 0.5 * tie, best - margin - 1.5 * tie
+    scored = []
+
+    def level_entropies(grid, h, idx, blocks, first, moves):
+        scored.extend(tuple(m) for m in moves.tolist())
+        scores = np.zeros((len(first), len(idx)))
+        if moves.shape[1] == 2:
+            scores[:, 0] = [inside if m == [0, 0] else 0.0 for m in moves.tolist()]
+        return scores
+
+    monkeypatch.setattr(planners, "_level_entropies", level_entropies)
+    bound = np.full((4, 3), best)
+    bound[1] = [best, outside, inside]
+    bound[3] = 0.0
+    [(value, seq, gains)] = planners._search(g, H, idx, idx[:1], bound, np.array([best]))
+    assert (value, seq, gains) == (inside, (0, 0, 0), (0.0, 0.0, inside))
+    assert not [m for m in scored if m[:1] == (1,)]
+    assert [m for m in scored if m[:1] == (2,)] == [(2,), (2, 0), (2, 1), (2, 2)]
 
 
 @pytest.mark.filterwarnings("ignore:transect grids are expected")
