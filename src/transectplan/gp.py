@@ -185,8 +185,8 @@ def _probe(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 L[i] = np.linalg.cholesky(cov[i])
             except np.linalg.LinAlgError:
                 pass
-    d = np.diagonal(L, axis1=-2, axis2=-1)
-    return L, np.all((d >= DIAG_FLOOR) & (d < np.inf), axis=-1)
+    d = L.diagonal(axis1=-2, axis2=-1)
+    return L, ((d >= DIAG_FLOOR) & (d < np.inf)).all(axis=-1)
 
 
 def _climb(cov: np.ndarray) -> np.ndarray:
@@ -311,8 +311,8 @@ def gaussian_entropy(cov: np.ndarray) -> float | np.ndarray:
     raises instead of returning -inf.
     """
     L = chol_factor(cov)
-    d = np.diagonal(L, axis1=-2, axis2=-1)
-    e = 0.5 * (L.shape[-1] * LOG_2PI_E + 2.0 * np.sum(np.log(d), axis=-1))
+    d = L.diagonal(axis1=-2, axis2=-1)
+    e = 0.5 * (L.shape[-1] * LOG_2PI_E + 2.0 * np.log(d).sum(axis=-1))
     return e if e.ndim else float(e)
 
 
