@@ -14,7 +14,10 @@ what they condition on:
   exponentially priced; it scores the nodes of one tree level together with
   one stacked factorization, over chunks of at most a fixed number of
   nodes taken in lexicographic order, and keeps the first leaf within
-  TIE_RTOL of the best;
+  TIE_RTOL of the best; it is never pruned, so it is the oracle for the
+  bound audit's search, which ``_search`` prunes by branch and bound with
+  the Markov values as the upper bound (see
+  :func:`~transectplan.bounds.verify_performance_bounds`);
 * ``plan_greedy_entropy`` conditions on the full history but commits one
   stage at a time, growing one Cholesky factor of the history by the chosen
   rows instead of refactoring it;
@@ -30,7 +33,8 @@ starts in one tree whose root level holds them all; ``plan``,
 one-start calls, and each start's result is bit for bit the one-start
 call's. A many-start call refuses as its one-start calls would: when it
 refuses, ``_one_at_a_time`` runs the starts again one by one, so the first
-failing start's refusal is raised.
+failing start's refusal is raised; when such calls nest, only the outermost
+replays.
 
 Values are reported in nats. The exact and greedy planners report a path's
 joint entropy given the start (``path_entropy``; ``path_entropies`` values
@@ -399,8 +403,13 @@ def _search(grid, h, idx, first, bound=None, floor=None):
             keep = np.flatnonzero(reach >= np.repeat(cut, m))
         node, a = np.divmod(keep, m)
         if depth < stages:
-            push((start[node], np.column_stack([moves[node], a]), totals[keep],
-                  np.column_stack([gains[node], scores[node, a]])))  # fmt: skip
+            children = (
+                start[node],
+                np.column_stack([moves[node], a]),
+                totals[keep],
+                np.column_stack([gains[node], scores[node, a]]),
+            )
+            push(children)
             continue
         # the chunk's leaves of each start are consecutive
         values = totals[keep]
