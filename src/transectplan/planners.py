@@ -318,7 +318,8 @@ def _level_entropies(grid, h, idx, blocks, first, moves):
     return scores
 
 
-# Whether an enclosing _one_at_a_time call will replay the starts.
+# Whether an enclosing _one_at_a_time call will replay the starts; a context
+# variable, so threads and tasks planning at once do not share it.
 _replaying = contextvars.ContextVar("_replaying", default=False)
 
 
