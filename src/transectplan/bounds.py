@@ -331,10 +331,10 @@ def verify_performance_bounds(
     below the larger of its start's rollout value and its best leaf so far
     by more than the tie window and a rounding margin. Such a subtree holds
     no leaf tied with the best, so each start's exact value, path and stage
-    gains are bit for bit :func:`plan_exact`'s. On a refusal every start is valued and
-    searched again one at a time, so the first failing start's refusal is
-    raised; within one start, its rollout's refusal comes before its
-    search's.
+    gains are bit for bit :func:`plan_exact`'s. On a refusal every start is
+    valued and searched again one at a time, so the first failing start's
+    refusal is raised; within one start, its rollout's refusal comes before
+    its search's.
     """
     report = bound_report(h, grid.widths, grid.horizon, team_size=k)
     if not report.condition_ok:

@@ -399,9 +399,9 @@ def _search(grid, h, idx, first, bound=None, floor=None):
         keep = np.arange(totals.size)
         if incumbent is not None:
             inc = incumbent[start]
-            cut = inc - _tie_tol(inc) - _BOUND_RTOL * np.maximum(np.abs(inc), 1.0)
+            bar = inc - _tie_tol(inc) - _BOUND_RTOL * np.maximum(np.abs(inc), 1.0)
             reach = totals + np.tile(bound[depth], len(acc))
-            keep = np.flatnonzero(reach >= np.repeat(cut, m))
+            keep = np.flatnonzero(reach >= np.repeat(bar, m))
         node, a = np.divmod(keep, m)
         if depth < stages:
             children = (
