@@ -319,8 +319,8 @@ def verify_performance_bounds(
     the stage-0 gap bound from below, and that executing the Markov policy
     loses at most the stage-0 gap bound. With ``per_stage`` the bracket is
     additionally checked at every stage along the oracle's optimal path.
-    Raises ConditionViolated when the bounds are not valid on this instance;
-    BudgetExceeded propagates from the oracle on oversized instances.
+    Raises ConditionViolated when the bounds are not valid on this instance,
+    then BudgetExceeded, before any table is built, on oversized instances.
 
     The exhaustive search is :func:`plan_exact_all`'s, over every start in
     one tree, and every rollout is valued by one :func:`path_entropies`
@@ -341,8 +341,8 @@ def verify_performance_bounds(
         raise ConditionViolated(
             "bound tables are not finite for this instance; nothing to verify"
         )
-    policy = plan_markov(grid, h, k)
     starts = _exact_configs(grid, k, budget)
+    policy = plan_markov(grid, h, k)
     bound = None
     if h.noise_var >= PRUNE_NOISE_RATIO * h.signal_var:
         bound = np.vstack([policy.values, np.zeros(len(starts))])

@@ -24,12 +24,13 @@ Numerical policy, applied uniformly:
   matrix's refusal is the one raised;
 * the one explicit inverse, in :func:`precision`, is formed from one such
   factor as L^-T L^-1; nothing else inverts a matrix;
-* triangular solves and that inverse use SciPy's LAPACK routines, which
-  :func:`_scipy_linalg` imports on first use; the Markov stage table solves
-  its k x k factors by numpy's LU solve instead, so the Markov, exhaustive
-  and bounds paths and the field draws run on numpy alone, while the
-  posterior helpers here, the greedy planners, the map metrics and an
-  exhaustive node whose level factor failed load SciPy;
+* triangular solves and that inverse use SciPy's LAPACK routines, called
+  only in this module and imported on first use by :func:`_scipy_linalg`;
+  the posterior covariance, the map metrics and an exhaustive node whose
+  level factor failed condition through one step, :func:`_condition`, and
+  load SciPy, as the posterior mean and the greedy planners do; the Markov
+  stage table solves its k x k factors by numpy's LU solve, so the Markov,
+  exhaustive and bounds paths and the field draws run on numpy alone;
 * log-determinants come from the triangular factor;
 * entropies are reported in nats.
 
@@ -248,6 +249,20 @@ def _duplicate_guard(locs: Sequence[Location], h: Hyperparams) -> None:
         )
 
 
+def _condition(L: np.ndarray, k_xt: np.ndarray, k_tt: np.ndarray) -> np.ndarray:
+    """The conditioning step, K_tt - W^T W with W = L^-1 K_xt: the targets'
+    covariance given observations whose Gram matrix has the lower factor L."""
+    w = _scipy_linalg().solve_triangular(L, k_xt, lower=True, check_finite=False)
+    return k_tt - w.T @ w
+
+
+def _factor_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b from the lower factor L of K, by two triangular solves."""
+    solve_triangular = _scipy_linalg().solve_triangular
+    alpha = solve_triangular(L, b, lower=True, check_finite=False)
+    return solve_triangular(L.T, alpha, lower=False, check_finite=False)
+
+
 def posterior_mean(
     targets: Sequence[Location],
     obs_locs: Sequence[Location],
@@ -270,12 +285,8 @@ def posterior_mean(
         raise ValueError("one value per observed location expected")
     _duplicate_guard(obs_locs, h)
     L = chol_factor(cov_matrix(obs_locs, h, widths))
-    resid = obs_vals - mean
-    solve_triangular = _scipy_linalg().solve_triangular
-    alpha = solve_triangular(L, resid, lower=True, check_finite=False)
-    alpha = solve_triangular(L.T, alpha, lower=False, check_finite=False)
-    k_tx = cross_cov(targets, obs_locs, h, widths)
-    return mean + k_tx @ alpha
+    alpha = _factor_solve(L, obs_vals - mean)
+    return mean + cross_cov(targets, obs_locs, h, widths) @ alpha
 
 
 def posterior_cov(
@@ -285,7 +296,7 @@ def posterior_cov(
     widths: tuple[float, float],
 ) -> np.ndarray:
     """Posterior covariance of the measurements at ``targets`` after
-    observing ``obs_locs``.
+    observing ``obs_locs``, by :func:`_condition` on their factor.
 
     Does not depend on the observed values, only on where they were taken,
     which is what makes offline planning of observation paths possible.
@@ -297,9 +308,7 @@ def posterior_cov(
         return prior
     _duplicate_guard(obs_locs, h)
     L = chol_factor(cov_matrix(obs_locs, h, widths))
-    k_xt = cross_cov(obs_locs, targets, h, widths)
-    w = _scipy_linalg().solve_triangular(L, k_xt, lower=True, check_finite=False)
-    return prior - w.T @ w
+    return _condition(L, cross_cov(obs_locs, targets, h, widths), prior)
 
 
 def gaussian_entropy(cov: np.ndarray) -> float | np.ndarray:
@@ -351,7 +360,8 @@ class LagGram:
     (c + lag, s), with the noise on the lag-0 diagonal, as :func:`cross_cov`
     puts it. The kernel is stationary, so these n_cols blocks of
     n_rows x n_rows hold every entry of the grid's Gram matrix, with the same
-    bits as :func:`cross_cov` between the same cells.
+    bits as :func:`cross_cov` between the same cells. No other code reads
+    the blocks: a call, :meth:`along` and :meth:`dense` gather from them.
     """
 
     def __init__(self, grid: TransectGrid, h: Hyperparams):
@@ -371,6 +381,23 @@ class LagGram:
         lag = np.abs(a_col[..., :, None] - b_col[..., None, :])
         flat = lag * self.n_rows**2 + (a_row * self.n_rows)[..., :, None] + b_row[..., None, :]
         return self.blocks.reshape(-1)[flat]
+
+    def along(self, cols, rows) -> np.ndarray:
+        """The Gram matrices, shape (..., n, n), of the cell lists whose i-th
+        cells are (cols[i], rows[..., i]); one lag array serves the stack."""
+        lag = np.abs(cols[:, None] - cols[None, :])
+        return self.blocks[lag, rows[..., :, None], rows[..., None, :]]
+
+    def dense(self) -> np.ndarray:
+        """The whole grid's Gram matrix over column-major cells, filled one
+        column's band of rows at a time."""
+        n_cols, n_rows, _ = self.blocks.shape
+        lags = np.arange(n_cols)
+        gram = np.empty((n_cols * n_rows, n_cols * n_rows))
+        for c in range(n_cols):
+            band = self.blocks[np.abs(lags - c)].transpose(1, 0, 2)
+            gram[c * n_rows : (c + 1) * n_rows] = band.reshape(n_rows, -1)
+        return gram
 
 
 class GrowingFactor:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyUnobservedSet, MismatchedInstances, ZeroMeanField
-from .gp import Hyperparams, LagGram, _scipy_linalg, chol_factor, gaussian_entropy
+from .gp import Hyperparams, LagGram, _condition, _factor_solve, chol_factor, gaussian_entropy
 from .transect import ObservationPath, RobotConfig
 
 
@@ -59,10 +59,8 @@ class _PathMap:
     def unobserved_entropy(self) -> float:
         if not self.rest.size:
             raise EmptyUnobservedSet("path covers every cell")
-        w = _scipy_linalg().solve_triangular(
-            self.factor, self.prior(self.visited, self.rest), lower=True, check_finite=False
-        )
-        return gaussian_entropy(self.prior(self.rest, self.rest) - w.T @ w)
+        k_xt = self.prior(self.visited, self.rest)
+        return gaussian_entropy(_condition(self.factor, k_xt, self.prior(self.rest, self.rest)))
 
     def relative_error(self, mean: float | None) -> float:
         z = self.grid.measurements
@@ -75,11 +73,7 @@ class _PathMap:
             mean = zbar
         # column-major cell i holds z[i % n_rows, i // n_rows]
         z_all = z.T.ravel()
-        solve_triangular = _scipy_linalg().solve_triangular
-        alpha = solve_triangular(
-            self.factor, z_all[self.visited] - mean, lower=True, check_finite=False
-        )
-        alpha = solve_triangular(self.factor.T, alpha, lower=False, check_finite=False)
+        alpha = _factor_solve(self.factor, z_all[self.visited] - mean)
         universe = np.arange(z_all.size)
         mu = mean + self.prior(universe, self.visited) @ alpha
         resid = (z_all - mu) / zbar

@@ -65,12 +65,12 @@ from .gp import (
     GrowingFactor,
     Hyperparams,
     LagGram,
+    _condition,
     _probe,
     chol_factor,
     cov_matrix,
     gaussian_entropy,
     minor_entropies,
-    posterior_cov,
     precision,
 )
 from .transect import (
@@ -155,18 +155,16 @@ def path_entropies(paths: list[ObservationPath], h: Hyperparams) -> np.ndarray:
     one team size; each value is the same whatever the other paths are.
 
     The Gram matrices of every path and of every start are gathered by one
-    ``LagGram``, and each stack is valued by :func:`gaussian_entropy`, so
-    only a path whose matrix fails the stacked Cholesky climbs the jitter
+    ``LagGram.along``, and each stack is valued by :func:`gaussian_entropy`,
+    so only a path whose matrix fails the stacked Cholesky climbs the jitter
     ladder. The joint matrices are factored before the starts', and within
     a stack the first failing path's refusal is raised.
     """
     if not paths:
         return np.empty(0)
     grid, k = paths[0].grid, paths[0].k
-    cells = np.array(
-        [[c * grid.n_rows + r for c, x in enumerate(p.configs) for r in x.rows] for p in paths]
-    )
-    gram = LagGram(grid, h)(cells, cells)
+    rows = np.array([[r for x in p.configs for r in x.rows] for p in paths])
+    gram = LagGram(grid, h).along(np.repeat(np.arange(grid.n_cols), k), rows)
     return gaussian_entropy(gram) - gaussian_entropy(gram[:, :k, :k])
 
 
@@ -269,52 +267,31 @@ def _first_best(scores: np.ndarray, best: np.ndarray | None = None) -> np.ndarra
     return np.argmax(scores >= best - _tie_tol(best), axis=-1)
 
 
-def _column_entropies(grid, h, idx, col, observed) -> np.ndarray:
-    """The column step of one exhaustive node whose level factor failed:
-    entropy of each row set ``idx[j]`` of column ``col`` given the cells
-    ``observed``."""
-    column = [Location(col, r) for r in range(grid.n_rows)]
-    return minor_entropies(posterior_cov(column, observed, h, grid.widths), idx)
-
-
-def _grid_gram(blocks: np.ndarray) -> np.ndarray:
-    """The whole grid's Gram matrix over column-major cells, filled one
-    column's band of rows at a time from the ``LagGram`` ``blocks``."""
-    n_cols, n_rows, _ = blocks.shape
-    lags = np.arange(n_cols)
-    gram = np.empty((n_cols * n_rows, n_cols * n_rows))
-    for c in range(n_cols):
-        band = blocks[np.abs(lags - c)].transpose(1, 0, 2)
-        gram[c * n_rows : (c + 1) * n_rows] = band.reshape(n_rows, -1)
-    return gram
-
-
-def _level_entropies(grid, h, idx, blocks, first, moves):
+def _level_entropies(gram, idx, first, moves):
     """The column step for nodes of one depth: entry (i, j) is the entropy of
     the row set ``idx[j]`` of the next column given the cells of the path
     from the start rows ``first[i]`` through the configurations
     ``idx[moves[i]]``.
 
     One stacked Cholesky factors every node's history-plus-next-column Gram
-    matrix, gathered from ``blocks``; the trailing R x R block of a factor is
-    the factor of the next column's posterior. Only the nodes whose factor
-    fails or reaches DIAG_FLOOR are redone, one by one through
-    :func:`_column_entropies`, with its jitter ladder and refusals.
+    matrix, gathered by ``gram.along``; the trailing R x R block of a factor
+    is the factor of the next column's posterior. Only the nodes whose factor
+    fails or reaches DIAG_FLOOR are redone, one by one from the same matrix,
+    as ``posterior_cov`` does it, with its jitter ladder and refusals.
     """
     n, depth = moves.shape
-    n_rows = grid.n_rows
-    hist_rows = np.column_stack([first, idx[moves].reshape(n, depth * idx.shape[1])])
-    hist_cols = np.repeat(np.arange(depth + 1), idx.shape[1])
-    rows = np.column_stack([hist_rows, np.tile(np.arange(n_rows), (n, 1))])
-    cols = np.concatenate([hist_cols, np.full(n_rows, depth + 1)])
-    lag = np.abs(cols[:, None] - cols[None, :])
-    factor, ok = _probe(blocks[lag, rows[:, :, None], rows[:, None, :]])
+    n_rows = gram.n_rows
+    rows = np.column_stack([first, idx[moves].reshape(n, -1), np.tile(np.arange(n_rows), (n, 1))])
+    cols = np.repeat(np.arange(depth + 2), [idx.shape[1]] * (depth + 1) + [n_rows])
+    joint = gram.along(cols, rows)
+    factor, ok = _probe(joint)
     tail = factor[:, -n_rows:, -n_rows:]
     scores = np.empty((n, len(idx)))
     scores[ok] = minor_entropies((tail @ tail.transpose(0, 2, 1))[ok], idx)
+    t = cols.size - n_rows  # a joint matrix holds the t history cells, then the column
     for i in np.flatnonzero(~ok).tolist():
-        observed = list(map(Location, hist_cols.tolist(), hist_rows[i].tolist()))
-        scores[i] = _column_entropies(grid, h, idx, depth + 1, observed)
+        x = joint[i]
+        scores[i] = minor_entropies(_condition(chol_factor(x[:t, :t]), x[:t, t:], x[t:, t:]), idx)
     return scores
 
 
@@ -374,7 +351,7 @@ def _search(grid, h, idx, first, bound=None, floor=None):
     """
     m, n = len(idx), len(first)
     stages = grid.n_cols - 1
-    blocks = LagGram(grid, h).blocks
+    gram = LagGram(grid, h)
     # per start, the leaves so far that are above every earlier leaf and
     # within the tie window of the best of them, in order: the first one left
     # at the end is the first leaf tied with the best, as _first_best picks
@@ -392,7 +369,7 @@ def _search(grid, h, idx, first, bound=None, floor=None):
     push((np.arange(n), np.zeros((n, 0), dtype=np.int64), np.zeros(n), np.zeros((n, 0))))
     while stack:
         start, moves, acc, gains = stack.pop()
-        scores = _level_entropies(grid, h, idx, blocks, first[start], moves)
+        scores = _level_entropies(gram, idx, first[start], moves)
         totals = (acc[:, None] + scores).ravel()
         depth = moves.shape[1] + 1
         # the children, node i's child a at i * m + a
@@ -573,7 +550,7 @@ def plan_greedy(
     members = np.arange(len(starts))[:, None]
     factors = [GrowingFactor(prior, visited, k * n_cols)]
     if mi:
-        p = precision(_grid_gram(prior.blocks))
+        p = precision(prior.dense())
         entries = lambda a, b: p[np.asarray(a)[..., :, None], np.asarray(b)[..., None, :]]
         factors.append(GrowingFactor(entries, visited, k * n_cols))
     chosen = []

@@ -20,7 +20,7 @@ from transectplan import (
     verify_performance_bounds,
 )
 from transectplan import bounds, planners
-from transectplan.errors import FactorizationFailure, SingularCovariance
+from transectplan.errors import BudgetExceeded, FactorizationFailure, SingularCovariance
 
 # frozen by a high-precision script before the implementation existed
 EXP_HALF = 0.6065306597126334
@@ -372,10 +372,10 @@ def test_verify_bounds_raises_the_first_failing_starts_error(monkeypatch, deeper
         planners._level_entropies, planners.path_entropy, bounds.path_entropies
     )
 
-    def level_entropies(grid, h, idx, blocks, first, moves, *args):
+    def level_entropies(gram, idx, first, moves):
         if np.any(np.all(first == searched, axis=1)):
             raise SingularCovariance("searching")
-        return real_level(grid, h, idx, blocks, first, moves, *args)
+        return real_level(gram, idx, first, moves)
 
     def path_entropy(path, h):
         if path.start.rows == deeper:
@@ -433,9 +433,9 @@ def scored_nodes(monkeypatch):
     real = planners._level_entropies
     scored = [0]
 
-    def level_entropies(grid, h, idx, blocks, first, moves):
+    def level_entropies(gram, idx, first, moves):
         scored[0] += len(first)
-        return real(grid, h, idx, blocks, first, moves)
+        return real(gram, idx, first, moves)
 
     monkeypatch.setattr(planners, "_level_entropies", level_entropies)
     return scored
@@ -466,6 +466,24 @@ def test_verify_bounds_raises_when_condition_unmet():
     h = Hyperparams(ell1=4.0, ell2=4.0, signal_var=1.0, noise_var=0.01)
     with pytest.raises(ConditionViolated):
         verify_performance_bounds(g, h, k=1)
+
+
+def test_verify_bounds_refuses_an_oversized_instance_before_any_table(monkeypatch):
+    # 220^39 leaves: the budget refuses before a Markov table is built, so
+    # even a table that would refuse is never reached
+    built = []
+
+    def plan_markov(*args):
+        built.append(args)
+        raise SingularCovariance("the table refuses")
+
+    monkeypatch.setattr(bounds, "plan_markov", plan_markov)
+    g = TransectGrid(12, 40, 5.0, 5.0)
+    h = Hyperparams(ell1=2.5, ell2=2.5, signal_var=1.0, noise_var=30.0)
+    assert bound_report(h, g.widths, g.horizon, team_size=3).condition_ok
+    with pytest.raises(BudgetExceeded):
+        verify_performance_bounds(g, h, k=3)
+    assert built == []
 
 
 def test_verify_bounds_near_tight_when_noise_dominates():

@@ -2,6 +2,8 @@ import copy
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -133,6 +135,47 @@ def test_compare_command_prints_the_class_table(small_record, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["planner", "noise", *eq.CLASSES]
     assert lines[-1].startswith(f"refusal: {key}:")
+
+
+# Load the tool in a fresh interpreter and print the thread settings that
+# numpy saw when it was first imported.
+THREADS_AT_NUMPY_IMPORT = """
+import importlib.util, json, os, sys
+seen = {}
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in sys.argv[2:]})
+sys.meta_path.insert(0, Watch())
+spec = importlib.util.spec_from_file_location("equivalence", sys.argv[1])
+tool = sys.modules["equivalence"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+print(json.dumps(seen))
+"""
+
+
+def test_the_tool_pins_blas_threads_before_numpy_loads():
+    # unset variables are pinned to one thread; an explicit setting wins
+    env = {k: v for k, v in os.environ.items() if k not in eq.THREAD_VARS}
+    env["OMP_NUM_THREADS"] = "2"
+    out = subprocess.run(
+        [sys.executable, "-c", THREADS_AT_NUMPY_IMPORT, str(TOOL), *eq.THREAD_VARS],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout  # fmt: skip
+    want = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}
+    assert json.loads(out) == want
+
+
+def test_compare_flags_records_made_under_other_thread_settings(small_record, tmp_path, capsys):
+    assert small_record["threads"] == {var: os.environ[var] for var in eq.THREAD_VARS}
+    unpinned = dict(small_record, threads={**small_record["threads"], "OPENBLAS_NUM_THREADS": "2"})
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(small_record))
+    for record, flagged in ((small_record, 0), (unpinned, 1)):
+        b.write_text(json.dumps(record))
+        assert eq.main(["compare", str(a), str(b)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("thread settings differ") for line in lines) == flagged
 
 
 def test_exact_and_audit_record_their_fields(small_record):

@@ -369,10 +369,10 @@ def test_benchmark_exact_raises_the_first_failing_starts_error(monkeypatch, orde
     a, b = RobotConfig((0,)), RobotConfig((2,))
     real_level, real_evaluate = planners._level_entropies, bench.evaluate
 
-    def level_entropies(grid, h, idx, blocks, first, moves, *args):
+    def level_entropies(gram, idx, first, moves):
         if np.any(np.all(first == b.rows, axis=1)):
             raise SingularCovariance("searching from b")
-        return real_level(grid, h, idx, blocks, first, moves, *args)
+        return real_level(gram, idx, first, moves)
 
     def evaluate(path, h, policy, **kw):
         if policy == "exact" and path.start == a:

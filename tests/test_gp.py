@@ -421,7 +421,26 @@ def test_lag_gram_matches_cross_cov_bits():
             h = Hyperparams(*rng.uniform(0.5, 60.0, size=2), signal, ratio * signal)
             cells = g.locations()
             want = cross_cov(cells, cells[:rows], h, g.widths).reshape(cols, rows, rows)
-            np.testing.assert_array_equal(gp.LagGram(g, h).blocks, want)
+            gram = gp.LagGram(g, h)
+            np.testing.assert_array_equal(gram.blocks, want)
+            # the whole grid's Gram matrix, column-major as g.locations()
+            np.testing.assert_array_equal(gram.dense(), cov_matrix(cells, h, g.widths))
+            # cell lists that share their columns: the first repeats a cell,
+            # which picks up the noise as cross_cov adds it, and lists of
+            # distinct cells are cov_matrix's
+            along = np.sort(rng.integers(0, cols, 6))
+            lists = rng.integers(0, rows, (3, 6))
+            along[1], lists[0, 1] = along[0], lists[0, 0]
+            got = gram.along(along, lists)
+            for mine, rs in zip(got, lists):
+                locs = [Location(int(c), int(r)) for c, r in zip(along, rs)]
+                np.testing.assert_array_equal(mine, cross_cov(locs, locs, h, g.widths))
+                if len(set(locs)) == len(locs):
+                    np.testing.assert_array_equal(mine, cov_matrix(locs, h, g.widths))
+            path = rng.integers(0, rows, (2, cols))
+            locs = [[Location(c, int(r)) for c, r in enumerate(rs)] for rs in path]
+            want = [cov_matrix(x, h, g.widths) for x in locs]
+            np.testing.assert_array_equal(gram.along(np.arange(cols), path), want)
 
 
 def pivot_blocks(s, members, chosen):
@@ -590,6 +609,16 @@ def test_cholesky_is_called_only_inside_chol_factor():
                 sites.append((path.name, *owner))
     assert sites
     assert set(sites) <= {("gp.py", "_probe"), ("gp.py", "_climb")}
+
+
+def test_blocks_and_triangular_solves_are_read_only_inside_gp():
+    # one home for the lag blocks' layout and for the triangular solves:
+    # every other module gathers through LagGram and conditions through gp
+    sites = set()
+    for path in sorted(Path(gp.__file__).parent.glob("*.py")):
+        if re.search(r"\.blocks\b|solve_triangular", path.read_text()):
+            sites.add(path.name)
+    assert sites == {"gp.py"}
 
 
 def test_precision_refuses_a_matrix_it_cannot_invert():

@@ -16,6 +16,7 @@ from transectplan import (
     GridTooLarge,
     Hyperparams,
     InvalidArity,
+    Location,
     ObservationPath,
     ParseError,
     RobotConfig,
@@ -397,7 +398,7 @@ def test_exact_tie_chain_takes_the_first_best_leaf(monkeypatch, cap):
     t = float(planners._tie_tol(10.0))
     chain = {0: 10.0, 1: 10.0 + 0.9 * t, 2: 10.0 + 1.8 * t}
 
-    def level_entropies(grid, h, idx, blocks, first, moves):
+    def level_entropies(gram, idx, first, moves):
         # the leaf (a, 0, 0) scores chain[a] at the last column, all else 0
         scores = np.zeros((len(first), len(idx)))
         if moves.shape[1] == 2:
@@ -452,6 +453,21 @@ def test_exact_all_matches_one_start_calls(monkeypatch, g, h, k, starts):
         assert [exact_bits(r) for r in plan_exact_all(g, h, k, starts)] == alone
 
 
+def redone_columns(monkeypatch, k):
+    """Patch the conditioning step that only a redone exhaustive node takes
+    to record the column each redone node scores: its history holds k cells
+    of every earlier column."""
+    columns = []
+    condition = planners._condition
+
+    def counted(L, k_xt, k_tt):
+        columns.append(len(L) // k)
+        return condition(L, k_xt, k_tt)
+
+    monkeypatch.setattr(planners, "_condition", counted)
+    return columns
+
+
 def test_exact_all_redoes_failed_nodes_in_the_shared_tree(monkeypatch):
     g = small_grid(4, 6)
     starts = enumerate_configs(g, 1)
@@ -464,15 +480,8 @@ def test_exact_all_redoes_failed_nodes_in_the_shared_tree(monkeypatch):
             raise np.linalg.LinAlgError("forced")
         return real(a)
 
-    calls = []
-    column_entropies = planners._column_entropies
-
-    def counted(*args):
-        calls.append(args[3])
-        return column_entropies(*args)
-
+    calls = redone_columns(monkeypatch, 1)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    monkeypatch.setattr(planners, "_column_entropies", counted)
     alone = [exact_bits(plan_exact(g, H, 1, x0)) for x0 in starts]
     calls.clear()
     assert [exact_bits(r) for r in plan_exact_all(g, H, 1, starts)] == alone
@@ -549,9 +558,9 @@ def test_pruned_search_matches_the_unpruned_search(monkeypatch):
     real = planners._level_entropies
     scored = [0]
 
-    def level_entropies(grid, h, idx, blocks, first, moves):
+    def level_entropies(gram, idx, first, moves):
         scored[0] += len(first)
-        return real(grid, h, idx, blocks, first, moves)
+        return real(gram, idx, first, moves)
 
     monkeypatch.setattr(planners, "_level_entropies", level_entropies)
     nodes = {"pruned": 0, "unpruned": 0}
@@ -585,7 +594,7 @@ def test_pruning_keeps_the_tie_window_of_the_incumbent(monkeypatch):
     inside, outside = best - margin - 0.5 * tie, best - margin - 1.5 * tie
     scored = []
 
-    def level_entropies(grid, h, idx, blocks, first, moves):
+    def level_entropies(gram, idx, first, moves):
         scored.extend(tuple(m) for m in moves.tolist())
         scores = np.zeros((len(first), len(idx)))
         if moves.shape[1] == 2:
@@ -699,15 +708,8 @@ def test_exact_redoes_a_failed_level_node_by_node(monkeypatch):
             raise np.linalg.LinAlgError("forced")
         return real(a)
 
-    calls = []
-    column_entropies = planners._column_entropies
-
-    def counted(*args):
-        calls.append(args[3])
-        return column_entropies(*args)
-
+    calls = redone_columns(monkeypatch, 1)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    monkeypatch.setattr(planners, "_column_entropies", counted)
     res = plan_exact(g, H, 1, x0)
     # only the 16 nodes of depth 2 were redone, each scoring column 3
     assert calls == [3] * 16
@@ -738,19 +740,61 @@ def test_exact_redoes_only_the_failed_node_of_a_level(monkeypatch):
                 raise np.linalg.LinAlgError("forced")
         return real(a)
 
-    calls = []
-    column_entropies = planners._column_entropies
-
-    def counted(*args):
-        calls.append(args[3])
-        return column_entropies(*args)
-
+    calls = redone_columns(monkeypatch, 1)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    monkeypatch.setattr(planners, "_column_entropies", counted)
     res = plan_exact(g, H, 1, x0)
     assert len(alone) == 16
     assert calls == [3]
     assert exact_bits(res) == exact_bits(want)
+
+
+def posterior_cov_route(g, h, idx, first, moves):
+    """Each node's column step the Location-list way: the entropies of the
+    row sets ``idx`` of the next column, from ``posterior_cov`` of the whole
+    column given the node's history."""
+    depth = moves.shape[1]
+    column = [Location(depth + 1, r) for r in range(g.n_rows)]
+    for start, seq in zip(first, moves):
+        history = [start, *idx[seq]]
+        observed = [Location(c, int(r)) for c, rows in enumerate(history) for r in rows]
+        yield gp.minor_entropies(gp.posterior_cov(column, observed, h, g.widths), idx)
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.3])
+def test_redone_nodes_score_as_posterior_cov_does(monkeypatch, ratio):
+    # every node of every level fails the stacked factor and is redone from
+    # its joint matrix: its scores keep the posterior_cov route's bits
+    real = planners._probe
+    monkeypatch.setattr(
+        planners, "_probe", lambda cov: (real(cov)[0], np.zeros(cov.shape[:-2], bool))
+    )
+    g = small_grid(4, 6)
+    idx = np.array([c.rows for c in enumerate_configs(g, 2)])
+    rng = np.random.default_rng(19)
+    for ell1, ell2 in ((5.0, 4.0), (27.53, 134.64)):
+        h = Hyperparams(ell1, ell2, 2.152, ratio * 2.152)
+        for depth in (0, 1, 2, 4):
+            first = idx[rng.integers(len(idx), size=6)]
+            moves = rng.integers(len(idx), size=(6, depth))
+            got = planners._level_entropies(gp.LagGram(g, h), idx, first, moves)
+            for mine, want in zip(got, posterior_cov_route(g, h, idx, first, moves)):
+                np.testing.assert_array_equal(mine, want)
+
+
+def test_redone_node_refuses_as_posterior_cov_does():
+    # collapsed and noise-free: the first node of depth 1 fails its level
+    # factor, and its redo raises the Location-list route's type and message
+    g = small_grid(3, 5)
+    h = Hyperparams(ell1=1e6, ell2=1e6, signal_var=1.0, noise_var=0.0)
+    idx = np.array([c.rows for c in enumerate_configs(g, 1)])
+    first, moves = idx[:1], np.zeros((1, 1), dtype=np.int64)
+    with pytest.raises(TransectPlanError) as old:
+        next(posterior_cov_route(g, h, idx, first, moves))
+    message = f"^{re.escape(str(old.value))}$"
+    with pytest.raises(type(old.value), match=message):
+        planners._level_entropies(gp.LagGram(g, h), idx, first, moves)
+    with pytest.raises(type(old.value), match=message):
+        plan_exact(g, h, 1, RobotConfig((0,)))
 
 
 def test_exact_refuses_collapsed_noise_free_instance():

@@ -16,11 +16,12 @@ with its stage table, its rollouts and their ``path_entropy`` on every
 instance (see :func:`markov`). ``compare`` puts each run in one class of
 ``CLASSES`` and prints the counts per planner and noise group; noise ratios
 0 and 1e-6 are grouped apart from the rest, because at zero or tiny noise
-two algebraically equal routes are known to round differently. Set
-``OPENBLAS_NUM_THREADS=1`` in both runs: the BLAS thread count changes
-rounding, and at noise ratio 1e-6 rounding can decide a near-tied choice, so
-one tree recorded under two thread counts is the floor that a comparison of
-two trees can be read against. ``.equivalence/`` is ignored by git.
+two algebraically equal routes are known to round differently. The BLAS
+thread count changes rounding, and at noise ratio 1e-6 rounding can decide a
+near-tied choice, so the tool pins every variable of ``THREAD_VARS`` to one
+thread before numpy loads, unless the environment sets it; a record keeps
+the settings it ran under, and ``compare`` prints a line when the two
+records' settings differ. ``.equivalence/`` is ignored by git.
 
 To cover another planner, add a runner to ``PLANNERS`` that maps a built
 ``(tp, grid, h, k, x0)`` to a ``PlanResult``.
@@ -31,11 +32,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+
+# The BLAS thread settings, pinned before numpy loads; an explicit setting in
+# the environment still wins.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -293,7 +301,8 @@ def markov(tp, cases: list[Case]) -> dict:
 
 def record(cases: list[Case]) -> dict:
     """Run every case through every planner with the ``transectplan`` that
-    ``sys.path`` finds first; the record keeps that tree's tie window."""
+    ``sys.path`` finds first; the record keeps that tree's tie window and
+    the BLAS thread settings."""
     import transectplan as tp
 
     runs = {}
@@ -311,6 +320,7 @@ def record(cases: list[Case]) -> dict:
         runs.update(markov(tp, cases))
     return {
         "tie_rtol": tp.planners.TIE_RTOL,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "cases": [asdict(c) for c in cases],
         "runs": runs,
     }
@@ -400,6 +410,8 @@ def main(argv=None) -> int:
         return 0
 
     a, b = (json.loads(p.read_text()) for p in (args.a, args.b))
+    if a.get("threads") != b.get("threads"):
+        print(f"thread settings differ: {a.get('threads')} vs {b.get('threads')}")
     result = compare(a, b)
     print(f"{'planner':<12}{'noise':<8}" + "".join(f"{c:>10}" for c in CLASSES))
     for (planner, group), counts in sorted(result["counts"].items()):
