@@ -322,8 +322,8 @@ def verify_performance_bounds(
     Raises ConditionViolated when the bounds are not valid on this instance,
     then BudgetExceeded, before any table is built, on oversized instances.
 
-    The exhaustive search is :func:`plan_exact_all`'s, over every start in
-    one tree, and every rollout is valued by one :func:`path_entropies`
+    The exhaustive search is ``plan_all("exact", ...)``'s, over every start
+    in one tree, and every rollout is valued by one :func:`path_entropies`
     call, before the search. When noise_var is at least PRUNE_NOISE_RATIO
     times signal_var, the search is pruned by branch and bound (Land & Doig,
     1960) with the bracket's own upper side: a node is dropped when its
@@ -331,8 +331,8 @@ def verify_performance_bounds(
     below the larger of its start's rollout value and its best leaf so far
     by more than the tie window and a rounding margin. Such a subtree holds
     no leaf tied with the best, so each start's exact value, path and stage
-    gains are bit for bit :func:`plan_exact`'s. On a refusal every start is
-    valued and searched again one at a time, so the first failing start's
+    gains are bit for bit ``plan("exact", ...)``'s. On a refusal every start
+    is valued and searched again one at a time, so the first failing start's
     refusal is raised; within one start, its rollout's refusal comes before
     its search's.
     """

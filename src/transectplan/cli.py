@@ -5,8 +5,10 @@ planner on a field, ``bounds`` prints the bound tables (with oracle verdicts
 when the instance is small enough), and ``bench`` runs the benchmark
 harness. Reports are flat key=value lines, numbers at 17 significant
 digits. Exit codes: 0 success, 3 parse errors, 4 violated bound conditions,
-5 search budget refusals, 6 factorization failures, 1 anything else the
-package raises deliberately.
+5 search budget refusals, 6 factorization failures (no factor within the
+jitter ladder, or a factor diagonal too small to take a log of), 1 any other
+error the package raises deliberately; an unexpected exception also exits 1,
+with its traceback.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
     FactorizationFailure,
     InvalidArity,
     ParseError,
+    SingularCovariance,
     TransectPlanError,
 )
 from .fieldio import FieldBundle, fmt, read_field, sha256_of, write_field
@@ -41,6 +44,7 @@ EXIT_CODES = {
     AnisotropyViolated: 4,
     BudgetExceeded: 5,
     FactorizationFailure: 6,
+    SingularCovariance: 6,
 }
 
 

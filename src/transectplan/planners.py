@@ -3,14 +3,14 @@
 All four planners maximize entropy-flavored objectives over the same action
 space (the team's destination rows in the next column) and break ties toward
 the lexicographically smallest action: each takes the first score within
-TIE_RTOL of the best (``_first_best``). ``plan_all`` runs any of them by its
-name in ``POLICIES`` from many starts, and ``plan`` from one. They differ in
-what they condition on:
+TIE_RTOL of the best (``_first_best``). They differ in what they condition
+on:
 
-* ``plan_markov`` keeps only the current column in the conditioning set,
-  which buys a backward-induction solution over per-stage tables;
-* ``plan_exact`` conditions every stage on the full history and searches
-  every action sequence from the start, so it is the ground truth and
+* ``markov`` keeps only the current column in the conditioning set, which
+  buys a backward-induction solution over per-stage tables
+  (:func:`plan_markov`);
+* ``exact`` conditions every stage on the full history and searches every
+  action sequence from the start, so it is the ground truth and
   exponentially priced; it scores the nodes of one tree level together with
   one stacked factorization, over chunks of at most a fixed number of
   nodes taken in lexicographic order, and keeps the first leaf within
@@ -18,29 +18,31 @@ what they condition on:
   bound audit's search, which ``_search`` prunes by branch and bound with
   the Markov values as the upper bound (see
   :func:`~transectplan.bounds.verify_performance_bounds`);
-* ``plan_greedy_entropy`` conditions on the full history but commits one
-  stage at a time, growing one Cholesky factor of the history by the chosen
-  rows instead of refactoring it;
-* ``plan_greedy_mi`` greedily maximizes the mutual information between the
+* ``greedy-ent`` conditions on the full history but commits one stage at a
+  time, growing one Cholesky factor of the history by the chosen rows
+  instead of refactoring it;
+* ``greedy-mi`` greedily maximizes the mutual information between the
   candidate observations and the rest of the grid, whose term it reads from
   the whole grid's precision matrix through a second growing factor.
 
-``plan_all`` rolls one Markov table out from every start, ``plan_greedy``
-runs either greedy planner from many starts in one sweep, in which the starts
-advance column by column together, and ``plan_exact_all`` searches from many
-starts in one tree whose root level holds them all; ``plan``,
-``plan_greedy_entropy``, ``plan_greedy_mi`` and ``plan_exact`` are their
-one-start calls, and each start's result is bit for bit the one-start
-call's. A many-start call refuses as its one-start calls would: when it
-refuses, ``_one_at_a_time`` runs the starts again one by one, so the first
-failing start's refusal is raised; when such calls nest, only the outermost
-replays.
+:func:`plan_all` is the one front door: it runs the planner named by one of
+``POLICIES`` from many starts, and :func:`plan` is its one-start call. It
+refuses an unknown policy, then an instance the planner refuses outright
+(the exhaustive search's leaf budget, greedy-mi's cell cap), then a start
+that is not a configuration of the grid, and only then plans. Markov rolls
+one table out from every start, the greedy planners advance every start
+column by column in one sweep, and the exhaustive search holds every start
+in the root level of one tree; each start's result is bit for bit the
+one-start call's. A many-start call refuses as its one-start calls would:
+when it refuses, ``_one_at_a_time`` runs the starts again one by one, so the
+first failing start's refusal is raised; when such calls nest, only the
+outermost replays.
 
 Values are reported in nats. The exact and greedy planners report a path's
 joint entropy given the start (``path_entropy``; ``path_entropies`` values
-many paths of one grid from one stacked factor, with the same bits);
-``plan("markov", ...)`` reports the policy's stagewise value, which bounds
-that of every path from the start from above.
+many paths of one grid from one stacked factor, with the same bits); markov
+reports the policy's stagewise value, which bounds that of every path from
+the start from above.
 """
 
 from __future__ import annotations
@@ -128,10 +130,13 @@ class MarkovPolicy:
 
 @dataclass(frozen=True)
 class PlanResult:
-    """A planned path, its joint-entropy value, and the planning wall time.
+    """A planned path, its value, and the planning wall time.
 
-    The exact planner also fills ``stage_gains``, the conditional entropy
-    gained at each column after the start."""
+    The value is the path's joint entropy given the start, except for a
+    markov result, which holds the dynamic program's stagewise value from
+    the start (see :func:`plan_all`). The exact planner also fills
+    ``stage_gains``, the conditional entropy gained at each column after the
+    start."""
 
     policy_kind: str
     path: ObservationPath
@@ -423,9 +428,24 @@ def _exact_configs(grid: TransectGrid, k: int, budget: int) -> list[RobotConfig]
 
 
 def _exact_results(grid, h, configs, starts, bound=None, floor=None) -> list[PlanResult]:
-    """One :func:`_search` tree over ``starts``, with no replay on a
-    refusal, and its results, one per start, each ``plan_seconds`` the
-    call's wall time divided by the number of starts."""
+    """The exhaustive search from every start in ``starts``, with no replay
+    on a refusal: one :func:`_search` tree whose root level is the starts;
+    one result per start, in order.
+
+    Maximizes the summed full-history conditional entropies, which equals
+    the joint path entropy given the start. The nodes of one depth are
+    scored together (see :func:`_level_entropies`), and the frontier is held
+    in chunks of at most _CHUNK_NODES nodes in lexicographic (start, moves)
+    order, expanded depth first. A start's result is its first leaf within
+    TIE_RTOL of its best, as :func:`_first_best` picks, wherever the chunks
+    split, and a node's arithmetic does not depend on the other nodes of its
+    chunk, so each result is bit for bit that of searching its start alone.
+    Unless given ``bound`` and ``floor`` (see :func:`_search`), every node
+    is scored, so the search is the oracle that pruned searches are checked
+    against. Each result's ``stage_gains`` are its path's per-column gains,
+    and its ``plan_seconds`` the call's wall time divided by the number of
+    starts.
+    """
     if not starts:
         return []
     t0 = time.perf_counter()
@@ -444,78 +464,20 @@ def _exact_results(grid, h, configs, starts, bound=None, floor=None) -> list[Pla
     ]
 
 
-def plan_exact_all(
-    grid: TransectGrid,
-    h: Hyperparams,
-    k: int,
-    starts,
-    budget: int = DEFAULT_BUDGET,
-) -> list[PlanResult]:
-    """Exhaustive search from every start in ``starts``, scored one tree
-    level at a time; one result per start, in order.
-
-    Maximizes the summed full-history conditional entropies, which equals
-    the joint path entropy given the start. Refuses to start when the leaf
-    count |A|^(n_cols - 1) of one start exceeds ``budget``, then when a
-    start is not a k-robot configuration of the grid.
-
-    One tree holds every search: its root level is the starts, and each
-    node carries its start's rows. The nodes of one depth are scored
-    together: their Gram matrices are gathered from covariance blocks
-    computed once per call and factored in one stacked Cholesky (see
-    :func:`_level_entropies`), where only a node whose factor fails is
-    redone alone with the jitter ladder, and every node carries the running
-    sum of its gains. The frontier is held in chunks of at most _CHUNK_NODES
-    nodes in lexicographic (start, moves) order, expanded depth first, so
-    each start's leaves are visited in lexicographic order. A start's result
-    is its first leaf within TIE_RTOL of its best, as :func:`_first_best`
-    picks, so ties resolve to the lexicographically smallest action sequence
-    wherever the chunks split. A node's arithmetic does not depend on the
-    other nodes of its chunk, so each result is bit for bit that of
-    searching its start alone. Every node is scored: the search is not
-    pruned, so it is the oracle that pruned searches are checked against.
-    On a refusal the starts are searched again one by one
-    (:func:`_one_at_a_time`), so the first failing start's refusal is
-    raised. Each result's ``stage_gains`` are its path's per-column gains,
-    and its ``plan_seconds`` the search's wall time divided by the number of
-    starts.
-    """
-    configs = _exact_configs(grid, k, budget)
-    for x0 in starts:
-        if x0 not in configs:
-            raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
-    return _one_at_a_time(lambda some: _exact_results(grid, h, configs, some), starts)
-
-
-def plan_exact(
-    grid: TransectGrid,
-    h: Hyperparams,
-    k: int,
-    x0: RobotConfig,
-    budget: int = DEFAULT_BUDGET,
-) -> PlanResult:
-    """Start-rooted exhaustive search: the one-start call of
-    :func:`plan_exact_all`, which maximizes the joint path entropy given the
-    start, refuses, breaks ties and fills ``stage_gains`` as described there.
-    """
-    return plan_exact_all(grid, h, k, [x0], budget=budget)[0]
-
-
-def plan_greedy(
-    policy: str, grid: TransectGrid, h: Hyperparams, k: int, starts
-) -> list[PlanResult]:
+def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
     """Plan the greedy ``policy`` ("greedy-ent" or "greedy-mi") from every
-    start in ``starts`` in one sweep; one result per start, in order.
+    start in ``starts``, each one of ``configs``, in one sweep with no
+    replay on a refusal; one result per start, in order.
 
     Each start commits, column by column, to the first best configuration:
     the one whose rows of the next column have the most entropy given the
     start's visited cells, less, for greedy-mi, their entropy given every
-    unvisited cell (see :func:`plan_greedy_entropy` and
-    :func:`plan_greedy_mi`). The starts advance together, and each one's
-    arithmetic is the same as when it is planned alone, so a result does not
-    depend on the other starts. Refuses before planning when a start is not
-    a k-robot configuration of the grid, and greedy-mi on grids beyond
-    MAX_DENSE_CELLS cells.
+    unvisited cell. That difference is the information the new observations
+    share with everything not yet sampled (Krause, Singh & Guestrin, JMLR
+    2008). The starts advance together, and each one's arithmetic is the
+    same as when it is planned alone, so a result does not depend on the
+    other starts. The reported value is the path's joint entropy, not the
+    sum of greedy scores.
 
     Cells are numbered column-major (``col * n_rows + row``). The first term
     conditions the column's prior covariance, gathered by one ``LagGram``,
@@ -524,27 +486,19 @@ def plan_greedy(
     factor of P over the visited cells, since P_cc - P_cV P_VV^-1 P_Vc is
     the inverse of the column's covariance given every unvisited cell. Both
     factors grow by the chosen rows at each column instead of being
-    refactored. Every result's ``plan_seconds`` is the sweep's wall time
+    refactored. P comes from one factor of the dense Gram matrix by
+    ``chol_factor``, hence greedy-mi's cell cap; a Gram matrix that the
+    jitter ladder does not factor, or whose factor reaches DIAG_FLOOR, is
+    refused. Every result's ``plan_seconds`` is the sweep's wall time
     divided by the number of starts.
     """
-    t0 = time.perf_counter()
-    if policy not in ("greedy-ent", "greedy-mi"):
-        raise ParseError(f"{policy!r} is not a greedy policy")
-    mi = policy == "greedy-mi"
-    if mi and grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
-        raise GridTooLarge(
-            "mutual-information scores condition on the whole grid; "
-            f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
-        )
-    configs = enumerate_configs(grid, k)
-    for x0 in starts:
-        if x0 not in configs:
-            raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
     if not starts:
         return []
-
+    t0 = time.perf_counter()
+    mi = policy == "greedy-mi"
     idx = np.array([c.rows for c in configs])
     n_rows, n_cols = grid.n_rows, grid.n_cols
+    k = idx.shape[1]
     prior = LagGram(grid, h)
     visited = np.array([x0.rows for x0 in starts])
     members = np.arange(len(starts))[:, None]
@@ -582,33 +536,15 @@ def plan_greedy(
     return [PlanResult(policy, path, v, seconds) for path, v in zip(paths, values)]
 
 
-def plan_greedy_entropy(
-    grid: TransectGrid, h: Hyperparams, k: int, x0: RobotConfig
-) -> PlanResult:
-    """Stagewise entropy maximization with full-history conditioning.
-
-    Each stage commits to the destination whose observations are most
-    uncertain given everything sampled so far. The reported value is the
-    resulting path's joint entropy, not the sum of greedy scores.
-    """
-    return plan_greedy("greedy-ent", grid, h, k, [x0])[0]
-
-
-def plan_greedy_mi(
-    grid: TransectGrid, h: Hyperparams, k: int, x0: RobotConfig
-) -> PlanResult:
-    """Stagewise mutual-information maximization against the unvisited grid.
-
-    Scores a candidate by H[candidate | visited] minus H[candidate | rest of
-    the grid], the information the new observations share with everything
-    not yet sampled (Krause, Singh & Guestrin, JMLR 2008). The second term
-    reads the precision of the whole grid, formed once per sweep from one
-    factor of its dense Gram matrix by ``chol_factor``, hence the cell
-    guard; a Gram matrix that the jitter ladder does not factor, or whose
-    factor reaches DIAG_FLOOR, is refused. The reported value is the path's
-    joint entropy.
-    """
-    return plan_greedy("greedy-mi", grid, h, k, [x0])[0]
+def _markov_results(grid, h, k, starts) -> list[PlanResult]:
+    """One Markov table rolled out from every start in ``starts``, each
+    result valued by the policy's stagewise value from its start and timed
+    by the table's wall time divided by the number of starts."""
+    pol = plan_markov(grid, h, k)
+    return [
+        PlanResult("markov", rollout(pol, x0), pol.value(0, x0), pol.plan_seconds / len(starts))
+        for x0 in starts
+    ]
 
 
 def plan_all(
@@ -623,25 +559,43 @@ def plan_all(
     one of POLICIES; one result per start, in order, whose value, path and
     stage gains are bit for bit those of its one-start call.
 
-    ``budget`` caps the exhaustive search only. The markov planner builds
-    one table and rolls it out from each start, and each result is valued by
-    the policy's stagewise value: an upper bound on the joint entropy of any
-    path from its start, not the rollout's own joint entropy. The exact
-    planner is :func:`plan_exact_all` and the greedy ones :func:`plan_greedy`.
-    Every result's ``plan_seconds`` is the planning time divided by the
-    number of starts; for markov, that of the table alone.
+    Refuses, in this order: an unknown policy; an exhaustive search whose
+    leaf count |A|^(n_cols - 1) from one start exceeds ``budget``, which
+    caps nothing else, and greedy-mi on grids beyond MAX_DENSE_CELLS cells;
+    a start that is not a k-robot configuration of the grid. Then it plans
+    every start at once, markov by one table (:func:`plan_markov`), exact by
+    one tree (:func:`_exact_results`) and the greedy planners by one sweep
+    (:func:`_greedy_sweep`); on a refusal the starts are planned again one
+    by one (:func:`_one_at_a_time`), so the first failing start's refusal is
+    raised.
+
+    A markov result is valued by the policy's stagewise value: an upper
+    bound on the joint entropy of any path from its start, not the
+    rollout's own joint entropy; the exact and greedy results by the path's
+    joint entropy. Every result's ``plan_seconds`` is the planning time
+    divided by the number of starts; for markov, that of the table alone.
     """
-    if policy == "markov":
-        pol = plan_markov(grid, h, k)
-        return [
-            PlanResult(policy, rollout(pol, x0), pol.value(0, x0), pol.plan_seconds / len(starts))
-            for x0 in starts
-        ]
+    if policy not in POLICIES:
+        raise ParseError(f"unknown policy {policy!r}; choose from {POLICIES}")
     if policy == "exact":
-        return plan_exact_all(grid, h, k, starts, budget=budget)
-    if policy in ("greedy-ent", "greedy-mi"):
-        return plan_greedy(policy, grid, h, k, starts)
-    raise ParseError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        configs = _exact_configs(grid, k, budget)
+    else:
+        if policy == "greedy-mi" and grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
+            raise GridTooLarge(
+                "mutual-information scores condition on the whole grid; "
+                f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
+            )
+        configs = enumerate_configs(grid, k)
+    for x0 in starts:
+        if x0 not in configs:
+            raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
+    if policy == "markov":
+        run = lambda some: _markov_results(grid, h, k, some)
+    elif policy == "exact":
+        run = lambda some: _exact_results(grid, h, configs, some)
+    else:
+        run = lambda some: _greedy_sweep(policy, grid, h, configs, some)
+    return _one_at_a_time(run, starts)
 
 
 def plan(

@@ -29,8 +29,7 @@ from transectplan import (
     evaluate,
     gaussian_entropy,
     metric_diff,
-    plan_exact,
-    plan_greedy_entropy,
+    plan,
     plan_markov,
     posterior_cov,
     rollout,
@@ -261,7 +260,7 @@ def test_runtime_scaling():
     for n_cols in (7, 8, 9):
         g = TransectGrid(3, n_cols, 5.0, 5.0)
         x0 = enumerate_configs(g, 1)[0]
-        ex_times[n_cols] = min_time(lambda g=g, x0=x0: plan_exact(g, h, 1, x0))
+        ex_times[n_cols] = min_time(lambda g=g, x0=x0: plan("exact", g, h, 1, x0))
     ex_ok = (
         ex_times[8] / ex_times[7] >= 1.5 and ex_times[9] / ex_times[8] >= 1.5
     )
@@ -269,7 +268,7 @@ def test_runtime_scaling():
     g = TransectGrid(5, 30, 5.0, 5.0)
     dp_once = min_time(lambda: plan_markov(g, h, 1))
     greedy_all = min_time(
-        lambda: [plan_greedy_entropy(g, h, 1, x0) for x0 in enumerate_configs(g, 1)]
+        lambda: [plan("greedy-ent", g, h, 1, x0) for x0 in enumerate_configs(g, 1)]
     )
     amortized_ok = dp_once < greedy_all
 
@@ -327,7 +326,7 @@ def test_long_correlation_widens_planner_gap():
         gaps = []
         for x0 in enumerate_configs(g, 1):
             dp_rec = evaluate(rollout(pol, x0), h, "markov")
-            greedy_rec = evaluate(plan_greedy_entropy(g, h, 1, x0).path, h, "greedy-ent")
+            greedy_rec = evaluate(plan("greedy-ent", g, h, 1, x0).path, h, "greedy-ent")
             gaps.append(metric_diff(dp_rec, greedy_rec)[0])
         mean_gap[ell1] = float(np.mean(gaps))
     verdict(

@@ -423,7 +423,7 @@ def test_verify_bounds_audits_match_one_start_at_a_time():
         rep = verify_performance_bounds(g, h, k=1)
         policy = planners.plan_markov(g, h, 1)
         for a in rep.audits:
-            assert a.exact_value == planners.plan_exact(g, h, 1, a.start).value
+            assert a.exact_value == planners.plan("exact", g, h, 1, a.start).value
             assert a.rollout_value == planners.path_entropy(planners.rollout(policy, a.start), h)
         assert [a.start for a in rep.audits] == [RobotConfig((r,)) for r in range(g.n_rows)]
 

@@ -295,3 +295,52 @@ def test_each_class_fires_on_a_perturbed_markov_record(small_record):
     path = copy.deepcopy(runs[start]["path"])
     path[-1] = [r + 1 for r in path[-1]]
     assert cls(start, path=path) == "tied"
+
+
+def test_many_records_every_policy_and_start_as_its_one_start_call(small_record):
+    runs = small_record["runs"]
+    cases = [eq.Case(**c) for c in small_record["cases"]]
+    many = {k: r for k, r in runs.items() if r["planner"] == "many"}
+    insts = eq.instances(cases, eq.within_leaf_cap)
+    assert insts and {r["group"] for r in many.values()} == {"0", "1e-6", ">=1e-3"}
+    assert len(many) == len(eq.MANY_POLICIES) * sum(
+        math.comb(inst.rows, inst.k) for inst in insts
+    )
+    answered = 0
+    for members in insts.values():
+        for case, policy in ((c, p) for c in members for p in eq.MANY_POLICIES):
+            run = many[f"many/{policy}/{members[0].name}/{list(case.start)}"]
+            if run["refusal"] is not None:
+                continue
+            answered += 1
+            assert run["path"][0] == list(case.start) and len(run["path"]) == case.cols
+            # the one-start run; markov's is the rollout, valued by path_entropy
+            one = runs[f"{policy}/{case.name}"]
+            assert run["path"] == one["path"]
+            if policy != "markov":
+                assert run["value"] == one["value"]
+            assert run["gains"] == one.get("gains", [])
+    assert answered
+
+
+def test_each_class_fires_on_a_perturbed_many_record(small_record):
+    runs = small_record["runs"]
+    key = next(
+        k for k, r in runs.items()
+        if k.startswith("many/exact/") and r["refusal"] is None
+    )  # fmt: skip
+    run = runs[key]
+
+    def cls(**changes):
+        result = eq.compare(small_record, perturbed(small_record, key, **changes))
+        assert [c[0] for c in result["changed"]] == [key]
+        return result["changed"][0][1]
+
+    value, gains = float.fromhex(run["value"]), eq.floats(run, "gains")
+    assert cls(value=float(np.nextafter(value, np.inf)).hex()) == "close"
+    assert cls(gains=eq.hexes([np.nextafter(gains[0], np.inf), *gains[1:]])) == "close"
+    assert cls(gains=eq.hexes([gains[0] * (1 + 1e-6) + 1e-9, *gains[1:]])) == "other"
+    path = copy.deepcopy(run["path"])
+    path[-1] = [r + 1 for r in path[-1]]
+    assert cls(path=path) == "tied"
+    assert cls(refusal="FactorizationFailure", value=None, path=None, gains=None) == "refusal"

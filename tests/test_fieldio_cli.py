@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from transectplan import (
+    POLICIES,
     Hyperparams,
     ParseError,
     RobotConfig,
@@ -319,18 +320,22 @@ def test_benchmark_markov_rows_share_one_table():
 
 def test_benchmark_refusal_is_the_first_failing_starts():
     # noise-free plankton fit: greedy-ent refuses from every start, and a
-    # sweep of (0,1) and (2,4) meets (2,4)'s refusal first
+    # sweep of (0,1) and (2,4) meets (2,4)'s refusal first, while plan_all
+    # raises (0,1)'s
     h = Hyperparams(ell1=27.53, ell2=134.64, signal_var=2.152, noise_var=0.0)
     g = TransectGrid(5, 40, 5.0, 5.0)
     starts = (RobotConfig((0, 1)), RobotConfig((2, 4)))
     alone = []
     for x0 in starts:
         with pytest.raises(FactorizationFailure) as refused:
-            planners.plan_greedy_entropy(g, h, 2, x0)
+            planners.plan("greedy-ent", g, h, 2, x0)
         alone.append(str(refused.value))
     with pytest.raises(FactorizationFailure) as refused:
-        planners.plan_greedy("greedy-ent", g, h, 2, starts)
+        planners._greedy_sweep("greedy-ent", g, h, enumerate_configs(g, 2), starts)
     assert str(refused.value) == alone[1] != alone[0]
+    with pytest.raises(FactorizationFailure) as refused:
+        planners.plan_all("greedy-ent", g, h, 2, starts)
+    assert str(refused.value) == alone[0]
     for order in (starts, starts[::-1]):
         spec = spec_of(n_rows=5, n_cols=40, h=h, team_sizes=(2,), start_mode="explicit", starts=order)
         with pytest.raises(FactorizationFailure) as refused:
@@ -400,7 +405,7 @@ def test_benchmark_exact_rows_share_one_search():
         assert r["plan_seconds"] * 3 == pytest.approx(total, rel=1e-12)
         # the entropy metric of the one-start search's path, bit for bit
         assert r["start"] == str(x0)
-        assert r["ent"] == unobserved_entropy(planners.plan_exact(grid, H, 1, x0).path, H)
+        assert r["ent"] == unobserved_entropy(planners.plan("exact", grid, H, 1, x0).path, H)
 
 
 def test_write_csv_renders_none_as_empty(tmp_path):
@@ -690,17 +695,34 @@ def test_cli_plan_and_bounds_have_no_mean_option(tmp_path, command):
     assert "No such option '--mean'" in res.output
 
 
-def test_cli_exit_code_factorization():
+@pytest.mark.parametrize("error", [FactorizationFailure, SingularCovariance])
+def test_cli_exit_code_factorization(error):
     @main.command(name="_boom", hidden=True)
     @mapped_exits
     def _boom():
-        raise FactorizationFailure("made up for the exit-code map")
+        raise error("made up for the exit-code map")
 
     try:
         res = run_cli(["_boom"])
         assert res.exit_code == 6
     finally:
         del main.commands["_boom"]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_cli_exit_code_for_a_factor_below_the_floor(tmp_path, policy):
+    # a signal variance of 1e-305 factors to pivots near 3e-153, below
+    # DIAG_FLOOR, so every planner refuses with SingularCovariance
+    out = tmp_path / "f.csv"
+    res = run_cli([
+        "synth", "--rows", 3, "--cols", 6, "--omega1", 5, "--omega2", 5,
+        "--ell1", 10, "--ell2", 10, "--signal-var", 1e-305, "--noise-var", 0,
+        "--seed", 1, "--out", out,
+    ])
+    assert res.exit_code == 0, res.output
+    res = run_cli(["plan", "--field", out, "--policy", policy, "--start", 0])
+    assert res.exit_code == 6, res.output
+    assert res.stderr.startswith("error: factor diagonal reaches"), res.stderr
 
 
 def test_cli_bounds_condition_unmet_is_reported_not_fatal():
@@ -809,10 +831,10 @@ run("plan", "--field", "f.csv", "--policy", "markov")
 run("plan", "--field", "f.csv", "--policy", "markov", "-k", 2, "--start", "0,2")
 grid = tp.read_field("f.csv").grid
 h = tp.Hyperparams(ell1=2.5, ell2=2.5, signal_var=1.0, noise_var=1.0)
-tp.plan_exact(grid, h, 1, tp.RobotConfig((1,)))
+tp.plan("exact", grid, h, 1, tp.RobotConfig((1,)))
 assert tp.verify_performance_bounds(grid, h, k=1).value_bracket_ok
 assert "scipy" not in sys.modules, "scipy imported"
-path = tp.plan_greedy_mi(grid, h, 1, tp.RobotConfig((1,))).path
+path = tp.plan("greedy-mi", grid, h, 1, tp.RobotConfig((1,))).path
 record = tp.evaluate(path, h, "greedy-mi")
 assert math.isfinite(record.ent) and math.isfinite(record.err)
 """

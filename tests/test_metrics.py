@@ -18,7 +18,7 @@ from transectplan import (
     evaluate,
     gaussian_entropy,
     metric_diff,
-    plan_greedy_entropy,
+    plan,
     plan_markov,
     rollout,
     sample_prior_field,
@@ -250,7 +250,7 @@ def test_markov_ent_tracks_greedy_on_survey_like_fields():
     pol = plan_markov(g, h, k=3)
     x0 = RobotConfig((0, 3, 6))
     markov_rec = evaluate(rollout(pol, x0), h, "markov")
-    greedy = plan_greedy_entropy(g, h, 3, x0)
+    greedy = plan("greedy-ent", g, h, 3, x0)
     greedy_rec = evaluate(greedy.path, h, "greedy-ent")
     ent_gap, _ = metric_diff(markov_rec, greedy_rec)
     # positive gap would mean greedy left less unexplained than markov

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -27,11 +28,6 @@ from transectplan import (
     path_entropy,
     plan,
     plan_all,
-    plan_exact,
-    plan_exact_all,
-    plan_greedy,
-    plan_greedy_entropy,
-    plan_greedy_mi,
     plan_markov,
     rollout,
     verify_performance_bounds,
@@ -195,7 +191,7 @@ def test_markov_value_upper_bounds_exact():
         g, h = scaled_grid(rng, 3, 4, random_hyperparams(rng))
         pol = plan_markov(g, h, k=1)
         for x0 in enumerate_configs(g, 1):
-            exact = plan_exact(g, h, 1, x0)
+            exact = plan("exact", g, h, 1, x0)
             assert pol.value(0, x0) >= exact.value - 1e-9
 
 
@@ -240,7 +236,7 @@ def test_exact_matches_joint_entropy_oracle():
         g, h = scaled_grid(rng, 3, 4, random_hyperparams(rng))
         for x0 in enumerate_configs(g, 1):
             want_val, want_seq = oracle_full_best(g, h, 1, x0)
-            res = plan_exact(g, h, 1, x0)
+            res = plan("exact", g, h, 1, x0)
             assert res.value == pytest.approx(want_val, abs=1e-9)
             assert res.path.configs[1:] == want_seq
 
@@ -250,30 +246,30 @@ def test_exact_two_robots_matches_oracle():
     g, h = scaled_grid(rng, 3, 4, random_hyperparams(rng))
     for x0 in enumerate_configs(g, 2):
         want_val, want_seq = oracle_full_best(g, h, 2, x0)
-        res = plan_exact(g, h, 2, x0)
+        res = plan("exact", g, h, 2, x0)
         assert res.value == pytest.approx(want_val, abs=1e-9)
         assert res.path.configs[1:] == want_seq
 
 
 def test_exact_value_is_path_entropy():
     g = small_grid(3, 5)
-    res = plan_exact(g, H, 1, RobotConfig((1,)))
+    res = plan("exact", g, H, 1, RobotConfig((1,)))
     assert res.value == pytest.approx(path_entropy(res.path, H), abs=1e-10)
 
 
 def test_exact_budget_guard():
     g = TransectGrid(4, 8, 5.0, 5.0)
     with pytest.raises(BudgetExceeded):
-        plan_exact(g, H, 2, RobotConfig((0, 1)), budget=1000)
+        plan("exact", g, H, 2, RobotConfig((0, 1)), budget=1000)
 
 
 def test_exact_budget_counts_leaves():
     # 3 configs, 3 free columns: exactly 27 leaves, so 27 must pass
     g = small_grid(3, 4)
-    res = plan_exact(g, H, 1, RobotConfig((0,)), budget=27)
+    res = plan("exact", g, H, 1, RobotConfig((0,)), budget=27)
     assert res.path.configs[0] == RobotConfig((0,))
     with pytest.raises(BudgetExceeded):
-        plan_exact(g, H, 1, RobotConfig((0,)), budget=26)
+        plan("exact", g, H, 1, RobotConfig((0,)), budget=26)
 
 
 def test_exact_tie_breaks_lexicographically():
@@ -281,7 +277,7 @@ def test_exact_tie_breaks_lexicographically():
     # all paths collect identical information, so the lex-first must win
     h = Hyperparams(ell1=1e-3, ell2=1e-3, signal_var=1.0, noise_var=0.1)
     g = TransectGrid(3, 4, 5.0, 5.0)
-    res = plan_exact(g, h, 1, RobotConfig((2,)))
+    res = plan("exact", g, h, 1, RobotConfig((2,)))
     assert tuple(c.rows for c in res.path.configs[1:]) == ((0,), (0,), (0,))
 
 
@@ -318,7 +314,7 @@ def test_exact_stage_gains_satisfy_bellman(r, c, k, start):
     # after every prefix of the optimal path, the gains still to come are
     # the best completion of that prefix
     g = small_grid(r, c)
-    res = plan_exact(g, H, k, RobotConfig(start))
+    res = plan("exact", g, H, k, RobotConfig(start))
     for cut in range(1, g.n_cols):
         tail_best = oracle_best_completion(g, H, k, res.path.configs[:cut])
         assert sum(res.stage_gains[cut - 1 :]) == pytest.approx(tail_best, abs=1e-9)
@@ -353,7 +349,7 @@ def test_exact_matches_oracle_property(rows, cols, ell1, ell2, signal, ratio, da
     h = Hyperparams(5.0 * ell1, 5.0 * ell2, signal, ratio * signal)
     x0 = data.draw(st.sampled_from(enumerate_configs(g, k)))
     want_val, want_seq = oracle_full_best(g, h, k, x0)
-    res = plan_exact(g, h, k, x0)
+    res = plan("exact", g, h, k, x0)
     assert res.value == pytest.approx(want_val, abs=1e-9)
     if res.path.configs[1:] != want_seq:
         got = oracle_path_value(res.path, h)
@@ -384,7 +380,7 @@ def test_exact_answer_does_not_depend_on_chunking(monkeypatch, g, h, k, x0):
     results = []
     for cap in (1, 7, planners._CHUNK_NODES):
         monkeypatch.setattr(planners, "_CHUNK_NODES", cap)
-        res = plan_exact(g, h, k, x0)
+        res = plan("exact", g, h, k, x0)
         results.append((res.value, res.path.configs, res.stage_gains))
     assert results[0] == results[1] == results[2]
 
@@ -411,7 +407,7 @@ def test_exact_tie_chain_takes_the_first_best_leaf(monkeypatch, cap):
     pick = np.unravel_index(int(planners._first_best(np.array(leaves))), (3, 3, 3))
     assert pick == (1, 0, 0)
     x0 = RobotConfig((0,))
-    res = plan_exact(g, H, 1, x0)
+    res = plan("exact", g, H, 1, x0)
     assert res.path.configs == (x0, *(RobotConfig((int(j),)) for j in pick))
     assert res.value == chain[1]
 
@@ -449,8 +445,8 @@ def test_exact_all_matches_one_start_calls(monkeypatch, g, h, k, starts):
     starts = starts or enumerate_configs(g, k)
     for cap in (1, 7, planners._CHUNK_NODES):
         monkeypatch.setattr(planners, "_CHUNK_NODES", cap)
-        alone = [exact_bits(plan_exact(g, h, k, x0)) for x0 in starts]
-        assert [exact_bits(r) for r in plan_exact_all(g, h, k, starts)] == alone
+        alone = [exact_bits(plan("exact", g, h, k, x0)) for x0 in starts]
+        assert [exact_bits(r) for r in plan_all("exact", g, h, k, starts)] == alone
 
 
 def redone_columns(monkeypatch, k):
@@ -482,9 +478,9 @@ def test_exact_all_redoes_failed_nodes_in_the_shared_tree(monkeypatch):
 
     calls = redone_columns(monkeypatch, 1)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    alone = [exact_bits(plan_exact(g, H, 1, x0)) for x0 in starts]
+    alone = [exact_bits(plan("exact", g, H, 1, x0)) for x0 in starts]
     calls.clear()
-    assert [exact_bits(r) for r in plan_exact_all(g, H, 1, starts)] == alone
+    assert [exact_bits(r) for r in plan_all("exact", g, H, 1, starts)] == alone
     # each start's 16 nodes of depth 2 were redone, as when searched alone
     assert calls == [3] * 16 * len(starts)
 
@@ -494,12 +490,12 @@ def test_exact_all_raises_the_first_failing_starts_refusal():
     g = small_grid(3, 5)
     starts = enumerate_configs(g, 1)
     with pytest.raises((SingularCovariance, FactorizationFailure)) as alone:
-        plan_exact(g, h, 1, starts[0])
+        plan("exact", g, h, 1, starts[0])
     with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
-        plan_exact_all(g, h, 1, starts)
-    assert plan_exact_all(g, h, 1, []) == []
+        plan_all("exact", g, h, 1, starts)
+    assert plan_all("exact", g, h, 1, []) == []
     with pytest.raises(InvalidArity):
-        plan_exact_all(g, H, 1, [starts[0], RobotConfig((3,))])
+        plan_all("exact", g, H, 1, [starts[0], RobotConfig((3,))])
 
 
 def test_a_refusing_start_is_searched_once_more(monkeypatch):
@@ -687,7 +683,7 @@ def test_exact_frontier_memory_stays_chunked():
     # chunked one near 3.5 MB
     tracemalloc.start()
     try:
-        plan_exact(TransectGrid(4, 9, 5.0, 5.0), H, 1, RobotConfig((1,)))
+        plan("exact", TransectGrid(4, 9, 5.0, 5.0), H, 1, RobotConfig((1,)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -697,7 +693,7 @@ def test_exact_frontier_memory_stays_chunked():
 def test_exact_redoes_a_failed_level_node_by_node(monkeypatch):
     g = small_grid(4, 6)
     x0 = RobotConfig((1,))
-    want = plan_exact(g, H, 1, x0)
+    want = plan("exact", g, H, 1, x0)
 
     # every factor of depth 2, stacked or alone: 3 history cells plus the
     # next column
@@ -710,7 +706,7 @@ def test_exact_redoes_a_failed_level_node_by_node(monkeypatch):
 
     calls = redone_columns(monkeypatch, 1)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    res = plan_exact(g, H, 1, x0)
+    res = plan("exact", g, H, 1, x0)
     # only the 16 nodes of depth 2 were redone, each scoring column 3
     assert calls == [3] * 16
     assert res.path.configs == want.path.configs
@@ -721,7 +717,7 @@ def test_exact_redoes_a_failed_level_node_by_node(monkeypatch):
 def test_exact_redoes_only_the_failed_node_of_a_level(monkeypatch):
     g = small_grid(4, 6)
     x0 = RobotConfig((1,))
-    want = plan_exact(g, H, 1, x0)
+    want = plan("exact", g, H, 1, x0)
     configs = enumerate_configs(g, 1)
     on_path = [configs.index(x) for x in want.path.configs[1:3]]
     # a node of depth 2 off the optimal path: same first move, next second move
@@ -742,7 +738,7 @@ def test_exact_redoes_only_the_failed_node_of_a_level(monkeypatch):
 
     calls = redone_columns(monkeypatch, 1)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    res = plan_exact(g, H, 1, x0)
+    res = plan("exact", g, H, 1, x0)
     assert len(alone) == 16
     assert calls == [3]
     assert exact_bits(res) == exact_bits(want)
@@ -794,7 +790,7 @@ def test_redone_node_refuses_as_posterior_cov_does():
     with pytest.raises(type(old.value), match=message):
         planners._level_entropies(gp.LagGram(g, h), idx, first, moves)
     with pytest.raises(type(old.value), match=message):
-        plan_exact(g, h, 1, RobotConfig((0,)))
+        plan("exact", g, h, 1, RobotConfig((0,)))
 
 
 def test_exact_refuses_collapsed_noise_free_instance():
@@ -802,7 +798,7 @@ def test_exact_refuses_collapsed_noise_free_instance():
     # and the per-node route refuses with a typed error
     h = Hyperparams(ell1=1e6, ell2=1e6, signal_var=1.0, noise_var=0.0)
     with pytest.raises((SingularCovariance, FactorizationFailure)):
-        plan_exact(small_grid(3, 5), h, 1, RobotConfig((0,)))
+        plan("exact", small_grid(3, 5), h, 1, RobotConfig((0,)))
 
 
 # ---------------------------------------------------------- greedy planners
@@ -813,8 +809,8 @@ def test_greedy_entropy_never_beats_exact():
     for _ in range(8):
         g, h = scaled_grid(rng, 3, 4, random_hyperparams(rng))
         for x0 in enumerate_configs(g, 1):
-            exact = plan_exact(g, h, 1, x0)
-            greedy = plan_greedy_entropy(g, h, 1, x0)
+            exact = plan("exact", g, h, 1, x0)
+            greedy = plan("greedy-ent", g, h, 1, x0)
             assert greedy.value <= exact.value + 1e-9
 
 
@@ -823,8 +819,8 @@ def test_greedy_mi_never_beats_exact():
     for _ in range(8):
         g, h = scaled_grid(rng, 3, 4, random_hyperparams(rng))
         for x0 in enumerate_configs(g, 1):
-            exact = plan_exact(g, h, 1, x0)
-            greedy = plan_greedy_mi(g, h, 1, x0)
+            exact = plan("exact", g, h, 1, x0)
+            greedy = plan("greedy-mi", g, h, 1, x0)
             assert greedy.value <= exact.value + 1e-9
 
 
@@ -834,8 +830,8 @@ def test_greedy_single_decision_equals_exact():
     for _ in range(10):
         g, h = scaled_grid(rng, 4, 2, random_hyperparams(rng))
         for x0 in enumerate_configs(g, 2):
-            exact = plan_exact(g, h, 2, x0)
-            greedy = plan_greedy_entropy(g, h, 2, x0)
+            exact = plan("exact", g, h, 2, x0)
+            greedy = plan("greedy-ent", g, h, 2, x0)
             assert greedy.value == pytest.approx(exact.value, abs=1e-9)
             assert greedy.path.configs == exact.path.configs
 
@@ -843,8 +839,8 @@ def test_greedy_single_decision_equals_exact():
 def test_greedy_values_are_path_entropies():
     g = small_grid(3, 5)
     x0 = RobotConfig((0,))
-    for planner in (plan_greedy_entropy, plan_greedy_mi):
-        res = planner(g, H, 1, x0)
+    for policy in ("greedy-ent", "greedy-mi"):
+        res = plan(policy, g, H, 1, x0)
         assert res.value == pytest.approx(path_entropy(res.path, H), abs=1e-10)
         assert res.path.configs[0] == x0
 
@@ -854,7 +850,7 @@ def test_greedy_mi_steps_match_oracle():
     # order, so the check is argmax-up-to-ties against the flat oracle
     g = TransectGrid(5, 8, 5.0, 5.0)
     x0 = RobotConfig((2,))
-    res = plan_greedy_mi(g, H, 1, x0)
+    res = plan("greedy-mi", g, H, 1, x0)
     configs = enumerate_configs(g, 1)
     visited = list(config_locations(x0, 0))
     for col in range(1, g.n_cols):
@@ -882,11 +878,11 @@ def test_greedy_steps_match_oracle_property(rows, cols, ell1, ell2, signal, rati
     h = Hyperparams(5.0 * ell1, 5.0 * ell2, signal, ratio * signal)
     configs = enumerate_configs(g, k)
     x0 = data.draw(st.sampled_from(configs))
-    for planner, oracle in (
-        (plan_greedy_entropy, oracle_greedy_ent_scores),
-        (plan_greedy_mi, oracle_greedy_mi_scores),
+    for policy, oracle in (
+        ("greedy-ent", oracle_greedy_ent_scores),
+        ("greedy-mi", oracle_greedy_mi_scores),
     ):
-        res = planner(g, h, k, x0)
+        res = plan(policy, g, h, k, x0)
         visited = list(config_locations(x0, 0))
         for col in range(1, cols):
             scores = oracle(g, h, visited, col, configs)
@@ -900,14 +896,14 @@ def test_greedy_mi_refuses_collapsed_noise_free_instance():
     # has no inverse, and the refusal is typed
     h = Hyperparams(ell1=1e6, ell2=1e6, signal_var=1.0, noise_var=0.0)
     with pytest.raises((SingularCovariance, FactorizationFailure)):
-        plan_greedy_mi(small_grid(3, 5), h, 1, RobotConfig((0,)))
+        plan("greedy-mi", small_grid(3, 5), h, 1, RobotConfig((0,)))
 
 
 def test_greedy_mi_full_coverage_scores_by_prior_entropy():
     # two robots on two rows leave no unvisited complement; the planner
     # must still run and fill every column with the only config there is
     g = TransectGrid(2, 4, 5.0, 5.0)
-    res = plan_greedy_mi(g, H, 2, RobotConfig((0, 1)))
+    res = plan("greedy-mi", g, H, 2, RobotConfig((0, 1)))
     assert all(c == RobotConfig((0, 1)) for c in res.path.configs)
     assert res.value == pytest.approx(path_entropy(res.path, H), abs=1e-10)
 
@@ -915,25 +911,25 @@ def test_greedy_mi_full_coverage_scores_by_prior_entropy():
 def test_greedy_mi_tie_takes_lex_smallest():
     h = Hyperparams(ell1=1e-3, ell2=1e-3, signal_var=1.0, noise_var=0.1)
     g = TransectGrid(3, 4, 5.0, 5.0)
-    res = plan_greedy_mi(g, h, 1, RobotConfig((2,)))
+    res = plan("greedy-mi", g, h, 1, RobotConfig((2,)))
     assert tuple(c.rows for c in res.path.configs[1:]) == ((0,), (0,), (0,))
 
 
 def test_exact_refuses_off_grid_history():
     g = TransectGrid(4, 8, 5.0, 5.0)
     with pytest.raises(InvalidArity):
-        plan_exact(g, H, 1, RobotConfig((6,)))
+        plan("exact", g, H, 1, RobotConfig((6,)))
     with pytest.raises(InvalidArity):
-        plan_exact(g, H, 1, RobotConfig((0, 2)))
+        plan("exact", g, H, 1, RobotConfig((0, 2)))
 
 
-@pytest.mark.parametrize("planner", [plan_greedy_entropy, plan_greedy_mi])
-def test_greedy_refuses_foreign_start(planner):
+@pytest.mark.parametrize("policy", ["greedy-ent", "greedy-mi"])
+def test_greedy_refuses_foreign_start(policy):
     g = TransectGrid(4, 8, 5.0, 5.0)
     with pytest.raises(InvalidArity):
-        planner(g, H, 1, RobotConfig((6,)))
+        plan(policy, g, H, 1, RobotConfig((6,)))
     with pytest.raises(InvalidArity):
-        planner(g, H, 1, RobotConfig((0, 2)))
+        plan(policy, g, H, 1, RobotConfig((0, 2)))
 
 
 # The paper's fitted hyperparameters for the two survey fields.
@@ -941,15 +937,14 @@ SURVEY_FITS = {
     "temperature": Hyperparams(ell1=40.45, ell2=16.0, signal_var=0.1542, noise_var=0.0036),
     "plankton": Hyperparams(ell1=27.53, ell2=134.64, signal_var=2.152, noise_var=0.041),
 }
-ONE_START = {"greedy-ent": plan_greedy_entropy, "greedy-mi": plan_greedy_mi}
 
 
 def assert_sweep_matches_one_start_calls(policy, g, h, k):
     starts = enumerate_configs(g, k)
-    swept = plan_greedy(policy, g, h, k, starts)
+    swept = plan_all(policy, g, h, k, starts)
     assert [r.path.start for r in swept] == starts
     for x0, res in zip(starts, swept):
-        alone = ONE_START[policy](g, h, k, x0)
+        alone = plan(policy, g, h, k, x0)
         assert res.policy_kind == alone.policy_kind == policy
         assert res.path == alone.path
         assert float(res.value).hex() == float(alone.value).hex()
@@ -986,7 +981,7 @@ def test_greedy_sweep_matches_one_start_calls_through_refactors(monkeypatch, pol
 def test_greedy_mi_refuses_grid_past_dense_limit():
     g = TransectGrid(1, MAX_DENSE_CELLS + 1, 5.0, 5.0)
     with pytest.raises(GridTooLarge):
-        plan_greedy_mi(g, H, 1, RobotConfig((0,)))
+        plan("greedy-mi", g, H, 1, RobotConfig((0,)))
 
 
 def test_exact_search_depth_outlasts_recursion_limit():
@@ -996,7 +991,7 @@ def test_exact_search_depth_outlasts_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        res = plan_exact(g, H, 1, x0)
+        res = plan("exact", g, H, 1, x0)
     finally:
         sys.setrecursionlimit(limit)
     assert res.path.configs == (x0,) * g.n_cols
@@ -1010,12 +1005,11 @@ def direct_call(policy, g, h, k, x0):
     if policy == "markov":
         pol = plan_markov(g, h, k)
         return "markov", rollout(pol, x0), pol.value(0, x0)
-    planner = {
-        "exact": plan_exact,
-        "greedy-ent": plan_greedy_entropy,
-        "greedy-mi": plan_greedy_mi,
-    }[policy]
-    res = planner(g, h, k, x0)
+    configs = enumerate_configs(g, k)
+    if policy == "exact":
+        res = planners._exact_results(g, h, configs, [x0])[0]
+    else:
+        res = planners._greedy_sweep(policy, g, h, configs, [x0])[0]
     return res.policy_kind, res.path, res.value
 
 
@@ -1048,7 +1042,7 @@ def test_plan_refuses_unknown_policy(policy):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_plan_all_matches_one_start_calls(policy):
+def test_plan_all_matches_one_start_calls(monkeypatch, policy):
     # every start's value, path and stage gains, bit for bit
     g = small_grid(4, 5)
     starts = enumerate_configs(g, 2)
@@ -1057,6 +1051,51 @@ def test_plan_all_matches_one_start_calls(policy):
     assert [exact_bits(r) for r in results] == [
         exact_bits(plan(policy, g, H, 2, x0)) for x0 in starts
     ]
+    # a start off the grid is refused before any planning, markov's table
+    # included, with the message every planner shares
+    tables = []
+    monkeypatch.setattr(planners, "plan_markov", lambda *a: tables.append(a))
+    for bad in (RobotConfig((0, 4)), RobotConfig((1,))):
+        message = f"start {bad} is not a 2-robot configuration on this grid"
+        with pytest.raises(InvalidArity, match=re.escape(message)):
+            plan_all(policy, g, H, 2, [starts[0], bad])
+        with pytest.raises(InvalidArity, match=re.escape(message)):
+            plan(policy, g, H, 2, bad)
+    assert tables == []
+
+
+# Noise-free survey fits whose greedy sweeps over every start, k=2, meet a
+# later start's refusal before that of the first failing start, (0,1).
+FIRST_FAILING_START_CASES = [
+    ("greedy-ent", "plankton", 40),
+    ("greedy-ent", "temperature", 80),
+    ("greedy-mi", "temperature", 80),
+    ("greedy-ent", "plankton", 80),
+    ("greedy-mi", "plankton", 80),
+]
+
+
+@pytest.mark.parametrize(
+    "policy, fit, cols",
+    FIRST_FAILING_START_CASES,
+    ids=[f"{p}-{f}-5x{c}" for p, f, c in FIRST_FAILING_START_CASES],
+)
+def test_plan_all_refuses_as_the_first_failing_start(policy, fit, cols):
+    g = TransectGrid(5, cols, 5.0, 5.0)
+    h = dataclasses.replace(SURVEY_FITS[fit], noise_var=0.0)
+    starts = enumerate_configs(g, 2)
+    for x0 in starts:
+        try:
+            plan(policy, g, h, 2, x0)
+        except TransectPlanError as e:
+            first = e
+            break
+    else:
+        pytest.fail("no start refuses")
+    with pytest.raises(type(first)) as refused:
+        plan_all(policy, g, h, 2, starts)
+    assert type(refused.value) is type(first)
+    assert str(refused.value) == str(first)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -1075,17 +1114,17 @@ def test_planner_kinds_labelled():
     g = small_grid(3, 4)
     x0 = RobotConfig((0,))
     assert plan("markov", g, H, 1, x0).policy_kind == "markov"
-    assert plan_exact(g, H, 1, x0).policy_kind == "exact"
-    assert plan_greedy_entropy(g, H, 1, x0).policy_kind == "greedy-ent"
-    assert plan_greedy_mi(g, H, 1, x0).policy_kind == "greedy-mi"
+    assert plan("exact", g, H, 1, x0).policy_kind == "exact"
+    assert plan("greedy-ent", g, H, 1, x0).policy_kind == "greedy-ent"
+    assert plan("greedy-mi", g, H, 1, x0).policy_kind == "greedy-mi"
 
 
 def test_planners_deterministic_across_calls():
     g = small_grid(4, 5)
     x0 = RobotConfig((1,))
-    for planner in (plan_greedy_entropy, plan_greedy_mi):
-        a = planner(g, H, 1, x0)
-        b = planner(g, H, 1, x0)
+    for policy in ("greedy-ent", "greedy-mi"):
+        a = plan(policy, g, H, 1, x0)
+        b = plan(policy, g, H, 1, x0)
         assert a.path.configs == b.path.configs
         assert a.value == b.value
 
@@ -1108,9 +1147,9 @@ def assert_first_move_not_after_mirror(planner, g, h, k, x0):
 @pytest.mark.parametrize(
     "planner, g, h, k, x0",
     [
-        (plan_greedy_mi, TransectGrid(3, 6, 5.0, 5.0),
+        (functools.partial(plan, "greedy-mi"), TransectGrid(3, 6, 5.0, 5.0),
          Hyperparams(10.0, 5.0, 1.0, 0.1), 1, RobotConfig((1,))),
-        (plan_greedy_entropy, TransectGrid(5, 10, 5.0, 5.0),
+        (functools.partial(plan, "greedy-ent"), TransectGrid(5, 10, 5.0, 5.0),
          Hyperparams(40.45, 16.0, 0.1542, 0.0036), 2, RobotConfig((0, 4))),
         (functools.partial(plan, "markov"), TransectGrid(3, 5, 5.0, 5.0),
          Hyperparams(40.45, 16.0, 0.1542, 0.0036), 2, RobotConfig((0, 2))),
@@ -1137,10 +1176,5 @@ def test_mirror_tie_takes_lex_smaller_first_move(rows, cols, k, ell1, ell2, nois
     starts = [c for c in enumerate_configs(g, k) if mirror(c, rows) == c]
     assume(starts)
     x0 = data.draw(st.sampled_from(starts))
-    for planner in (
-        functools.partial(plan, "markov"),
-        plan_greedy_entropy,
-        plan_greedy_mi,
-        plan_exact,
-    ):
-        assert_first_move_not_after_mirror(planner, g, h, k, x0)
+    for policy in POLICIES:
+        assert_first_move_not_after_mirror(functools.partial(plan, policy), g, h, k, x0)

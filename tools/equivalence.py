@@ -6,12 +6,15 @@ classify every difference.
 
 ``record`` imports ``transectplan`` from ``DIR/src`` (a checkout of any
 revision, for example one unpacked with ``git archive``), runs every case of
-``corpus()`` through every planner in ``PLANNERS`` and writes, per run, the
-value's exact bits, the path's rows, the exhaustive planner's stage gains and
-the refusal's type name. It also runs ``run_benchmark`` on the survey-fit
-cases (see :func:`survey`), so the benchmark's batched route and its map
-metrics are compared too, ``verify_performance_bounds`` on the cases within
-the exhaustive planner's leaf cap (see :func:`audit`), and ``plan_markov``
+``corpus()`` through every planner in ``PLANNERS``, each a one-start
+``plan`` call, and writes, per run, the value's exact bits, the path's rows,
+the exhaustive planner's stage gains and the refusal's type name. It also
+runs ``plan_all`` from every start of each instance within the exhaustive
+planner's leaf cap, for every policy (see :func:`many`), so the many-start
+route of the one planning entry point is compared too, ``run_benchmark`` on
+the survey-fit cases (see :func:`survey`), so the benchmark's batched route
+and its map metrics are compared, ``verify_performance_bounds`` on the cases
+within the leaf cap (see :func:`audit`), and ``plan_markov``
 with its stage table, its rollouts and their ``path_entropy`` on every
 instance (see :func:`markov`). ``compare`` puts each run in one class of
 ``CLASSES`` and prints the counts per planner and noise group; noise ratios
@@ -24,7 +27,8 @@ the settings it ran under, and ``compare`` prints a line when the two
 records' settings differ. ``.equivalence/`` is ignored by git.
 
 To cover another planner, add a runner to ``PLANNERS`` that maps a built
-``(tp, grid, h, k, x0)`` to a ``PlanResult``.
+``(tp, grid, h, k, x0)`` to a ``PlanResult``, and its policy name to
+``MANY_POLICIES``.
 """
 
 from __future__ import annotations
@@ -60,10 +64,12 @@ FITS = {
 EXACT_LEAVES = 50_000
 
 PLANNERS = {
-    "greedy-ent": lambda tp, g, h, k, x0: tp.plan_greedy_entropy(g, h, k, x0),
-    "greedy-mi": lambda tp, g, h, k, x0: tp.plan_greedy_mi(g, h, k, x0),
-    "exact": lambda tp, g, h, k, x0: tp.plan_exact(g, h, k, x0, budget=EXACT_LEAVES),
+    name: lambda tp, g, h, k, x0, name=name: tp.plan(name, g, h, k, x0, budget=EXACT_LEAVES)
+    for name in ("greedy-ent", "greedy-mi", "exact")
 }
+
+# The policies the many-start runner sends through ``plan_all``.
+MANY_POLICIES = ("markov", "exact", "greedy-ent", "greedy-mi")
 
 SURVEY_POLICIES = ("markov", "greedy-ent", "greedy-mi")
 
@@ -224,15 +230,48 @@ def survey(tp, cases: list[Case]) -> dict:
     return runs
 
 
+def within_leaf_cap(case: Case) -> bool:
+    return math.comb(case.rows, case.k) ** (case.cols - 1) <= EXACT_LEAVES
+
+
+def many(tp, cases: list[Case]) -> dict:
+    """``plan_all`` from every start of each instance of the cases within
+    the exhaustive planner's leaf cap, once per policy of ``MANY_POLICIES``.
+    Each start is one run, keyed by the policy, the instance's first case
+    and the start, holding the value bits, the path and the stage-gain bits;
+    a refused call records its refusal for every start."""
+    runs = {}
+    for inst, members in instances(cases, within_leaf_cap).items():
+        grid, h = instance(tp, inst)
+        starts = tp.enumerate_configs(grid, inst.k)
+        for policy in MANY_POLICIES:
+            try:
+                results = tp.plan_all(policy, grid, h, inst.k, starts, budget=EXACT_LEAVES)
+                refusal = None
+            except Exception as exc:  # an untyped failure is recorded, not raised
+                refusal = refusal_name(tp, exc)
+                results = [None] * len(starts)
+            for x0, res in zip(starts, results):
+                out = {"refusal": refusal, "value": None, "path": None}
+                if res is not None:
+                    out.update(
+                        value=float(res.value).hex(),
+                        path=[list(c.rows) for c in res.path.configs],
+                        gains=hexes(res.stage_gains),
+                    )
+                key = f"many/{policy}/{members[0].name}/{list(x0.rows)}"
+                runs[key] = {"planner": "many", "group": inst.group, **out}
+    return runs
+
+
 def audit(tp, cases: list[Case]) -> dict:
     """``verify_performance_bounds`` once per instance of the cases within
     the exhaustive planner's leaf cap. Each audited start is one run, keyed
     by the instance's first case, holding its exact value's bits as its
     value, its markov and rollout value bits and its three verdict flags; a
     refused call records its refusal for every start. Runs carry no path."""
-    leaves = lambda c: math.comb(c.rows, c.k) ** (c.cols - 1)
     runs = {}
-    for inst, members in instances(cases, lambda c: leaves(c) <= EXACT_LEAVES).items():
+    for inst, members in instances(cases, within_leaf_cap).items():
         grid, h = instance(tp, inst)
         starts = tp.enumerate_configs(grid, inst.k)
         try:
@@ -316,6 +355,7 @@ def record(cases: list[Case]) -> dict:
                     **run(tp, case, planner),
                 }
         runs.update(survey(tp, cases))
+        runs.update(many(tp, cases))
         runs.update(audit(tp, cases))
         runs.update(markov(tp, cases))
     return {
