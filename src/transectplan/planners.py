@@ -536,17 +536,6 @@ def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
     return [PlanResult(policy, path, v, seconds) for path, v in zip(paths, values)]
 
 
-def _markov_results(grid, h, k, starts) -> list[PlanResult]:
-    """One Markov table rolled out from every start in ``starts``, each
-    result valued by the policy's stagewise value from its start and timed
-    by the table's wall time divided by the number of starts."""
-    pol = plan_markov(grid, h, k)
-    return [
-        PlanResult("markov", rollout(pol, x0), pol.value(0, x0), pol.plan_seconds / len(starts))
-        for x0 in starts
-    ]
-
-
 def plan_all(
     policy: str,
     grid: TransectGrid,
@@ -563,11 +552,11 @@ def plan_all(
     leaf count |A|^(n_cols - 1) from one start exceeds ``budget``, which
     caps nothing else, and greedy-mi on grids beyond MAX_DENSE_CELLS cells;
     a start that is not a k-robot configuration of the grid. Then it plans
-    every start at once, markov by one table (:func:`plan_markov`), exact by
-    one tree (:func:`_exact_results`) and the greedy planners by one sweep
-    (:func:`_greedy_sweep`); on a refusal the starts are planned again one
-    by one (:func:`_one_at_a_time`), so the first failing start's refusal is
-    raised.
+    every start at once, markov by rolling out one table
+    (:func:`plan_markov`), exact by one tree (:func:`_exact_results`) and
+    the greedy planners by one sweep (:func:`_greedy_sweep`); on a refusal
+    the starts are planned again one by one (:func:`_one_at_a_time`), so the
+    first failing start's refusal is raised.
 
     A markov result is valued by the policy's stagewise value: an upper
     bound on the joint entropy of any path from its start, not the
@@ -590,7 +579,13 @@ def plan_all(
         if x0 not in configs:
             raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
     if policy == "markov":
-        run = lambda some: _markov_results(grid, h, k, some)
+        # the table does not depend on the starts, so its refusal is every
+        # start's and needs no replay; a rollout does not refuse
+        pol = plan_markov(grid, h, k)
+        run = lambda some: [
+            PlanResult(policy, rollout(pol, x0), pol.value(0, x0), pol.plan_seconds / len(some))
+            for x0 in some
+        ]
     elif policy == "exact":
         run = lambda some: _exact_results(grid, h, configs, some)
     else:
