@@ -60,6 +60,8 @@ class ExperimentSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        if not self.policies:
+            raise ParseError("at least one policy required")
         unknown = [p for p in self.policies if p not in POLICIES]
         if unknown:
             raise ParseError(f"unknown policies {unknown}; choose from {POLICIES}")
@@ -69,6 +71,8 @@ class ExperimentSpec:
             )
         if self.start_mode == "explicit" and not self.starts:
             raise ParseError("explicit start mode needs at least one start")
+        if not self.team_sizes:
+            raise ParseError("at least one team size required")
         if not self.seeds:
             raise ParseError("at least one seed required")
         if min(self.seeds) < 0:

@@ -25,10 +25,6 @@ class InvalidArity(TransectPlanError):
     """A robot configuration does not match the expected team size or row set."""
 
 
-class ColumnOverflow(TransectPlanError):
-    """A transition was requested past the last grid column."""
-
-
 class BudgetExceeded(TransectPlanError):
     """Exhaustive search would evaluate more leaves than the configured budget."""
 

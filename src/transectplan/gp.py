@@ -218,15 +218,22 @@ def chol_factor(cov: np.ndarray) -> np.ndarray:
     """
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     L, ok = _probe(cov)
-    if ok.all():
-        return L
+    if not ok.all():
+        _past_rung_0(cov, L, ok)
+    return L
+
+
+def _past_rung_0(cov: np.ndarray, L: np.ndarray, ok: np.ndarray) -> None:
+    """The rest of :func:`chol_factor` after :func:`_probe` gave ``(L, ok)``
+    for the stack ``cov``: in place in ``L``, the matrices that failed rung 0
+    are retried one by one in C order up the jitter ladder, and the first
+    failing one's refusal is raised."""
     n = cov.shape[-1]
     flat, covs = L.reshape(-1, n, n), cov.reshape(-1, n, n)
     for i in np.flatnonzero(~ok):
         if np.isnan(flat[i]).any():
             flat[i] = _climb(covs[i])
         logdet_from_factor(flat[i])  # refuses a non-finite or sub-floor pivot
-    return L
 
 
 def logdet_from_factor(factor: np.ndarray) -> float:
@@ -329,10 +336,27 @@ def minor_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Entropies of the principal minors ``cov[..., idx[j]][..., idx[j]]``,
     one per row of the (m, k) index array and per matrix of the stack
     ``cov`` (shape (..., R, R)): :func:`gaussian_entropy` of the gathered
-    minors, shape (..., m).
+    minors, shape (..., m), by :func:`minor_factors`.
+    """
+    return minor_factors(cov, idx)[0]
+
+
+def minor_factors(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`minor_entropies` with the factors it takes them from, as
+    ``(entropies, L, ok)``: ``L`` (shape (..., m, k, k)) holds the minors'
+    lower factors and ``ok`` (shape (..., m)) is false where a minor failed
+    rung 0 and was factored with jitter. The steps, bits and refusals are
+    those of :func:`gaussian_entropy` on the gathered minors, by
+    :func:`_probe` and the rest of :func:`chol_factor`'s ladder, so that
+    ``ok`` is kept.
     """
     idx = np.asarray(idx)
-    return gaussian_entropy(cov[..., idx[:, :, None], idx[:, None, :]])
+    minors = cov[..., idx[:, :, None], idx[:, None, :]]
+    L, ok = _probe(minors)
+    if not ok.all():
+        _past_rung_0(minors, L, ok)
+    d = L.diagonal(axis1=-2, axis2=-1)
+    return 0.5 * (idx.shape[1] * LOG_2PI_E + 2.0 * np.log(d).sum(axis=-1)), L, ok
 
 
 def precision(cov: np.ndarray) -> np.ndarray:
@@ -361,7 +385,8 @@ class LagGram:
     puts it. The kernel is stationary, so these n_cols blocks of
     n_rows x n_rows hold every entry of the grid's Gram matrix, with the same
     bits as :func:`cross_cov` between the same cells. No other code reads
-    the blocks: a call, :meth:`along` and :meth:`dense` gather from them.
+    the blocks: a call, :meth:`along`, :meth:`before` and :meth:`dense`
+    gather from them.
     """
 
     def __init__(self, grid: TransectGrid, h: Hyperparams):
@@ -371,6 +396,8 @@ class LagGram:
         block = _signal_gram(cells, cells[:n_rows], h, grid.widths)
         block[np.arange(n_rows), np.arange(n_rows)] += h.noise_var
         self.blocks = block.reshape(grid.n_cols, n_rows, n_rows)
+        # where each row's entries start within a block
+        self._row_starts = (np.arange(n_rows) * n_rows)[:, None]
 
     def __call__(self, a, b) -> np.ndarray:
         """The block M[a][:, b] for cell index arrays ``a`` and ``b``, whose
@@ -387,6 +414,15 @@ class LagGram:
         cells are (cols[i], rows[..., i]); one lag array serves the stack."""
         lag = np.abs(cols[:, None] - cols[None, :])
         return self.blocks[lag, rows[..., :, None], rows[..., None, :]]
+
+    def before(self, col: int, cols, rows) -> np.ndarray:
+        """The block M[a][:, b], shape (..., n_rows, n), for ``a`` the cells
+        of column ``col`` in row order and ``b`` the n cells
+        (cols[i], rows[..., i]), each in a column before ``col``: every lag
+        col - cols[i] is positive, so the call's divmod and abs are not
+        needed. The same bits as the call."""
+        flat = (col - cols) * self.n_rows**2 + rows
+        return self.blocks.reshape(-1)[flat[..., None, :] + self._row_starts]
 
     def dense(self) -> np.ndarray:
         """The whole grid's Gram matrix over column-major cells, filled one
@@ -406,13 +442,16 @@ class GrowingFactor:
 
     ``entries(a, b)`` returns the block M[a][:, b] of a symmetric positive
     definite matrix M that need never be formed whole; its index arrays
-    broadcast over a leading stack axis, as :class:`LagGram`'s do.
+    broadcast over a leading stack axis, as :class:`LagGram`'s do. It
+    gathers the start's block and a refactored member's history; the
+    caller gathers the candidates' blocks, by whatever route is cheapest.
     :meth:`condition` gives each member's Schur complement of M[V_s, V_s]
     for candidate indices shared by the stack, which for a covariance M is
     their covariance given V_s, at O(n^2 R) per member for n indices in V_s
     and R candidates; :meth:`extend` appends chosen candidates to each V_s
-    from the same W and Schur block, so V_s is factored only once (Golub &
-    Van Loan, Matrix Computations, 4th ed., sec. 4.2).
+    from the same W and the factor of their Schur block, so V_s is factored
+    only once and each block only where it was scored (Golub & Van Loan,
+    Matrix Computations, 4th ed., sec. 4.2).
 
     The factors live in one (stack, capacity, capacity) buffer, filled in
     place: ``factor[s, :size, :size]`` is L_s and ``cells[s, :size]`` is
@@ -421,43 +460,48 @@ class GrowingFactor:
 
     def __init__(self, entries, cells, capacity: int):
         cells = np.asarray(cells)
-        stack = cells.shape[0]
+        stack, n = cells.shape
         self.entries = entries
-        self.size = 0
+        self.size = n
         self.cells = np.zeros((stack, capacity), dtype=np.int64)
+        self.cells[:, :n] = cells
         self.factor = np.zeros((stack, capacity, capacity))
-        self.extend(cells, np.empty((stack, cells.shape[1], 0)), entries(cells, cells))
+        self.factor[:, :n, :n] = chol_factor(entries(cells, cells))
 
-    def condition(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(S, Wt)`` for the candidate indices ``cells`` (shape (R,)): with
-        W_s = L_s^-1 M[V_s, cells], ``Wt[s]`` is W_s^T (shape (R, n)) and
-        ``S[s]`` is M[cells, cells] - W_s^T W_s."""
+    def condition(self, cross: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(S, Wt)`` for candidate indices c, given ``cross[s]`` =
+        M[c, V_s] (shape (stack, R, n)) and ``block`` = M[c, c]: with
+        W_s = L_s^-1 M[V_s, c], ``Wt[s]`` is W_s^T, solved in place in
+        ``cross`` (in a C-ordered copy when it is not one), and ``S[s]`` is
+        M[c, c] - W_s^T W_s."""
         n = self.size
-        # M[cells, V_s] is M[V_s, cells]^T; each member's W_s^T is solved in it
-        wt = self.entries(cells, self.cells[:, :n])
+        # M[c, V_s] is M[V_s, c]^T; each member's W_s^T is solved in it
+        wt = np.ascontiguousarray(cross, dtype=float)
         dtrtrs = _scipy_linalg().lapack.dtrtrs
         for factor, w in zip(self.factor, wt):
             # L_s^T, read in place from the buffer with leading dimension capacity
             _, info = dtrtrs(factor.T[:, :n], w.T, lower=0, trans=1, overwrite_b=1)
             if info != 0:
                 raise SingularCovariance(f"trtrs failed with info {info}")
-        return self.entries(cells, cells) - wt @ wt.transpose(0, 2, 1), wt
+        return block - wt @ wt.transpose(0, 2, 1), wt
 
-    def extend(self, cells: np.ndarray, wt: np.ndarray, s: np.ndarray) -> None:
+    def extend(self, cells: np.ndarray, wt: np.ndarray, factor: np.ndarray, ok: np.ndarray) -> None:
         """Append ``cells[s]`` (shape (stack, k)) to each V_s, given the rows
-        ``wt[s]`` of W_s^T and the Schur block ``s[s]`` from
-        :meth:`condition`: L_s' = [[L_s, 0], [W_s^T, chol(S_s)]]. The
-        members whose Schur block fails rung 0 of :func:`chol_factor`'s
-        ladder are refactored from all of M[V_s', V_s'] by one
-        :func:`chol_factor` call over their stack, with its jitter ladder and
-        refusals, the first failing member's first.
+        ``wt[s]`` of W_s^T from :meth:`condition`, the lower factor
+        ``factor[s]`` of the Schur block S_s[cells[s], cells[s]] and
+        ``ok[s]``, whether that block passed rung 0 of :func:`chol_factor`'s
+        ladder: L_s' = [[L_s, 0], [W_s^T, factor[s]]]. No block is factored
+        here. The members whose block failed rung 0 are refactored from all
+        of M[V_s', V_s'] by one :func:`chol_factor` call over their stack,
+        with its jitter ladder and refusals, the first failing member's
+        first.
         """
         n, k = self.size, cells.shape[1]
         new = slice(n, n + k)
         self.size = n + k
         self.cells[:, new] = cells
         self.factor[:, new, :n] = wt
-        self.factor[:, new, new], ok = _probe(s)
+        self.factor[:, new, new] = factor
         failed = np.flatnonzero(~ok)
         if failed.size:
             v = self.cells[failed, : self.size]
@@ -505,11 +549,14 @@ def _unit_toeplitz(n: int, step: float) -> np.ndarray:
     """Unit-variance squared-exponential Gram of ``n`` equally spaced points
     ``step`` length-scales apart, K[i, j] = row[|i - j|] with
     row[l] = exp(-0.5 * (l * step)^2): the same bits as :func:`_signal_gram`
-    on those points, from n exponentials instead of n^2."""
-    i = np.arange(n)
-    lag = i * step
+    on those points, from n exponentials instead of n^2. Row i is the
+    window of length n ending n - 1 - i past the middle of the mirrored row
+    (row[n-1], ..., row[1], row[0], ..., row[n-1]), so the matrix is copied
+    from strided windows with no index array."""
+    lag = np.arange(n) * step
     row = np.exp(-0.5 * (lag * lag))
-    return row[np.abs(i[:, None] - i[None, :])]
+    mirrored = np.concatenate([row[:0:-1], row])
+    return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
 
 
 def _centro_eigh(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

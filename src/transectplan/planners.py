@@ -73,6 +73,7 @@ from .gp import (
     cov_matrix,
     gaussian_entropy,
     minor_entropies,
+    minor_factors,
     precision,
 )
 from .transect import (
@@ -480,17 +481,26 @@ def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
     sum of greedy scores.
 
     Cells are numbered column-major (``col * n_rows + row``). The first term
-    conditions the column's prior covariance, gathered by one ``LagGram``,
-    on a stacked factor of each start's visited cells; the second conditions
-    the whole grid's precision P = K^-1, formed once per sweep, on a stacked
-    factor of P over the visited cells, since P_cc - P_cV P_VV^-1 P_Vc is
-    the inverse of the column's covariance given every unvisited cell. Both
-    factors grow by the chosen rows at each column instead of being
-    refactored. P comes from one factor of the dense Gram matrix by
-    ``chol_factor``, hence greedy-mi's cell cap; a Gram matrix that the
-    jitter ladder does not factor, or whose factor reaches DIAG_FLOOR, is
-    refused. Every result's ``plan_seconds`` is the sweep's wall time
-    divided by the number of starts.
+    conditions the column's prior covariance on a stacked factor of each
+    start's visited cells; the column's block against those cells is
+    gathered by lag (``LagGram.before``), and its own block is the same at
+    every column. The second term conditions the whole grid's precision
+    P = K^-1, formed once per sweep, on a stacked factor of P over the
+    visited cells, since P_cc - P_cV P_VV^-1 P_Vc is the inverse of the
+    column's covariance given every unvisited cell. P comes from one factor
+    of the dense Gram matrix by ``chol_factor``, hence greedy-mi's cell cap;
+    a Gram matrix that the jitter ladder does not factor, or whose factor
+    reaches DIAG_FLOOR, is refused.
+
+    At each column, one ``minor_factors`` call factors every candidate
+    minor of every factor and start, with ``chol_factor``'s ladder and
+    refusals, so the first failing minor in (factor, start, configuration)
+    order is refused. The chosen minor's factor is both its score and the
+    new diagonal block by which each factor grows, so no factor is
+    refactored and no minor factored twice; a member whose chosen minor
+    needed jitter is refactored from its whole history instead. Every
+    result's ``plan_seconds`` is the sweep's wall time divided by the number
+    of starts.
     """
     if not starts:
         return []
@@ -500,18 +510,31 @@ def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
     n_rows, n_cols = grid.n_rows, grid.n_cols
     k = idx.shape[1]
     prior = LagGram(grid, h)
-    visited = np.array([x0.rows for x0 in starts])
-    members = np.arange(len(starts))[:, None]
-    factors = [GrowingFactor(prior, visited, k * n_cols)]
+    # the visited cells, k per column: their columns, and each start's rows
+    cols = np.repeat(np.arange(n_cols), k)
+    rows = np.empty((len(starts), k * n_cols), dtype=np.int64)
+    rows[:, :k] = [x0.rows for x0 in starts]
+    stack = np.arange(len(starts))
+    here = np.arange(n_rows)  # column 0's cells
+    # a column's own block, the same at every column
+    own = prior(here, here)
+    factors = [GrowingFactor(prior, rows[:, :k], k * n_cols)]
     if mi:
         p = precision(prior.dense())
         entries = lambda a, b: p[np.asarray(a)[..., :, None], np.asarray(b)[..., None, :]]
-        factors.append(GrowingFactor(entries, visited, k * n_cols))
+        factors.append(GrowingFactor(entries, rows[:, :k], k * n_cols))
+    post = np.empty((len(factors), len(starts), n_rows, n_rows))
     chosen = []
     for col in range(1, n_cols):
-        column = col * n_rows + np.arange(n_rows)
-        steps = [f.condition(column) for f in factors]
-        entropies = minor_entropies(np.stack([post for post, _ in steps]), idx)
+        n = col * k
+        column = col * n_rows + here
+        post[0], wt = factors[0].condition(prior.before(col, cols[:n], rows[:, :n]), own)
+        wts = [wt]
+        if mi:
+            cross = entries(column, factors[1].cells[:, :n])
+            post[1], wt = factors[1].condition(cross, entries(column, column))
+            wts.append(wt)
+        entropies, factor, ok = minor_factors(post, idx)
         scores = entropies[0]
         if mi:
             # less the entropy given every unvisited cell, from its precision
@@ -519,13 +542,9 @@ def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
         j = _first_best(scores)
         chosen.append(j)
         if col + 1 < n_cols:
-            rows = idx[j]
-            for f, (post, wt) in zip(factors, steps):
-                f.extend(
-                    column[rows],
-                    wt[members, rows],
-                    post[members[:, :, None], rows[:, :, None], rows[:, None, :]],
-                )
+            rows[:, n : n + k] = idx[j]
+            for f, wt, fj, okj in zip(factors, wts, factor[:, stack, j], ok[:, stack, j]):
+                f.extend(column[idx[j]], wt[stack[:, None], idx[j]], fj, okj)
 
     paths = [
         ObservationPath(grid, (x0, *(configs[j] for j in seq)))

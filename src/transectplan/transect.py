@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ColumnOverflow, InvalidArity
+from .errors import InvalidArity
 
 
 class Location(NamedTuple):
@@ -129,24 +129,6 @@ def config_locations(x: RobotConfig, col: int) -> tuple[Location, ...]:
     """Cells occupied by configuration ``x`` placed at column ``col``,
     ordered by row."""
     return tuple(Location(col, r) for r in x.rows)
-
-
-def transition(
-    x: RobotConfig, a: RobotConfig, col: int, grid: TransectGrid
-) -> RobotConfig:
-    """Advance the team from ``x`` at ``col`` to configuration ``a`` at
-    ``col + 1``.
-
-    The action names the destination rows outright, so the result does not
-    depend on ``x`` beyond arity checking. Deterministic.
-    """
-    if a.k != x.k:
-        raise InvalidArity(f"action arity {a.k} != configuration arity {x.k}")
-    if max(a.rows) >= grid.n_rows:
-        raise InvalidArity(f"action {a} leaves the grid (n_rows={grid.n_rows})")
-    if col + 1 >= grid.n_cols:
-        raise ColumnOverflow(f"no column {col + 1} in a {grid.n_cols}-column grid")
-    return a
 
 
 @dataclass(frozen=True)

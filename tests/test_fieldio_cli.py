@@ -242,6 +242,18 @@ def test_spec_validation():
             spec_of(mean=mean)
 
 
+def test_spec_refuses_empty_team_sizes():
+    # an empty grid of runs would return an empty table without a word
+    with pytest.raises(ParseError, match="at least one team size"):
+        spec_of(team_sizes=())
+
+
+def test_spec_refuses_empty_policies():
+    # it would also plan and evaluate the Markov rows before dropping them
+    with pytest.raises(ParseError, match="at least one policy"):
+        spec_of(policies=())
+
+
 def test_benchmark_row_counts_all_mode():
     rows = run_benchmark(spec_of(seeds=(0, 1)))
     # 2 seeds x 2 policies x (3 starts + 1 mean row)

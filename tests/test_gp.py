@@ -379,6 +379,25 @@ def test_minor_entropies_collapsed_minor_raises():
         minor_entropies(np.diag([1.0, 1e-310]), np.array([[0], [1]]))
 
 
+def test_minor_factors_are_chol_factors_flagged_past_rung_0():
+    # the second matrix's minor at rows (0, 1) is singular and takes jitter;
+    # ok flags it, and every factor and entropy is chol_factor's
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4))
+    cov = np.stack([a @ a.T + 0.5 * np.eye(4), np.eye(4)])
+    cov[1, 0, 1] = cov[1, 1, 0] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov[1, :2, :2])
+    idx = np.array(list(itertools.combinations(range(4), 2)))
+    entropies, L, ok = gp.minor_factors(cov, idx)
+    minors = cov[:, idx[:, :, None], idx[:, None, :]]
+    np.testing.assert_array_equal(L, chol_factor(minors))
+    np.testing.assert_array_equal(entropies, gaussian_entropy(minors))
+    np.testing.assert_array_equal(ok, [[True] * 6, [False] + [True] * 5])
+    with pytest.raises(SingularCovariance):
+        gp.minor_factors(np.diag([1.0, 1e-310]), np.array([[0], [1]]))
+
+
 # ----------------------------------------------------------- growing factor
 
 
@@ -437,6 +456,13 @@ def test_lag_gram_matches_cross_cov_bits():
                 np.testing.assert_array_equal(mine, cross_cov(locs, locs, h, g.widths))
                 if len(set(locs)) == len(locs):
                     np.testing.assert_array_equal(mine, cov_matrix(locs, h, g.widths))
+            # one column's cells against cells of earlier columns, by lag
+            col = int(rng.integers(1, cols))
+            earlier = rng.integers(0, col, 5)
+            earlier_rows = rng.integers(0, rows, (3, 5))
+            column = col * rows + np.arange(rows)
+            want = grid_entries(g, h)(column, earlier * rows + earlier_rows)
+            np.testing.assert_array_equal(gram.before(col, earlier, earlier_rows), want)
             path = rng.integers(0, rows, (2, cols))
             locs = [[Location(c, int(r)) for c, r in enumerate(rs)] for rs in path]
             want = [cov_matrix(x, h, g.widths) for x in locs]
@@ -448,20 +474,28 @@ def pivot_blocks(s, members, chosen):
     return s[members[:, :, None], chosen[:, :, None], chosen[:, None, :]]
 
 
+def condition_on(f, entries, column):
+    """``f.condition`` for the candidate cells ``column``, their blocks
+    gathered by ``entries``."""
+    return f.condition(entries(column, f.cells[:, : f.size]), entries(column, column))
+
+
 def grown_history(grid, h, seed, k, stack=3):
     """Grow a stack of factors, each from random rows of column 0 by random
     rows of every later column; yields (factor, column cells, S, W^T)
-    before each append."""
+    before each append. Each pivot block is factored by rung 0 alone."""
     rng = np.random.default_rng(seed)
     rows = lambda: np.sort([rng.choice(grid.n_rows, k, replace=False) for _ in range(stack)])
-    f = GrowingFactor(grid_entries(grid, h), rows(), k * grid.n_cols)
+    entries = grid_entries(grid, h)
+    f = GrowingFactor(entries, rows(), k * grid.n_cols)
     members = np.arange(stack)[:, None]
     for col in range(1, grid.n_cols):
         column = col * grid.n_rows + np.arange(grid.n_rows)
-        s, wt = f.condition(column)
+        s, wt = condition_on(f, entries, column)
         yield f, column, s, wt
         chosen = rows()
-        f.extend(column[chosen], wt[members, chosen], pivot_blocks(s, members, chosen))
+        factor, ok = gp._probe(pivot_blocks(s, members, chosen))
+        f.extend(column[chosen], wt[members, chosen], factor, ok)
     yield f, None, None, None
 
 
@@ -500,7 +534,7 @@ def test_growing_factor_precision_route_inverts_rest_posterior():
         if column is None:
             break
         prec = GrowingFactor(entries, f.cells[:, : f.size], n)
-        lam, _ = prec.condition(column)
+        lam, _ = condition_on(prec, entries, column)
         for member, (_, v) in enumerate(members_of(f)):
             others = [cells[i] for i in np.setdiff1d(np.arange(n), np.r_[v, column])]
             rest = posterior_cov([cells[i] for i in column], others, h, g.widths)
@@ -553,25 +587,32 @@ def test_growing_factor_refactors_only_the_member_whose_pivot_fails(monkeypatch,
     column = g.n_rows + np.arange(g.n_rows)
     chosen = np.array([[0, 2], [1, 2], [0, 3]])
     members = np.arange(3)[:, None]
-    s, wt = grown.condition(column)
+    s, wt = condition_on(grown, entries, column)
     blocks = pivot_blocks(s, members, chosen)
 
-    refactored = []
-    real_chol_factor = gp.chol_factor
+    refactored, probed = [], []
+    real_chol_factor, real_probe = gp.chol_factor, gp._probe
 
     def counted(cov):
         refactored.append(cov.shape)
         return real_chol_factor(cov)
 
+    def counted_probe(cov):
+        probed.append(cov.shape)
+        return real_probe(cov)
+
     monkeypatch.setattr(gp, "chol_factor", counted)
-    grown.extend(column[chosen], wt[members, chosen], blocks)
-    assert refactored == []
+    factor, ok = real_probe(blocks)
+    monkeypatch.setattr(gp, "_probe", counted_probe)
+    grown.extend(column[chosen], wt[members, chosen], factor, ok)
+    # the blocks come factored: a happy append factors nothing
+    assert refactored == [] and probed == []
     for bad in ([1], [0, 2]):
         forced = GrowingFactor(entries, starts, 12)
         failing = blocks.copy()
         failing[bad] = bad_block
         refactored.clear()
-        forced.extend(column[chosen], wt[members, chosen], failing)
+        forced.extend(column[chosen], wt[members, chosen], *real_probe(failing))
         # the failing members are refactored in one call over their stack
         assert refactored == [(len(bad), 4, 4)]
         for member in range(3):
@@ -759,7 +800,7 @@ def test_kron_eigen_rebuilds_grid_covariance(grid, h):
     )
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 400])
 @pytest.mark.parametrize(
     "width, ell", [(5.0, 40.45), (5.0, 16.0), (4.0, 134.64), (2.5, 0.3), (1.0, 1.0)]
 )

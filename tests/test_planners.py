@@ -978,6 +978,33 @@ def test_greedy_sweep_matches_one_start_calls_through_refactors(monkeypatch, pol
     assert any(k < n < k * g.n_cols for n in orders)
 
 
+@pytest.mark.parametrize("policy", ["greedy-ent", "greedy-mi"])
+@pytest.mark.parametrize("fit", sorted(SURVEY_FITS))
+def test_greedy_sweep_factors_each_candidate_minor_once(monkeypatch, policy, fit):
+    # the chosen minor's factor is the one it was scored with, so a column
+    # costs one stacked rung-0 call and the appends factor nothing
+    g = TransectGrid(5, 40, 5.0, 5.0)
+    k, starts = 2, [RobotConfig((0, 1)), RobotConfig((2, 4))]
+    configs = enumerate_configs(g, k)
+    shapes = []
+    real_probe = gp._probe
+
+    def counted(cov):
+        shapes.append(cov.shape)
+        return real_probe(cov)
+
+    monkeypatch.setattr(gp, "_probe", counted)
+    planners._greedy_sweep(policy, g, SURVEY_FITS[fit], configs, starts)
+    mi = policy == "greedy-mi"
+    start = [(len(starts), k, k)]  # one factor's start blocks
+    cells = g.n_rows * g.n_cols
+    setup = start + ([(cells, cells)] + start if mi else [])  # greedy-mi's precision
+    column = (1 + mi, len(starts), len(configs), k, k)  # every factor's candidate minors
+    # path_entropies values the paths from their joint and start matrices
+    values = [(len(starts), k * g.n_cols, k * g.n_cols), (len(starts), k, k)]
+    assert shapes == setup + [column] * (g.n_cols - 1) + values
+
+
 def test_greedy_mi_refuses_grid_past_dense_limit():
     g = TransectGrid(1, MAX_DENSE_CELLS + 1, 5.0, 5.0)
     with pytest.raises(GridTooLarge):

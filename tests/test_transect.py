@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transectplan import (
-    ColumnOverflow,
     Hyperparams,
     InvalidArity,
     Location,
@@ -18,7 +17,6 @@ from transectplan import (
     enumerate_configs,
     robot_tracks,
     sample_prior_field,
-    transition,
 )
 
 
@@ -139,36 +137,6 @@ def test_config_locations_orders_by_row():
     assert locs == (Location(2, 1), Location(2, 3))
 
 
-# ---------------------------------------------------------------- transition
-
-
-def test_transition_returns_destination():
-    g = grid(4, 6)
-    x = RobotConfig((0, 2))
-    a = RobotConfig((1, 3))
-    assert transition(x, a, 0, g) == a
-
-
-def test_transition_checks_arity():
-    g = grid(4, 6)
-    with pytest.raises(InvalidArity):
-        transition(RobotConfig((0, 2)), RobotConfig((1,)), 0, g)
-
-
-def test_transition_checks_rows_in_range():
-    g = grid(3, 6)
-    with pytest.raises(InvalidArity):
-        transition(RobotConfig((0,)), RobotConfig((3,)), 0, g)
-
-
-def test_transition_rejects_final_column():
-    g = grid(4, 6)
-    x = RobotConfig((0,))
-    with pytest.raises(ColumnOverflow):
-        transition(x, x, g.n_cols - 1, g)
-    assert transition(x, x, g.n_cols - 2, g) == x
-
-
 # ----------------------------------------------------------- observation path
 
 
@@ -188,6 +156,17 @@ def test_path_requires_constant_team_size():
     g = grid(3, 4)
     with pytest.raises(InvalidArity):
         path_of(g, [(0,), (0, 1), (2,), (1,)])
+
+
+def test_path_requires_rows_inside_the_grid():
+    g = grid(3, 4)
+    # row 2 is the last one; a row past it in any column is refused
+    path_of(g, [(0, 2), (1, 2), (0, 1), (1, 2)])
+    for col in range(g.n_cols):
+        rows = [(0, 1)] * g.n_cols
+        rows[col] = (1, 3)
+        with pytest.raises(InvalidArity, match="path leaves the grid rows"):
+            path_of(g, rows)
 
 
 def test_path_accessors():
