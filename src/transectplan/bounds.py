@@ -30,6 +30,13 @@ import numpy as np
 
 from .errors import AnisotropyViolated, ConditionViolated
 from .gp import Hyperparams, posterior_cov
+
+# The audit prunes its exhaustive search with the Markov values only when
+# noise_var is at least this fraction of signal_var, gp's one threshold for
+# trusting two routes to an entropy. There the Markov values, the rollouts'
+# values and the searched values round apart by at most 9.2e-14 relative,
+# far inside the pruning margin.
+from .gp import STABLE_NOISE_RATIO as PRUNE_NOISE_RATIO
 from .planners import (
     DEFAULT_BUDGET,
     _exact_configs,
@@ -43,13 +50,6 @@ from .transect import Location, RobotConfig, TransectGrid
 
 #: Equality tolerance for the normalized length-scales in the team bound.
 ANISOTROPY_TOL = 1e-9
-
-#: The audit prunes its exhaustive search with the Markov values only when
-#: noise_var is at least this fraction of signal_var. There the Markov
-#: values, the rollouts' values and the searched values, three routes to
-#: entropies, round apart by at most 9.2e-14 relative, far inside the pruning
-#: margin; at noise 0 such routes differ by up to 4.1e-4 relative.
-PRUNE_NOISE_RATIO = 1e-3
 
 
 @dataclass(frozen=True)

@@ -85,11 +85,6 @@ class TransectGrid:
             for r in range(self.n_rows)
         ]
 
-    def value_at(self, loc: Location) -> float:
-        if self.measurements is None:
-            raise ValueError("grid carries no measurements")
-        return float(self.measurements[loc.row, loc.col])
-
 
 @dataclass(frozen=True, order=True)
 class RobotConfig:
@@ -133,12 +128,10 @@ def config_locations(x: RobotConfig, col: int) -> tuple[Location, ...]:
 
 @dataclass(frozen=True)
 class ObservationPath:
-    """One configuration per column, column 0 through n_cols - 1, plus the
-    measurements collected there when the grid carries values."""
+    """One configuration per column, column 0 through n_cols - 1."""
 
     grid: TransectGrid
     configs: tuple[RobotConfig, ...]
-    values: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         if len(self.configs) != self.grid.n_cols:
@@ -150,8 +143,6 @@ class ObservationPath:
             raise InvalidArity("all configurations on a path must share one arity")
         if any(max(c.rows) >= self.grid.n_rows for c in self.configs):
             raise InvalidArity("path leaves the grid rows")
-        if self.values is not None and len(self.values) != len(self.configs):
-            raise ValueError("one value block per column expected")
 
     @property
     def k(self) -> int:
@@ -168,16 +159,6 @@ class ObservationPath:
             for col, cfg in enumerate(self.configs)
             for loc in config_locations(cfg, col)
         ]
-
-    def collect(self) -> "ObservationPath":
-        """Attach the grid's measured values along the path."""
-        if self.grid.measurements is None:
-            raise ValueError("grid carries no measurements to collect")
-        vals = tuple(
-            np.array([self.grid.value_at(loc) for loc in config_locations(cfg, col)])
-            for col, cfg in enumerate(self.configs)
-        )
-        return ObservationPath(self.grid, self.configs, vals)
 
 
 def robot_tracks(path: ObservationPath) -> list[list[int]]:

@@ -467,6 +467,12 @@ def test_lag_gram_matches_cross_cov_bits():
             locs = [[Location(c, int(r)) for c, r in enumerate(rs)] for rs in path]
             want = [cov_matrix(x, h, g.widths) for x in locs]
             np.testing.assert_array_equal(gram.along(np.arange(cols), path), want)
+            # every cell against a cell list, one repeated: the call's bits
+            along_rows = path[0, along]
+            against = gram.all_against(along, along_rows)
+            assert against.shape == (rows * cols, along.size)
+            want = gram(np.arange(rows * cols), along * rows + along_rows)
+            np.testing.assert_array_equal(against, want)
 
 
 def pivot_blocks(s, members, chosen):
@@ -798,6 +804,38 @@ def test_kron_eigen_rebuilds_grid_covariance(grid, h):
     np.testing.assert_allclose(
         q @ np.diag(var.ravel()) @ q.T, want, rtol=0.0, atol=1e-12 * h.signal_var
     )
+
+
+@pytest.mark.parametrize("ratio", [0.3, gp.STABLE_NOISE_RATIO])
+@pytest.mark.parametrize(
+    "grid, h",
+    [
+        (TransectGrid(3, 7, 4.0, 2.5), Hyperparams(9.0, 3.0, 2.5, 0.0)),
+        (TransectGrid(5, 40, 5.0, 5.0), Hyperparams(40.45, 16.0, 0.1542, 0.0)),
+        (TransectGrid(5, 40, 5.0, 5.0), Hyperparams(27.53, 134.64, 2.152, 0.0)),
+    ],
+    ids=["anisotropic", "temperature", "plankton"],
+)
+def test_grid_entropy_is_the_whole_grids_entropy(grid, h, ratio):
+    h = Hyperparams(h.ell1, h.ell2, h.signal_var, ratio * h.signal_var)
+    want = gaussian_entropy(cov_matrix(grid.locations(), h, grid.widths))
+    # eigenvalues against one dense Cholesky factor; worst seen 4.8e-14
+    assert gp.grid_entropy(grid, h) == pytest.approx(want, rel=1e-12)
+    # kept per shape, spacing and hyperparameters, whatever the measurements
+    measured = TransectGrid(
+        grid.n_rows, grid.n_cols, grid.omega1, grid.omega2,
+        measurements=np.ones((grid.n_rows, grid.n_cols)),
+    )  # fmt: skip
+    hits = gp._grid_entropy.cache_info().hits
+    assert gp.grid_entropy(measured, h) == gp.grid_entropy(grid, h)
+    assert gp._grid_entropy.cache_info().hits == hits + 2
+
+
+def test_grid_entropy_refuses_a_zero_eigenvalue():
+    # noise-free survey length-scales: rounding clips eigenvalues to 0
+    grid = TransectGrid(5, 30, 5.0, 5.0)
+    with pytest.raises(SingularCovariance):
+        gp.grid_entropy(grid, Hyperparams(40.45, 16.0, 0.1542, 0.0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 40, 400])

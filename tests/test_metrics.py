@@ -1,8 +1,10 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
+from transectplan import gp, metrics
 from transectplan import (
     EmptyUnobservedSet,
     EvalRecord,
@@ -26,7 +28,14 @@ from transectplan import (
     relative_error,
 )
 
+from oracles import oracle_cond_entropy
+
 H = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.1)
+
+SURVEY_FITS = {
+    "temperature": Hyperparams(ell1=40.45, ell2=16.0, signal_var=0.1542, noise_var=0.0036),
+    "plankton": Hyperparams(ell1=27.53, ell2=134.64, signal_var=2.152, noise_var=0.041),
+}
 
 
 def path_of(g, rows_per_col):
@@ -76,6 +85,58 @@ def test_unobserved_entropy_ignores_measurements():
     assert unobserved_entropy(path_of(ga, rows), h) == unobserved_entropy(
         path_of(gb, rows), h
     )
+
+
+def random_path(g, k, seed):
+    rng = np.random.default_rng(seed)
+    return path_of(g, [sorted(rng.choice(g.n_rows, k, replace=False)) for _ in range(g.n_cols)])
+
+
+# Relative tolerances against the explicit-inverse oracle, per noise ratio,
+# about 10x the worst gap seen. The oracle's inverse loses digits as the
+# ratio falls (7.9e-13 at the fits' own noise, 2.6e-14 at 0.3, 7.2e-12 at
+# 1e-3, 2.9e-6 at 1e-6), while the two library routes stay within 7.6e-14
+# of each other at every ratio.
+ORACLE_RTOL = {None: 1e-11, 0.3: 1e-12, 1e-3: 1e-10, 1e-6: 3e-5}
+
+
+@pytest.mark.parametrize("ratio", [None, 0.3, 1e-3, 1e-6], ids=["own", "0.3", "1e-3", "1e-6"])
+@pytest.mark.parametrize("fit", sorted(SURVEY_FITS))
+@pytest.mark.parametrize("shape", [(5, 40), (4, 10)], ids=["5x40", "4x10"])
+def test_unobserved_entropy_matches_the_oracle(shape, fit, ratio):
+    # both routes: the grid's entropy minus the visited cells' at the fits'
+    # noise, 0.3 and 1e-3, and the conditioned unvisited cells at 1e-6
+    h = SURVEY_FITS[fit]
+    if ratio is not None:
+        h = dataclasses.replace(h, noise_var=ratio * h.signal_var)
+    g = TransectGrid(*shape, 5.0, 5.0)
+    for seed in range(2):
+        p = random_path(g, 2, seed)
+        visited = p.locations()
+        rest = [u for u in g.locations() if u not in set(visited)]
+        got = unobserved_entropy(p, h)
+        want = oracle_cond_entropy(rest, visited, h, g.widths)
+        assert got == pytest.approx(want, rel=ORACLE_RTOL[ratio])
+        # the library's conditioned route, through one Cholesky factor
+        assert got == pytest.approx(conditional_entropy(rest, visited, h, g.widths), rel=1e-12)
+
+
+@pytest.mark.parametrize("fit", sorted(SURVEY_FITS))
+def test_evaluate_conditions_the_unvisited_cells_only_at_tiny_noise(fit, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gp._condition(*args)
+
+    monkeypatch.setattr(metrics, "_condition", counted)
+    h = SURVEY_FITS[fit]
+    g = measured_grid(5, 40, h, seed=0)
+    p = random_path(g, 2, 0)
+    evaluate(p, h, "markov")
+    assert len(calls) == 0
+    evaluate(p, dataclasses.replace(h, noise_var=1e-6 * h.signal_var), "markov")
+    assert len(calls) == 1
 
 
 def test_unobserved_entropy_monotone_under_extra_coverage():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transectplan import (
-    Hyperparams,
     InvalidArity,
     Location,
     ObservationPath,
@@ -16,7 +15,6 @@ from transectplan import (
     config_locations,
     enumerate_configs,
     robot_tracks,
-    sample_prior_field,
 )
 
 
@@ -77,12 +75,6 @@ def test_grid_measurements_shape_checked():
         TransectGrid(3, 4, 1.0, 1.0, measurements=np.zeros((4, 3)))
 
 
-def test_value_at_reads_row_col():
-    z = np.arange(12, dtype=float).reshape(3, 4)
-    g = TransectGrid(3, 4, 1.0, 1.0, measurements=z)
-    assert g.value_at(Location(2, 1)) == z[1, 2]
-
-
 # -------------------------------------------------------------------- config
 
 
@@ -140,10 +132,8 @@ def test_config_locations_orders_by_row():
 # ----------------------------------------------------------- observation path
 
 
-def path_of(g, rows_per_col, values=None):
-    return ObservationPath(
-        g, tuple(RobotConfig(r) for r in rows_per_col), values=values
-    )
+def path_of(g, rows_per_col):
+    return ObservationPath(g, tuple(RobotConfig(r) for r in rows_per_col))
 
 
 def test_path_requires_full_column_coverage():
@@ -189,25 +179,6 @@ def test_path_locations_order_matches_config_order():
     locs = p.locations()
     assert locs[:2] == [Location(0, 0), Location(0, 2)]
     assert locs[2:4] == [Location(1, 1), Location(1, 3)]
-
-
-def test_collect_reads_measurements():
-    h = Hyperparams(ell1=5.0, ell2=5.0, signal_var=1.0, noise_var=0.01)
-    g0 = TransectGrid(3, 4, 5.0, 5.0)
-    z = sample_prior_field(g0, h, seed=3, mean=10.0)
-    g = TransectGrid(3, 4, 5.0, 5.0, measurements=z)
-    p = path_of(g, [(0,), (1,), (2,), (1,)])
-    measured = p.collect()
-    assert measured.values is not None
-    flat = [v for col_vals in measured.values for v in col_vals]
-    assert flat == [z[0, 0], z[1, 1], z[2, 2], z[1, 3]]
-
-
-def test_collect_without_measurements_raises():
-    g = grid(3, 4)
-    p = path_of(g, [(0,), (1,), (2,), (1,)])
-    with pytest.raises(ValueError):
-        p.collect()
 
 
 # -------------------------------------------------------------- robot tracks
