@@ -40,6 +40,12 @@ the index diagonal: two observations taken at the same cell share the signal
 but not the noise, which keeps the matrix nonsingular when noise_var > 0.
 Repeated rows with noise_var == 0 are rejected as singular.
 
+The planners and metrics gather Gram matrices between cells of one grid from
+its lag blocks (:class:`LagGram`), which depend on the grid's shape and
+spacing and on the hyperparameters only. They are built once per such key,
+shared read-only, and kept for the last LAG_BLOCK_KEYS (4) keys, at
+n_cols * n_rows^2 * 8 bytes each.
+
 Whole-grid draws and the whole grid's entropy go through the Kronecker
 eigenfactors of the grid's covariance instead of a dense factor. Each 1-D
 factor is a symmetric Toeplitz matrix, hence centrosymmetric, so its
@@ -388,6 +394,22 @@ def precision(cov: np.ndarray) -> np.ndarray:
     return p
 
 
+# Lag-block arrays kept by _lag_blocks, one per grid shape, spacing and fit.
+LAG_BLOCK_KEYS = 4
+
+
+@functools.lru_cache(maxsize=LAG_BLOCK_KEYS)
+def _lag_blocks(
+    n_rows: int, n_cols: int, omega1: float, omega2: float, h: Hyperparams
+) -> np.ndarray:
+    # every cell's (col, row), column-major, against column 0's cells
+    cells = np.column_stack(np.divmod(np.arange(n_cols * n_rows), n_rows))
+    block = _signal_gram(cells, cells[:n_rows], h, (omega1, omega2))
+    block[np.arange(n_rows), np.arange(n_rows)] += h.noise_var
+    block.flags.writeable = False
+    return block.reshape(n_cols, n_rows, n_rows)
+
+
 class LagGram:
     """Prior covariance between the cells of one grid, numbered column-major
     (``col * n_rows + row``), gathered from covariance blocks by lag.
@@ -399,15 +421,19 @@ class LagGram:
     bits as :func:`cross_cov` between the same cells. No other code reads
     the blocks: a call, :meth:`along`, :meth:`before`, :meth:`all_against`
     and :meth:`dense` gather from them.
+
+    The blocks depend on the grid's shape and spacing and on ``h`` only, not
+    on its measurements, so they are built once per such key and shared,
+    read-only, by every LagGram of it; the last LAG_BLOCK_KEYS (4) keys are
+    kept. A key holds n_cols * n_rows^2 * 8 bytes. Nothing caps the grid
+    here, as MAX_DENSE_CELLS caps the dense routes, so few keys are kept:
+    a bound audit, a benchmark survey or a Markov table with its rollouts
+    each reads one.
     """
 
     def __init__(self, grid: TransectGrid, h: Hyperparams):
         n_rows = self.n_rows = grid.n_rows
-        # every cell's (col, row), column-major, against column 0's cells
-        cells = np.column_stack(np.divmod(np.arange(grid.n_cols * n_rows), n_rows))
-        block = _signal_gram(cells, cells[:n_rows], h, grid.widths)
-        block[np.arange(n_rows), np.arange(n_rows)] += h.noise_var
-        self.blocks = block.reshape(grid.n_cols, n_rows, n_rows)
+        self.blocks = _lag_blocks(n_rows, grid.n_cols, grid.omega1, grid.omega2, h)
         # where each row's entries start within a block
         self._row_starts = (np.arange(n_rows) * n_rows)[:, None]
 

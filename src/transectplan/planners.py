@@ -48,6 +48,7 @@ the start from above.
 from __future__ import annotations
 
 import contextvars
+import functools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,14 +71,12 @@ from .gp import (
     _condition,
     _probe,
     chol_factor,
-    cov_matrix,
     gaussian_entropy,
     minor_entropies,
     minor_factors,
     precision,
 )
 from .transect import (
-    Location,
     ObservationPath,
     RobotConfig,
     TransectGrid,
@@ -185,18 +184,20 @@ def stage_entropy_table(
     reused at every stage.
 
     The conditioning is done once per current configuration: one Gram
-    matrix of the two columns holds every block, each K_xx is factored by
-    :func:`chol_factor`, W = L^-1 K_x,next is solved by numpy's LU solve on
-    the k x k factor, and the whole next column's posterior is
-    K_next - W^T W. Entry (i, j) is :func:`gaussian_entropy` of its minor
-    at configs[j], with that function's jitter ladder and refusals; entries
-    are taken in row-major order, so the first refusal raised is the first
-    entry's, as from :func:`~transectplan.gp.conditional_entropy` entry by
-    entry.
+    matrix of the two columns, gathered from the grid's shared lag blocks
+    (:class:`~transectplan.gp.LagGram`) with
+    :func:`~transectplan.gp.cov_matrix`'s bits, holds every block, each
+    K_xx is factored by :func:`chol_factor`, W = L^-1 K_x,next is solved by
+    numpy's LU solve on the k x k factor, and the whole next column's
+    posterior is K_next - W^T W. Entry (i, j) is :func:`gaussian_entropy`
+    of its minor at configs[j], with that function's jitter ladder and
+    refusals; entries are taken in row-major order, so the first refusal
+    raised is the first entry's, as from
+    :func:`~transectplan.gp.conditional_entropy` entry by entry.
     """
     n_rows = grid.n_rows
-    cells = [Location(col, r) for col in (0, 1) for r in range(n_rows)]
-    gram = cov_matrix(cells, h, grid.widths)
+    cells = np.arange(2 * n_rows)  # columns 0 and 1, column-major
+    gram = LagGram(grid, h).along(cells // n_rows, cells % n_rows)
     nxt = gram[n_rows:, n_rows:]
     idx = [np.ix_(x.rows, x.rows) for x in configs]
     table = np.empty((len(configs), len(configs)))
@@ -273,28 +274,45 @@ def _first_best(scores: np.ndarray, best: np.ndarray | None = None) -> np.ndarra
     return np.argmax(scores >= best - _tie_tol(best), axis=-1)
 
 
+@functools.lru_cache(maxsize=256)
+def _level_columns(k: int, n_rows: int, depth: int) -> np.ndarray:
+    """The columns of a depth-``depth`` node's joint cells, read-only: k
+    cells in each column through ``depth``, then the n_rows cells of the
+    next one."""
+    cols = np.repeat(np.arange(depth + 2), [k] * (depth + 1) + [n_rows])
+    cols.flags.writeable = False
+    return cols
+
+
 def _level_entropies(gram, idx, first, moves):
     """The column step for nodes of one depth: entry (i, j) is the entropy of
     the row set ``idx[j]`` of the next column given the cells of the path
     from the start rows ``first[i]`` through the configurations
     ``idx[moves[i]]``.
 
-    One stacked Cholesky factors every node's history-plus-next-column Gram
+    The nodes' cell rows are filled into one array and their columns, the
+    same for every node of a depth, come from :func:`_level_columns`. One
+    stacked Cholesky factors every node's history-plus-next-column Gram
     matrix, gathered by ``gram.along``; the trailing R x R block of a factor
     is the factor of the next column's posterior. Only the nodes whose factor
     fails or reaches DIAG_FLOOR are redone, one by one from the same matrix,
     as ``posterior_cov`` does it, with its jitter ladder and refusals.
     """
     n, depth = moves.shape
-    n_rows = gram.n_rows
-    rows = np.column_stack([first, idx[moves].reshape(n, -1), np.tile(np.arange(n_rows), (n, 1))])
-    cols = np.repeat(np.arange(depth + 2), [idx.shape[1]] * (depth + 1) + [n_rows])
-    joint = gram.along(cols, rows)
+    n_rows, k = gram.n_rows, idx.shape[1]
+    t = (depth + 1) * k  # a joint matrix holds the t history cells, then the column
+    rows = np.empty((n, t + n_rows), dtype=np.int64)
+    rows[:, :k] = first
+    rows[:, k:t] = idx[moves].reshape(n, -1)
+    rows[:, t:] = np.arange(n_rows)
+    joint = gram.along(_level_columns(k, n_rows, depth), rows)
     factor, ok = _probe(joint)
-    tail = factor[:, -n_rows:, -n_rows:]
+    tail = factor[:, t:, t:]
+    post = tail @ tail.transpose(0, 2, 1)
+    if ok.all():
+        return minor_entropies(post, idx)
     scores = np.empty((n, len(idx)))
-    scores[ok] = minor_entropies((tail @ tail.transpose(0, 2, 1))[ok], idx)
-    t = cols.size - n_rows  # a joint matrix holds the t history cells, then the column
+    scores[ok] = minor_entropies(post[ok], idx)
     for i in np.flatnonzero(~ok).tolist():
         x = joint[i]
         scores[i] = minor_entropies(_condition(chol_factor(x[:t, :t]), x[:t, t:], x[t:, t:]), idx)
@@ -338,6 +356,11 @@ _CHUNK_NODES = 1024
 _BOUND_RTOL = 1e-9
 
 
+def _prune_bar(incumbent):
+    """The value below which a pruned search drops a node, per incumbent."""
+    return incumbent - _tie_tol(incumbent) - _BOUND_RTOL * np.maximum(np.abs(incumbent), 1.0)
+
+
 def _search(grid, h, idx, first, bound=None, floor=None):
     """The exhaustive search from the start rows ``first`` (shape (S, k)),
     one tree whose root level holds every start: per start, the value of its
@@ -360,9 +383,16 @@ def _search(grid, h, idx, first, bound=None, floor=None):
     gram = LagGram(grid, h)
     # per start, the leaves so far that are above every earlier leaf and
     # within the tie window of the best of them, in order: the first one left
-    # at the end is the first leaf tied with the best, as _first_best picks
+    # at the end is the first leaf tied with the best, as _first_best picks;
+    # the last one is the best, also kept in top
     tied = [[] for _ in range(n)]
-    incumbent = None if bound is None else np.array(floor, dtype=float)
+    top = np.full(n, -np.inf)
+    # per start, the value below which a pruned search drops a node: the
+    # incumbent is the larger of the start's floor and its top
+    bar = None
+    if bound is not None:
+        floor = np.array(floor, dtype=float)
+        bar = _prune_bar(floor)
     # chunks of nodes of one depth in lexicographic (start, moves) order,
     # the first on top; a node is its start, its configuration indices after
     # the start, its summed gains and its gains
@@ -376,43 +406,49 @@ def _search(grid, h, idx, first, bound=None, floor=None):
     while stack:
         start, moves, acc, gains = stack.pop()
         scores = _level_entropies(gram, idx, first[start], moves)
-        totals = (acc[:, None] + scores).ravel()
+        # the children, node i's child a at (i, a); flat, at i * m + a
+        totals = acc[:, None] + scores
         depth = moves.shape[1] + 1
-        # the children, node i's child a at i * m + a
-        keep = np.arange(totals.size)
-        if incumbent is not None:
-            inc = incumbent[start]
-            bar = inc - _tie_tol(inc) - _BOUND_RTOL * np.maximum(np.abs(inc), 1.0)
-            reach = totals + np.tile(bound[depth], len(acc))
-            keep = np.flatnonzero(reach >= np.repeat(bar, m))
-        node, a = np.divmod(keep, m)
+        keep = slice(None)
+        if bar is not None:
+            keep = np.flatnonzero(totals + bound[depth] >= bar[start, None])
         if depth < stages:
+            nodes = len(start)
+            seqs = np.empty((nodes, m, depth), dtype=np.int64)
+            seqs[:, :, :-1] = moves[:, None]
+            seqs[:, :, -1] = np.arange(m)
+            steps = np.empty((nodes, m, depth))
+            steps[:, :, :-1] = gains[:, None]
+            steps[:, :, -1] = scores
             children = (
-                start[node],
-                np.column_stack([moves[node], a]),
-                totals[keep],
-                np.column_stack([gains[node], scores[node, a]]),
+                start.repeat(m),
+                seqs.reshape(-1, depth),
+                totals.reshape(-1),
+                steps.reshape(-1, depth),
             )
-            push(children)
+            push(tuple(c[keep] for c in children))
             continue
-        # the chunk's leaves of each start are consecutive
-        values = totals[keep]
-        cuts = np.flatnonzero(np.diff(start[node], prepend=-1, append=-1)).tolist()
-        for lo, hi in zip(cuts, cuts[1:]):
-            s = int(start[node[lo]])
-            leaves = tied[s]
-            mine = values[lo:hi]
-            prior = leaves[-1][0] if leaves else -np.inf
-            earlier = np.maximum.accumulate(np.concatenate(([prior], mine[:-1])))
-            best = max(prior, mine.max())
-            cut = best - _tie_tol(best)
-            leaves[:] = [leaf for leaf in leaves if leaf[0] >= cut]
-            for j in (lo + np.flatnonzero((mine > earlier) & (mine >= cut))).tolist():
-                i = node[j]
-                seq = (*moves[i].tolist(), int(a[j]))
-                leaves.append((values[j], seq, (*gains[i].tolist(), float(scores[i, a[j]]))))
-            if incumbent is not None:
-                incumbent[s] = max(incumbent[s], leaves[-1][0])
+        # the chunk's leaves, in start order: their starts lie in lo..hi - 1
+        leaf = np.arange(totals.size)[keep]
+        if not leaf.size:
+            continue
+        values, owner = totals.reshape(-1)[leaf], start[leaf // m]
+        lo, hi = int(owner[0]), int(owner[-1]) + 1
+        np.maximum.at(top, owner, values)
+        best = top[lo:hi]
+        if bar is not None:
+            bar[lo:hi] = _prune_bar(np.maximum(floor[lo:hi], best))
+        cut = best - _tie_tol(best)
+        for leaves, c in zip(tied[lo:hi], cut.tolist()):
+            leaves[:] = [t for t in leaves if t[0] >= c]
+        # a leaf below its start's cut is below the leaves that are not, so
+        # only those need the running maximum
+        for j in np.flatnonzero(values >= cut[owner - lo]).tolist():
+            leaves, value = tied[owner[j]], float(values[j])
+            if not leaves or value > leaves[-1][0]:
+                i, a = divmod(int(leaf[j]), m)
+                gained = (*gains[i].tolist(), float(scores[i, a]))
+                leaves.append((value, (*moves[i].tolist(), a), gained))
     return [leaves[0] for leaves in tied]
 
 

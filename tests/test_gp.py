@@ -475,6 +475,27 @@ def test_lag_gram_matches_cross_cov_bits():
             np.testing.assert_array_equal(against, want)
 
 
+def test_lag_grams_of_one_grid_and_fit_share_read_only_blocks():
+    g = TransectGrid(4, 9, 5.0, 5.0)
+    h = Hyperparams(ell1=8.0, ell2=6.0, signal_var=2.5, noise_var=0.01)
+    blocks = gp.LagGram(g, h).blocks
+    # kept per shape, spacing and fit, whatever the measurements
+    measured = TransectGrid(4, 9, 5.0, 5.0, measurements=np.ones((4, 9)))
+    hits = gp._lag_blocks.cache_info().hits
+    assert gp.LagGram(measured, h).blocks is blocks
+    assert gp._lag_blocks.cache_info().hits == hits + 1
+    # another fit, or another spacing, gets its own array
+    other = Hyperparams(ell1=8.0, ell2=6.0, signal_var=2.5, noise_var=0.02)
+    assert gp.LagGram(g, other).blocks is not blocks
+    assert gp.LagGram(TransectGrid(4, 9, 5.0, 4.0), h).blocks is not blocks
+    # no caller can change what the others read
+    with pytest.raises(ValueError):
+        blocks[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        blocks.reshape(-1)[0] = 0.0
+    np.testing.assert_array_equal(gp.LagGram(g, h).dense(), cov_matrix(g.locations(), h, g.widths))
+
+
 def pivot_blocks(s, members, chosen):
     """The Schur blocks S[s][chosen[s], chosen[s]] of every member."""
     return s[members[:, :, None], chosen[:, :, None], chosen[:, None, :]]
