@@ -46,15 +46,19 @@ spacing and on the hyperparameters only. They are built once per such key,
 shared read-only, and kept for the last LAG_BLOCK_KEYS (4) keys, at
 n_cols * n_rows^2 * 8 bytes each.
 
-Whole-grid draws and the whole grid's entropy go through the Kronecker
-eigenfactors of the grid's covariance instead of a dense factor. Each 1-D
-factor is a symmetric Toeplitz matrix, hence centrosymmetric, so its
-eigenproblem splits exactly into two half-size ones.
+On a regular grid the squared-exponential covariance is a Kronecker
+product of two 1-D symmetric Toeplitz factors, along and across the
+transect, so whole-grid draws and the whole grid's entropy form no dense
+factor. The entropy comes from the two factors' eigenvalues. A draw embeds
+the along-track factor in a circulant, drawn by one real FFT per row, and
+takes the across-track factor's eigenfactors; that R x R factor is
+centrosymmetric, so its eigenproblem splits exactly into two half-size ones.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -620,9 +624,11 @@ def _grid_entropy(n_rows: int, n_cols: int, omega1: float, omega2: float, h: Hyp
 def grid_entropy(grid: TransectGrid, h: Hyperparams) -> float:
     """Entropy in nats of the measurements at every cell of the grid,
     0.5 * sum(log(2 pi e * var)) over the eigenvalues var of the covariance
-    signal_var * kron(K_col, K_row) + noise_var * I (see :func:`_kron_eigen`;
-    Saatci, PhD thesis, Cambridge, 2011). The 1-D factors' eigenvalues come
-    from ``eigvalsh`` and are clipped at zero as there; at noise 0 an
+    signal_var * kron(K_col, K_row) + noise_var * I, which are
+    signal_var * outer(lam_col, lam_row) + noise_var for the eigenvalues of
+    the unit-variance 1-D Toeplitz factors (Saatci, PhD thesis, Cambridge,
+    2011). Those come from ``eigvalsh`` and are clipped at zero,
+    as :func:`sample_prior_field` clips its own; at noise 0 an
     eigenvalue can be 0, which raises SingularCovariance. It is accurate
     where noise_var is at least STABLE_NOISE_RATIO of signal_var. It depends
     on the grid's shape and spacing and on ``h`` only, not on its
@@ -664,27 +670,56 @@ def _centro_eigh(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([lam_s, lam_a]), q
 
 
-def _kron_eigen(
-    grid: TransectGrid, h: Hyperparams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenfactors of the whole grid's prior covariance.
+def _smooth_at_least(n: int) -> int:
+    """The smallest 2^a 3^b 5^c that is at least n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    On a regular grid the squared-exponential kernel separates, so over the
-    column-major cell order the covariance is
-    signal_var * kron(K_col, K_row) + noise_var * I with unit-variance
-    along-track (C x C) and across-track (R x R) factors. Both are symmetric
-    Toeplitz, so each is gathered from its first row by
-    :func:`_unit_toeplitz` and decomposed by :func:`_centro_eigh` as two
-    half-size eigenproblems. Returns ``(q_c, q_r, var)`` with
-    ``kron(q_c, q_r) @ diag(var.ravel()) @ kron(q_c, q_r).T`` equal to that
-    covariance; ``var`` has shape (C, R). Eigenvalues that rounding pushes
-    below zero are clipped to zero.
-    """
-    lam_c, q_c = _centro_eigh(_unit_toeplitz(grid.n_cols, grid.omega1 / h.ell1))
-    lam_r, q_r = _centro_eigh(_unit_toeplitz(grid.n_rows, grid.omega2 / h.ell2))
-    lam_c, lam_r = np.clip(lam_c, 0.0, None), np.clip(lam_r, 0.0, None)
-    var = h.signal_var * np.outer(lam_c, lam_r) + h.noise_var
-    return q_c, q_r, var
+
+def _embedding_length(n: int, step: float) -> int:
+    """Points M of the circulant that embeds the n-point along-track factor
+    ``_unit_toeplitz(n, step)``: twice the smallest 5-smooth integer at least
+    max(n - 1, ceil(8.9 / step)). The unit squared-exponential kernel is
+    below 2^-56 beyond 8.9 length-scales (exp(-0.5 * 8.9^2) = 6.3e-18), so
+    at M / 2 >= 8.9 length-scales it has decayed before the circulant wraps
+    around, and the circulant's eigenvalues are those of the periodized
+    kernel: positive up to rounding by Poisson summation, as the kernel's
+    spectral density is. M / 2 >= n - 1 holds every lag of the factor. A
+    5-smooth M keeps numpy's FFT on its mixed-radix path: at 2,499,978
+    points (a prime factor 32,051) it falls back to Bluestein's algorithm,
+    which took 8x the time and 2.5x the peak memory of 2,500,000 points.
+    8.9 / step is capped at MAX_DENSE_CELLS^2, past any embedding that
+    draws, so an absurd length-scale still gives a finite M to refuse."""
+    reach = min(8.9 / step, float(MAX_DENSE_CELLS**2))
+    return 2 * _smooth_at_least(max(n - 1, math.ceil(reach)))
+
+
+def _circulant_eigvals(m: int, step: float) -> np.ndarray:
+    """Eigenvalues of the m-point symmetric circulant whose first row is the
+    unit squared-exponential kernel at lags min(j, m - j) * step, clipped at
+    zero, from one real FFT of that row (m even). They are even,
+    lam[j] == lam[m - j], so the circulant is (1 / m) H diag(lam) H with H
+    the Hartley matrix, H[j, l] = cos(2 pi j l / m) + sin(2 pi j l / m)."""
+    lag = np.arange(m // 2 + 1) * step
+    row = np.exp(-0.5 * (lag * lag))
+    half = np.clip(np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real, 0.0, None)
+    return np.concatenate([half, half[-2:0:-1]])
+
+
+def _hartley_head(x: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of the Hartley transform H x down axis 0 of an
+    (m, ...) array, n <= m // 2 + 1: the real part minus the imaginary part
+    of x's DFT, whose first m // 2 + 1 rows one real FFT gives."""
+    f = np.fft.rfft(x, axis=0)[:n]
+    return f.real - f.imag
 
 
 def sample_prior_field(
@@ -695,23 +730,46 @@ def sample_prior_field(
 ) -> np.ndarray:
     """Draw one exact field realization over the whole grid.
 
-    The covariance over all cells is signal_var * kron(K_col, K_row) +
-    noise_var * I (see :func:`_kron_eigen`), so standard normals scaled by
-    the square roots of its eigenvalues and rotated by the two 1-D
-    eigenbases carry the exact joint law. That costs the eigendecompositions
-    of one C x C and one R x R factor, each split into two half-size
-    eigenproblems (about a quarter of a full ``eigh``'s flops), O(C^3 + R^3)
-    instead of a dense factor of the (R*C) x (R*C) covariance. The order of
-    the eigenpairs decides which field a seed draws, not its law. Eigenvalues
+    Over column-major cells the covariance is signal_var * kron(K_col, K_row)
+    + noise_var * I, with unit-variance along-track (C x C) and across-track
+    (R x R) Toeplitz factors. The along-track factor is drawn by circulant
+    embedding (Wood & Chan, J. Comput. Graph. Stat. 3, 1994; Dietrich &
+    Newsam, SIAM J. Sci. Comput. 18, 1997): it is the leading block of the
+    M-point circulant of :func:`_embedding_length`, M / 2 the smallest
+    5-smooth integer at least max(C - 1, ceil(8.9 * ell1 / omega1)). With
+    that circulant's eigenvalues lam (:func:`_circulant_eigvals`) and H the
+    Hartley matrix, the C x M map A = H[:C] diag(sqrt(lam / M)) has
+    A A^T = K_col. One ``standard_normal((M + C, R))`` call gives E, and
+    the field is sqrt(signal_var) B (A E[:M])^T + sqrt(noise_var) E[M:]^T,
+    with B = q_r diag(sqrt(lam_r)) from :func:`_centro_eigh` of the R x R
+    factor. That costs one real FFT of M points per grid row and one R x R
+    eigenproblem, O(R M log M + R^3), and forms no C x C matrix. Eigenvalues
     that rounding makes slightly negative are clipped to zero, so an
     ill-conditioned or noise-free covariance still draws. Deterministic for
-    a given seed. Grids beyond MAX_DENSE_CELLS cells are refused.
+    a given seed; the law, not the field a seed draws, is the contract.
+
+    Refused with GridTooLarge: grids beyond MAX_DENSE_CELLS cells, and,
+    before anything is allocated, length-scales whose embedding's normals
+    and their transform, (2M + C + 2) R doubles, would exceed
+    MAX_DENSE_CELLS^2 doubles, the largest dense factor the cell cap admits.
     """
-    n = grid.n_rows * grid.n_cols
+    n_rows, n_cols = grid.n_rows, grid.n_cols
+    n = n_rows * n_cols
     if n > MAX_DENSE_CELLS:
         raise GridTooLarge(f"{n} cells exceeds the dense limit {MAX_DENSE_CELLS}")
-    q_c, q_r, var = _kron_eigen(grid, h)
-    rng = np.random.default_rng(seed)
-    # cells are column-major, so e has one row per grid column
-    e = rng.standard_normal(n).reshape(grid.n_cols, grid.n_rows)
-    return mean + q_r @ (np.sqrt(var) * e).T @ q_c.T
+    step = grid.omega1 / h.ell1
+    m = _embedding_length(n_cols, step)
+    if (2 * m + n_cols + 2) * n_rows > MAX_DENSE_CELLS**2:
+        raise GridTooLarge(
+            f"ell1 {h.ell1:g} is {h.ell1 / grid.omega1:g} cells: drawing its "
+            f"circulant embedding exceeds {MAX_DENSE_CELLS**2} doubles"
+        )
+    lam_r, q_r = _centro_eigh(_unit_toeplitz(n_rows, grid.omega2 / h.ell2))
+    across = q_r * np.sqrt(h.signal_var * np.clip(lam_r, 0.0, None))
+    e = np.random.default_rng(seed).standard_normal((m + n_cols, n_rows))
+    # one column of e per grid row: m normals for the row along the track,
+    # then one per cell of the row for its noise
+    head = e[:m]
+    head *= np.sqrt(_circulant_eigvals(m, step) / m)[:, None]
+    along = _hartley_head(head, n_cols)
+    return mean + across @ along.T + np.sqrt(h.noise_var) * e[m:].T

@@ -486,6 +486,24 @@ def test_cli_synth_survey_scale_grids(tmp_path):
         assert read_field(out).grid.measurements.shape == (r, c)
 
 
+@pytest.mark.parametrize(
+    "grid_args",
+    [
+        ["--rows", "60", "--cols", "100"],
+        # 1e9 m along-track at 5 m cells: the circulant embedding is refused
+        ["--rows", "5", "--cols", "40", "--omega1", "5", "--ell1", "1e9"],
+    ],
+    ids=["cell-cap", "embedding-cap"],
+)
+def test_cli_synth_refuses_a_grid_too_large_with_exit_1(tmp_path, grid_args):
+    out = tmp_path / "f.csv"
+    res = run_cli(["synth", *grid_args, "--out", out])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_plan_path_report_schema(tmp_path):
     field = synth_field(tmp_path)
     res = run_cli(["plan", "--field", field, "--policy", "exact", "--start", "1"])

@@ -1,12 +1,14 @@
 import ast
+import bisect
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transectplan import (
@@ -29,7 +31,6 @@ from transectplan import gp
 from transectplan.gp import (
     MAX_DENSE_CELLS,
     GrowingFactor,
-    _kron_eigen,
     chol_factor,
     cross_cov,
     logdet_from_factor,
@@ -805,25 +806,104 @@ def test_sample_prior_field_covariance_monte_carlo():
             assert abs(emp[i, j] - want[i, j]) <= 3.0 * se
 
 
+def hartley_rows(n, m):
+    """The first n rows of the m-point Hartley matrix, cos + sin of
+    2 pi j l / m with j l reduced mod m for exact angles."""
+    angle = (2.0 * np.pi / m) * (np.outer(np.arange(n), np.arange(m)) % m)
+    return np.cos(angle) + np.sin(angle)
+
+
+def along_track_map(n, step):
+    """The draw's C x M along-track map A = H[:C] diag(sqrt(lam / M)) and
+    the embedding's clipped eigenvalues lam."""
+    m = gp._embedding_length(n, step)
+    lam = gp._circulant_eigvals(m, step)
+    return hartley_rows(n, m) * np.sqrt(lam / m), lam
+
+
+def test_smooth_at_least_is_the_next_5_smooth_integer():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    lengths = [k for k in range(1, 5000) if smooth(k)]
+    for n in range(1, 4000):
+        assert gp._smooth_at_least(n) == lengths[bisect.bisect_left(lengths, n)]
+    # past an embedding that draws, and a length with a large prime factor
+    assert gp._smooth_at_least(25_000_000) == 25_000_000
+    assert gp._smooth_at_least(1_249_989) == 1_250_000
+
+
+# The cases a draw's factors are checked on, by their map and by its draws.
+DRAW_CASES = {
+    # non-square cells and ell1 != ell2: a swapped axis shows up
+    "anisotropic": (TransectGrid(3, 7, 4.0, 2.5), Hyperparams(9.0, 3.0, 2.5, 0.0)),
+    "noisy": (grid_5x8(), H),
+    # survey length-scales without noise: condition number about 4e17
+    "survey-noise-free": (TransectGrid(5, 30, 5.0, 5.0), Hyperparams(40.45, 16.0, 0.1542, 0.0)),
+}
+
+
 @pytest.mark.parametrize(
     "grid, h",
     [
-        # non-square cells and ell1 != ell2: a swapped axis shows up
-        (TransectGrid(3, 7, 4.0, 2.5), Hyperparams(9.0, 3.0, 2.5, 0.0)),
-        (grid_5x8(), H),
-        # survey length-scales without noise: condition number about 4e17
-        (TransectGrid(5, 30, 5.0, 5.0), Hyperparams(40.45, 16.0, 0.1542, 0.0)),
+        *DRAW_CASES.values(),
+        # 500 m along-track at 5 m cells, 100 cells: an 1800-point embedding
+        (TransectGrid(5, 40, 5.0, 5.0), Hyperparams(500.0, 16.0, 0.1542, 0.0036)),
+        # the shortest grid; one column is checked on the map alone, below
+        (TransectGrid(1, 2, 5.0, 5.0), H),
     ],
-    ids=["anisotropic", "noisy", "survey-noise-free"],
+    ids=[*DRAW_CASES, "ell-100-cells", "two-columns"],
 )
 def test_kron_eigen_rebuilds_grid_covariance(grid, h):
-    q_c, q_r, var = _kron_eigen(grid, h)
-    assert var.shape == (grid.n_cols, grid.n_rows)
+    # the draw's factors: A along the track, B = q_r diag(sqrt(lam_r)) across
+    step = grid.omega1 / h.ell1
+    a, lam = along_track_map(grid.n_cols, step)
+    m = lam.size
+    assert a.shape == (grid.n_cols, m)
+    assert lam.min() >= 0.0
+    assert np.array_equal(lam[1:], lam[:0:-1])
+    np.testing.assert_allclose(
+        a @ a.T, gp._unit_toeplitz(grid.n_cols, step), rtol=0.0, atol=1e-12
+    )
+    lam_r, q_r = gp._centro_eigh(gp._unit_toeplitz(grid.n_rows, grid.omega2 / h.ell2))
+    lam_r = np.clip(lam_r, 0.0, None)
+    # the variance the draw puts along each of its directions
+    var = h.signal_var * np.outer(lam / m, lam_r) + h.noise_var
     assert var.min() >= h.noise_var
-    q = np.kron(q_c, q_r)
+    f = np.sqrt(h.signal_var) * np.kron(a, q_r * np.sqrt(lam_r))
     want = cov_matrix(grid.locations(), h, grid.widths)
     np.testing.assert_allclose(
-        q @ np.diag(var.ravel()) @ q.T, want, rtol=0.0, atol=1e-12 * h.signal_var
+        f @ f.T + h.noise_var * np.eye(len(want)), want, rtol=0.0, atol=1e-12 * h.signal_var
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@example(n=1, reach=0.1, seed=0)
+@example(n=1, reach=1000.0, seed=0)
+@example(n=2, reach=100.0, seed=0)
+@example(n=400, reach=0.1, seed=0)
+@example(n=400, reach=1000.0, seed=0)
+@given(
+    n=st.integers(1, 400),
+    reach=st.floats(-1.0, 3.0).map(lambda x: 10.0**x),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_circulant_embedding_rebuilds_the_along_track_factor(n, reach, seed):
+    # reach: ell1 / omega1, the length-scale in cells, from 0.1 to 1000
+    a, lam = along_track_map(n, 1.0 / reach)
+    assert lam.size % 2 == 0 and lam.size // 2 >= max(n - 1, math.ceil(8.9 * reach))
+    assert lam.min() >= 0.0
+    np.testing.assert_allclose(
+        a @ a.T, gp._unit_toeplitz(n, 1.0 / reach), rtol=0.0, atol=1e-12
+    )
+    # the draw's transform is this map: one real FFT gives H x's head
+    m = lam.size
+    x = np.random.default_rng(seed).standard_normal((m, 2))
+    np.testing.assert_allclose(
+        gp._hartley_head(x, n), hartley_rows(n, m) @ x, rtol=0.0, atol=1e-14 * m
     )
 
 
@@ -894,15 +974,16 @@ def test_centro_eigh_takes_any_symmetric_centrosymmetric_matrix(n):
     np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(k), rtol=0.0, atol=1e-12)
 
 
-def test_sample_prior_field_draws_the_grid_covariance():
-    # A draw is mean + A e with e = default_rng(seed).standard_normal(n), so
-    # n seeds recover the linear map A, and A A^T is the law of every draw.
-    grid = TransectGrid(3, 7, 4.0, 2.5)
-    h = Hyperparams(9.0, 3.0, 2.5, 0.3)
-    n = grid.n_rows * grid.n_cols
-    e = np.array([np.random.default_rng(s).standard_normal(n) for s in range(n)])
+@pytest.mark.parametrize("grid, h", DRAW_CASES.values(), ids=DRAW_CASES)
+def test_sample_prior_field_draws_the_grid_covariance(grid, h):
+    # A draw is mean + A e with e = default_rng(seed).standard_normal(count),
+    # count = (M + C) R for the embedding's M points, so count seeds recover
+    # the linear map A, and A A^T is the law of every draw.
+    m = gp._embedding_length(grid.n_cols, grid.omega1 / h.ell1)
+    count = (m + grid.n_cols) * grid.n_rows
+    e = np.array([np.random.default_rng(s).standard_normal(count) for s in range(count)])
     z = np.array(
-        [sample_prior_field(grid, h, seed=s, mean=1.5).T.ravel() - 1.5 for s in range(n)]
+        [sample_prior_field(grid, h, seed=s, mean=1.5).T.ravel() - 1.5 for s in range(count)]
     )
     a = np.linalg.solve(e, z).T
     want = cov_matrix(grid.locations(), h, grid.widths)
@@ -920,3 +1001,24 @@ def test_sample_prior_field_grid_guard():
     grid = TransectGrid(60, 100, 1.0, 1.0)
     with pytest.raises(GridTooLarge):
         sample_prior_field(grid, H, seed=0)
+
+
+def test_sample_prior_field_refuses_an_embedding_past_the_cap():
+    # 1e9 m at 5 m cells, 2e8 cells: the embedding would need 3.6e9 points
+    grid = TransectGrid(5, 40, 5.0, 5.0)
+    h = Hyperparams(1e9, 16.0, 0.1542, 0.0036)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match="circulant embedding"):
+            sample_prior_field(grid, h, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any array of the draw is made
+
+
+def test_sample_prior_field_draws_ell_of_ten_thousand_cells():
+    grid = TransectGrid(5, 40, 5.0, 5.0)
+    z = sample_prior_field(grid, Hyperparams(5e4, 16.0, 0.1542, 0.0036), seed=0)
+    assert z.shape == (5, 40)
+    assert np.isfinite(z).all()
