@@ -14,7 +14,7 @@ from transectplan import (
     Hyperparams,
     Location,
     TransectGrid,
-    covariance,
+    cross_cov,
     posterior_cov,
     read_field,
     sample_prior_field,
@@ -33,8 +33,8 @@ grid = TransectGrid(n_rows=5, n_cols=30, omega1=5.0, omega2=5.0)
 print("== covariance decay ==")
 origin = Location(0, 0)
 for d in (1, 2, 4, 8):
-    along = covariance(origin, Location(d, 0), h, grid.widths)
-    across = covariance(origin, Location(0, min(d, 4)), h, grid.widths)
+    along = cross_cov([origin], [Location(d, 0)], h, grid.widths)[0, 0]
+    across = cross_cov([origin], [Location(0, min(d, 4))], h, grid.widths)[0, 0]
     print(
         f"distance {d:2d} cells: along-track {along:.4f}"
         f"   across-track ({min(d, 4)} cells) {across:.4f}"

@@ -91,13 +91,13 @@ def read_field(field_path: str | Path) -> FieldBundle:
 
     Without a sidecar the bundle still carries the measured grid but no
     hyperparameters; cell widths then default to 1 and callers must supply
-    their own. Malformed or non-finite numbers, ragged rows and bad sidecar
-    lines raise ParseError.
+    their own. Unreadable or non-UTF-8 files, malformed or non-finite
+    numbers, ragged rows and bad sidecar lines raise ParseError.
     """
     field_path = Path(field_path)
     try:
         text = field_path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read field file {field_path}: {e}") from e
 
     rows: list[list[float]] = []
@@ -131,7 +131,11 @@ def read_field(field_path: str | Path) -> FieldBundle:
             raise ParseError(f"{field_path}: {e}") from e
         return FieldBundle(grid, None, None, None)
 
-    meta = _parse_meta(meta_file.read_text(), meta_file)
+    try:
+        meta_text = meta_file.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read sidecar {meta_file}: {e}") from e
+    meta = _parse_meta(meta_text, meta_file)
     try:
         grid = TransectGrid(
             n_rows=int(meta["rows"]),

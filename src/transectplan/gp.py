@@ -28,10 +28,10 @@ Numerical policy, applied uniformly:
   only in this module and imported on first use by :func:`_scipy_linalg`;
   the posterior covariance, the unobserved-entropy metric below
   STABLE_NOISE_RATIO and an exhaustive node whose level factor failed
-  condition through one step, :func:`_condition`, and
-  load SciPy, as the posterior mean and the greedy planners do; the Markov
-  stage table solves its k x k factors by numpy's LU solve, so the Markov,
-  exhaustive and bounds paths and the field draws run on numpy alone;
+  condition through one step, :func:`_condition`, and load SciPy, as the
+  relative-error metric's posterior mean and the greedy planners do; the
+  Markov stage table solves its k x k factors by numpy's LU solve, so the
+  Markov, exhaustive and bounds paths and the field draws run on numpy alone;
 * log-determinants come from the triangular factor;
 * entropies are reported in nats.
 
@@ -142,18 +142,6 @@ def _signal_gram(
     d1 = (a[:, None, 0] - b[None, :, 0]) * (widths[0] / h.ell1)
     d2 = (a[:, None, 1] - b[None, :, 1]) * (widths[1] / h.ell2)
     return h.signal_var * np.exp(-0.5 * (d1 * d1 + d2 * d2))
-
-
-def covariance(
-    u: Location, v: Location, h: Hyperparams, widths: tuple[float, float]
-) -> float:
-    """Prior covariance between the measurements at two cells.
-
-    Depends on the physical displacement only, so translating both cells by
-    the same number of columns or rows leaves the value unchanged. The noise
-    term contributes exactly when ``u == v``.
-    """
-    return float(cross_cov([u], [v], h, widths)[0, 0])
 
 
 def cov_matrix(
@@ -292,32 +280,6 @@ def _factor_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return solve_triangular(L.T, alpha, lower=False, check_finite=False)
 
 
-def posterior_mean(
-    targets: Sequence[Location],
-    obs_locs: Sequence[Location],
-    obs_vals: np.ndarray,
-    h: Hyperparams,
-    widths: tuple[float, float],
-    mean: float = 0.0,
-) -> np.ndarray:
-    """Posterior mean of the field at ``targets`` given noisy observations.
-
-    With no observations this is the constant prior mean. Linear in the
-    observed values.
-    """
-    targets = list(targets)
-    obs_locs = list(obs_locs)
-    if len(obs_locs) == 0:
-        return np.full(len(targets), float(mean))
-    obs_vals = np.asarray(obs_vals, dtype=float).reshape(-1)
-    if obs_vals.shape[0] != len(obs_locs):
-        raise ValueError("one value per observed location expected")
-    _duplicate_guard(obs_locs, h)
-    L = chol_factor(cov_matrix(obs_locs, h, widths))
-    alpha = _factor_solve(L, obs_vals - mean)
-    return mean + cross_cov(targets, obs_locs, h, widths) @ alpha
-
-
 def posterior_cov(
     targets: Sequence[Location],
     obs_locs: Sequence[Location],
@@ -354,23 +316,14 @@ def gaussian_entropy(cov: np.ndarray) -> float | np.ndarray:
     return e if e.ndim else float(e)
 
 
-def minor_entropies(cov: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def minor_factors(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entropies of the principal minors ``cov[..., idx[j]][..., idx[j]]``,
     one per row of the (m, k) index array and per matrix of the stack
-    ``cov`` (shape (..., R, R)): :func:`gaussian_entropy` of the gathered
-    minors, shape (..., m), by :func:`minor_factors`.
-    """
-    return minor_factors(cov, idx)[0]
-
-
-def minor_factors(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`minor_entropies` with the factors it takes them from, as
-    ``(entropies, L, ok)``: ``L`` (shape (..., m, k, k)) holds the minors'
-    lower factors and ``ok`` (shape (..., m)) is false where a minor failed
-    rung 0 and was factored with jitter. The steps, bits and refusals are
-    those of :func:`gaussian_entropy` on the gathered minors, by
-    :func:`_probe` and the rest of :func:`chol_factor`'s ladder, so that
-    ``ok`` is kept.
+    ``cov`` (shape (..., R, R)), and their lower factors: ``(entropies, L,
+    ok)`` of shapes (..., m), (..., m, k, k) and (..., m), ``ok`` false
+    where a minor failed rung 0 and was factored with jitter. The steps,
+    bits and refusals are :func:`gaussian_entropy`'s on the gathered minors,
+    by :func:`_probe` and the rest of :func:`chol_factor`'s ladder.
     """
     idx = np.asarray(idx)
     minors = cov[..., idx[:, :, None], idx[:, None, :]]
@@ -557,43 +510,6 @@ class GrowingFactor:
         if failed.size:
             v = self.cells[failed, : self.size]
             self.factor[failed, : self.size, : self.size] = chol_factor(self.entries(v, v))
-
-
-def conditional_entropy(
-    targets: Sequence[Location],
-    obs_locs: Sequence[Location],
-    h: Hyperparams,
-    widths: tuple[float, float],
-) -> float:
-    """Entropy of the measurements at ``targets`` given ``obs_locs``."""
-    return gaussian_entropy(posterior_cov(targets, obs_locs, h, widths))
-
-
-def cond_mutual_info(
-    next_locs: Sequence[Location],
-    past_locs: Sequence[Location],
-    current_locs: Sequence[Location],
-    h: Hyperparams,
-    widths: tuple[float, float],
-) -> float:
-    """Mutual information between the next observations and the past ones,
-    conditioned on the current ones.
-
-    Computed as H[next | current] - H[next | current u past], where the
-    union is a union of locations: past cells already present in the current
-    set are dropped, so a past that adds nothing yields exactly zero.
-    Information never hurts, so the result is nonnegative up to rounding;
-    negatives within 1e-9 are clamped to zero.
-    """
-    current_locs = list(current_locs)
-    past = [p for p in dict.fromkeys(past_locs) if p not in current_locs]
-    union = current_locs + past
-    h_cur = conditional_entropy(next_locs, current_locs, h, widths)
-    h_all = conditional_entropy(next_locs, union, h, widths)
-    value = h_cur - h_all
-    if -1e-9 <= value < 0.0:
-        return 0.0
-    return value
 
 
 def _unit_toeplitz(n: int, step: float) -> np.ndarray:

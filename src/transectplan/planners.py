@@ -72,7 +72,6 @@ from .gp import (
     _probe,
     chol_factor,
     gaussian_entropy,
-    minor_entropies,
     minor_factors,
     precision,
 )
@@ -100,7 +99,7 @@ class MarkovPolicy:
     ``values[i, j]`` is the value-to-go of standing at column ``i`` in
     configuration ``configs[j]``; ``actions[i, j]`` indexes the destination
     configuration for column ``i + 1``. The value past the last decision is
-    zero by definition.
+    zero by definition. Stages outside [0, n_cols - 2] raise ValueError.
     """
 
     grid: TransectGrid
@@ -121,11 +120,16 @@ class MarkovPolicy:
         except KeyError:
             raise InvalidArity(f"{x} is not a {self.k}-robot configuration here")
 
+    def _stage(self, stage: int) -> int:
+        if not 0 <= stage <= self.grid.n_cols - 2:
+            raise ValueError(f"stage {stage} outside [0, {self.grid.n_cols - 2}]")
+        return stage
+
     def value(self, stage: int, x: RobotConfig) -> float:
-        return float(self.values[stage, self._index(x)])
+        return float(self.values[self._stage(stage), self._index(x)])
 
     def action(self, stage: int, x: RobotConfig) -> RobotConfig:
-        return self.configs[int(self.actions[stage, self._index(x)])]
+        return self.configs[int(self.actions[self._stage(stage), self._index(x)])]
 
 
 @dataclass(frozen=True)
@@ -192,8 +196,8 @@ def stage_entropy_table(
     posterior is K_next - W^T W. Entry (i, j) is :func:`gaussian_entropy`
     of its minor at configs[j], with that function's jitter ladder and
     refusals; entries are taken in row-major order, so the first refusal
-    raised is the first entry's, as from
-    :func:`~transectplan.gp.conditional_entropy` entry by entry.
+    raised is the first entry's, as from :func:`gaussian_entropy` of
+    :func:`~transectplan.gp.posterior_cov` entry by entry.
     """
     n_rows = grid.n_rows
     cells = np.arange(2 * n_rows)  # columns 0 and 1, column-major
@@ -310,12 +314,13 @@ def _level_entropies(gram, idx, first, moves):
     tail = factor[:, t:, t:]
     post = tail @ tail.transpose(0, 2, 1)
     if ok.all():
-        return minor_entropies(post, idx)
+        return minor_factors(post, idx)[0]
     scores = np.empty((n, len(idx)))
-    scores[ok] = minor_entropies(post[ok], idx)
+    scores[ok] = minor_factors(post[ok], idx)[0]
     for i in np.flatnonzero(~ok).tolist():
         x = joint[i]
-        scores[i] = minor_entropies(_condition(chol_factor(x[:t, :t]), x[:t, t:], x[t:, t:]), idx)
+        post_i = _condition(chol_factor(x[:t, :t]), x[:t, t:], x[t:, t:])
+        scores[i] = minor_factors(post_i, idx)[0]
     return scores
 
 

@@ -3,7 +3,9 @@
 Everything here recomputes quantities from first principles with explicit
 inverses, slogdet and itertools enumeration, deliberately avoiding the
 library's Cholesky and dynamic-programming code paths. Slow and dense on
-purpose; only ever applied to desk-sized instances.
+purpose; only ever applied to desk-sized instances. The one exception is
+:func:`cond_mutual_info`, the conditional mutual information the paper's
+per-stage caps bound, composed from the library's posterior covariance.
 """
 
 import itertools
@@ -17,6 +19,8 @@ from transectplan import (
     TransectGrid,
     config_locations,
     enumerate_configs,
+    gaussian_entropy,
+    posterior_cov,
 )
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
@@ -67,6 +71,23 @@ def oracle_posterior_mean(targets, obs, vals, h, widths, mean=0.0):
     return mean + k_tx @ inv @ (np.asarray(vals, dtype=float) - mean)
 
 
+def oracle_relative_error(path, h, mean=None):
+    """Mean squared residual of the posterior-mean map over every cell,
+    relative to the field mean, conditioning on the path's cells by
+    :func:`oracle_posterior_mean`; the prior mean defaults to the field's."""
+    g = path.grid
+    z = g.measurements
+    if mean is None:
+        mean = float(np.mean(z))
+    obs = path.locations()
+    cells = g.locations()
+    vals = [z[u.row, u.col] for u in obs]
+    mu = oracle_posterior_mean(cells, obs, vals, h, g.widths, mean=mean)
+    truth = np.array([z[u.row, u.col] for u in cells])
+    resid = (truth - mu) / np.mean(z)
+    return float(np.mean(resid * resid))
+
+
 def oracle_entropy(cov):
     cov = np.atleast_2d(cov)
     sign, logdet = np.linalg.slogdet(cov)
@@ -76,6 +97,24 @@ def oracle_entropy(cov):
 
 def oracle_cond_entropy(targets, obs, h, widths):
     return oracle_entropy(oracle_posterior_cov(targets, obs, h, widths))
+
+
+def cond_mutual_info(next_locs, past_locs, current_locs, h, widths):
+    """I[next; past | current] as H[next | current] - H[next | current u
+    past], each entropy ``gaussian_entropy(posterior_cov(...))``.
+
+    The union is one of locations: past cells already in the current set
+    are dropped, so a past that adds nothing gives exactly zero. Information
+    never hurts, so negatives within 1e-9 are rounding and read zero.
+    """
+    current_locs = list(current_locs)
+    past = [p for p in dict.fromkeys(past_locs) if p not in current_locs]
+    h_cur = gaussian_entropy(posterior_cov(next_locs, current_locs, h, widths))
+    h_all = gaussian_entropy(posterior_cov(next_locs, current_locs + past, h, widths))
+    value = h_cur - h_all
+    if -1e-9 <= value < 0.0:
+        return 0.0
+    return value
 
 
 def oracle_markov_best(grid, h, k, x0):

@@ -22,8 +22,6 @@ from transectplan import (
     TransectGrid,
     bound_params,
     bound_report,
-    cond_mutual_info,
-    conditional_entropy,
     cov_matrix,
     enumerate_configs,
     evaluate,
@@ -41,7 +39,7 @@ from transectplan import (
     verify_performance_bounds,
 )
 
-from oracles import oracle_markov_best, random_hyperparams, scaled_grid
+from oracles import cond_mutual_info, oracle_markov_best, random_hyperparams, scaled_grid
 
 
 def verdict(name, ok, detail=""):
@@ -357,9 +355,8 @@ def test_information_identities_and_bound_shape():
         part_a = [locs[i] for i in idx[:na]]
         part_b = [locs[i] for i in idx[na : na + nb]]
         joint = gaussian_entropy(cov_matrix(part_a + part_b, h, g.widths))
-        split = conditional_entropy(part_a, part_b, h, g.widths) + gaussian_entropy(
-            cov_matrix(part_b, h, g.widths)
-        )
+        split = gaussian_entropy(posterior_cov(part_a, part_b, h, g.widths))
+        split += gaussian_entropy(cov_matrix(part_b, h, g.widths))
         if abs(joint - split) > 1e-9:
             failures.append("chain rule")
             break
@@ -386,8 +383,8 @@ def test_information_identities_and_bound_shape():
         targets = [locs[i] for i in idx[:3]]
         obs = [locs[i] for i in idx[3:7]]
         extra = [locs[i] for i in idx[7:10]]
-        wider = conditional_entropy(targets, obs + extra, h2, g.widths)
-        if wider > conditional_entropy(targets, obs, h2, g.widths) + 1e-9:
+        wider = gaussian_entropy(posterior_cov(targets, obs + extra, h2, g.widths))
+        if wider > gaussian_entropy(posterior_cov(targets, obs, h2, g.widths)) + 1e-9:
             failures.append("monotone information")
             break
 

@@ -602,6 +602,17 @@ def test_cli_exit_code_parse_errors(tmp_path):
     assert res.exit_code == 3
     res = run_cli(["plan", "--field", field, "--policy", "exact", "--start", "x"])
     assert res.exit_code == 3
+    # undecodable or unreadable field and sidecar files are parse errors too
+    bad_field = tmp_path / "bad.csv"
+    bad_field.write_bytes(b"\xff\xfe1,2\n")
+    dir_meta = tmp_path / "d.csv"
+    dir_meta.write_bytes(field.read_bytes())
+    dir_meta.with_suffix(".meta").mkdir()
+    field.with_suffix(".meta").write_bytes(b"rows=3\n\xff\n")
+    for path in (bad_field, field, dir_meta):
+        res = run_cli(["plan", "--field", path, "--policy", "exact", "--start", "0"])
+        assert res.exit_code == 3, res.output
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 BAD_VALUES = {

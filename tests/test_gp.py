@@ -16,15 +16,15 @@ from transectplan import (
     GridTooLarge,
     Hyperparams,
     Location,
+    ObservationPath,
+    RobotConfig,
     SingularCovariance,
     TransectGrid,
-    cond_mutual_info,
-    conditional_entropy,
     cov_matrix,
-    covariance,
+    evaluate,
     gaussian_entropy,
     posterior_cov,
-    posterior_mean,
+    relative_error,
     sample_prior_field,
 )
 from transectplan import gp
@@ -34,16 +34,18 @@ from transectplan.gp import (
     chol_factor,
     cross_cov,
     logdet_from_factor,
-    minor_entropies,
+    minor_factors,
     precision,
 )
 
 from oracles import (
+    cond_mutual_info,
     oracle_cond_entropy,
     oracle_cov,
     oracle_entropy,
     oracle_posterior_cov,
     oracle_posterior_mean,
+    oracle_relative_error,
 )
 
 # frozen by a high-precision script before the implementation existed
@@ -64,7 +66,7 @@ def grid_5x8():
 
 def test_covariance_zero_distance_adds_noise():
     u = Location(2, 1)
-    assert covariance(u, u, H, W) == pytest.approx(1.1, abs=0)
+    assert cross_cov([u], [u], H, W)[0, 0] == pytest.approx(1.1, abs=0)
 
 
 def test_survey_constants_accepted_as_hyperparams():
@@ -93,7 +95,7 @@ def test_hyperparams_refuse_an_overflowing_variance():
 
 def test_covariance_one_column_step():
     # ell1 equals omega1, so one horizontal step decays by exp(-1/2)
-    got = covariance(Location(0, 0), Location(1, 0), H, W)
+    got = cross_cov([Location(0, 0)], [Location(1, 0)], H, W)[0, 0]
     assert got == pytest.approx(EXP_HALF, rel=1e-15)
 
 
@@ -102,11 +104,11 @@ def test_covariance_symmetry_and_stationarity():
     for _ in range(50):
         u = Location(int(rng.integers(0, 9)), int(rng.integers(0, 7)))
         v = Location(int(rng.integers(0, 9)), int(rng.integers(0, 7)))
-        a = covariance(u, v, H, W)
-        assert a == covariance(v, u, H, W)
-        shifted = covariance(
-            Location(u.col + 1, u.row), Location(v.col + 1, v.row), H, W
-        )
+        a = cross_cov([u], [v], H, W)[0, 0]
+        assert a == cross_cov([v], [u], H, W)[0, 0]
+        shifted = cross_cov(
+            [Location(u.col + 1, u.row)], [Location(v.col + 1, v.row)], H, W
+        )[0, 0]
         assert shifted == pytest.approx(a, rel=1e-12)
 
 
@@ -119,7 +121,7 @@ def test_covariance_symmetry_and_stationarity():
 @settings(max_examples=60, deadline=None)
 def test_covariance_bounded_by_prior_variance(dc, dr, ell, sig):
     h = Hyperparams(ell1=ell, ell2=ell, signal_var=sig, noise_var=0.0)
-    val = covariance(Location(0, 0), Location(dc, dr), h, W)
+    val = cross_cov([Location(0, 0)], [Location(dc, dr)], h, W)[0, 0]
     assert 0.0 <= val <= sig + 1e-12
 
 
@@ -156,50 +158,106 @@ def test_cov_matrix_matches_oracle_and_is_symmetric():
 
 
 # ------------------------------------------------------------ posterior mean
+#
+# The posterior mean is formed only by the relative-error metric, so these
+# read it there: the metric is the mean over every cell of the squared
+# residual of the posterior-mean map, relative to the field mean.
+
+
+def measured_path(z, rows_per_col):
+    g = TransectGrid(*z.shape, 5.0, 5.0, measurements=z)
+    return ObservationPath(g, tuple(RobotConfig(r) for r in rows_per_col))
+
+
+def unvisited_error(path, mu):
+    """The metric when the map reads ``mu`` at every unvisited cell and the
+    measurement at every visited one."""
+    z = path.grid.measurements
+    seen = np.zeros(z.shape, bool)
+    for u in path.locations():
+        seen[u.row, u.col] = True
+    resid = np.where(seen, 0.0, (z - mu) / z.mean())
+    return float(np.mean(resid * resid))
 
 
 def test_posterior_mean_prior_when_unobserved():
-    mu = posterior_mean([Location(0, 0)], [], [], H, W, mean=3.5)
-    assert mu[0] == 3.5
+    # correlations underflow to zero between distinct cells, so every
+    # unvisited cell is predicted by the prior mean
+    h = Hyperparams(ell1=1e-3, ell2=1e-3, signal_var=1.0, noise_var=0.1)
+    z = np.random.default_rng(8).normal(10.0, 1.0, size=(3, 4))
+    p = measured_path(z, [(0,), (2,), (1,), (0,)])
+    err = relative_error(p, h, mean=3.5)
+    assert err == pytest.approx(unvisited_error(p, 3.5), rel=1e-12)
+    assert evaluate(p, h, "markov", mean=3.5).err == err
 
 
 def test_posterior_mean_at_prior_values_returns_prior():
-    obs = [Location(0, 0), Location(1, 2)]
-    mu = posterior_mean([Location(2, 1)], obs, [2.0, 2.0], H, W, mean=2.0)
-    assert mu[0] == pytest.approx(2.0, abs=1e-12)
+    # every observation sits at the prior mean, so the map reads the prior
+    # mean everywhere, exactly
+    z = np.random.default_rng(9).normal(2.0, 1.0, size=(3, 4))
+    rows = [(0,), (1,), (2,), (1,)]
+    for col, (row,) in enumerate(rows):
+        z[row, col] = 2.0
+    p = measured_path(z, rows)
+    assert relative_error(p, H, mean=2.0) == pytest.approx(
+        unvisited_error(p, 2.0), rel=1e-14
+    )
 
 
 def test_posterior_mean_noiseless_interpolates():
+    # at noise 0 too the map passes through every measurement, so the error
+    # is the unvisited cells' alone
     h0 = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.0)
-    obs = [Location(0, 0), Location(2, 3)]
-    mu = posterior_mean([Location(2, 3)], obs, [1.2, -0.7], h0, W, mean=0.0)
-    assert mu[0] == pytest.approx(-0.7, abs=1e-9)
+    z = sample_prior_field(TransectGrid(3, 4, 5.0, 5.0), h0, seed=3, mean=10.0)
+    p = measured_path(z, [(0,), (2,), (1,), (0,)])
+    g, obs = p.grid, p.locations()
+    rest = [u for u in g.locations() if u not in set(obs)]
+    vals = [z[u.row, u.col] for u in obs]
+    mu = np.full(z.shape, np.nan)
+    for u, m in zip(rest, oracle_posterior_mean(rest, obs, vals, h0, g.widths, mean=10.0)):
+        mu[u.row, u.col] = m
+    err = relative_error(p, h0, mean=10.0)
+    assert err == pytest.approx(unvisited_error(p, mu), rel=1e-9)
+    assert evaluate(p, h0, "exact", mean=10.0).err == err
 
 
 def test_posterior_mean_scalar_conditioning_formula():
-    # 2x2 grid, one observation: mean shifts by (cov_uv / cov_vv) * residual
-    u, v = Location(1, 1), Location(0, 0)
-    z, mean = 4.2, 10.0
-    expect = mean + covariance(u, v, H, W) / covariance(v, v, H, W) * (z - mean)
-    got = posterior_mean([u], [v], [z], H, W, mean=mean)
-    assert got[0] == pytest.approx(expect, rel=1e-12)
+    # columns too far apart to correlate: each unvisited cell u is predicted
+    # from the one visited cell v of its column, shifted from the prior mean
+    # by (cov_uv / cov_vv) * residual
+    h = Hyperparams(ell1=1e-3, ell2=4.0, signal_var=1.0, noise_var=0.1)
+    z = np.random.default_rng(10).normal(10.0, 1.0, size=(2, 3))
+    rows = [(0,), (1,), (0,)]
+    p = measured_path(z, rows)
+    mean = 10.0
+    mu = np.empty(z.shape)
+    for col, (row,) in enumerate(rows):
+        u, v = Location(col, 1 - row), Location(col, row)
+        shift = cross_cov([u], [v], h, p.grid.widths)[0, 0] / cross_cov(
+            [v], [v], h, p.grid.widths
+        )[0, 0]
+        mu[1 - row, col] = mean + shift * (z[row, col] - mean)
+    assert relative_error(p, h, mean=mean) == pytest.approx(
+        unvisited_error(p, mu), rel=1e-12
+    )
 
 
 def test_posterior_mean_matches_dense_oracle():
+    z = sample_prior_field(grid_5x8(), H, seed=2, mean=10.0)
     rng = np.random.default_rng(2)
-    obs = [Location(c, int(rng.integers(0, 5))) for c in range(5)]
-    vals = rng.normal(10.0, 1.0, size=5)
-    targets = [Location(6, 2), Location(7, 0), Location(0, 4)]
-    got = posterior_mean(targets, obs, vals, H, W, mean=10.0)
-    want = oracle_posterior_mean(targets, obs, vals, H, W, mean=10.0)
-    np.testing.assert_allclose(got, want, rtol=1e-10)
+    for k, mean in itertools.product((1, 2), (None, 10.0, 12.5)):
+        rows = [tuple(sorted(rng.choice(5, k, replace=False).tolist())) for _ in range(8)]
+        p = measured_path(z, rows)
+        got = relative_error(p, H, mean=mean)
+        assert got == pytest.approx(oracle_relative_error(p, H, mean), rel=1e-10)
+        assert evaluate(p, H, "greedy-mi", mean=mean).err == got
 
 
 def test_duplicate_noiseless_observations_rejected():
     h0 = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.0)
     dup = [Location(0, 0), Location(0, 0)]
     with pytest.raises(SingularCovariance):
-        posterior_mean([Location(1, 0)], dup, [1.0, 1.0], h0, W)
+        posterior_cov([Location(1, 0)], dup, h0, W)
 
 
 # ------------------------------------------------------- posterior covariance
@@ -240,17 +298,28 @@ def test_posterior_refuses_a_history_below_the_floor():
     obs = [Location(0, 0), Location(3, 2)]
     with pytest.raises(SingularCovariance):
         posterior_cov([Location(1, 1)], obs, tiny, W)
+    # and so does the posterior-mean map of a path through such cells
+    p = measured_path(np.full((3, 4), 1.0), [(0,), (1,), (2,), (1,)])
     with pytest.raises(SingularCovariance):
-        posterior_mean([Location(1, 1)], obs, [0.0, 0.0], tiny, W)
+        relative_error(p, tiny)
+    with pytest.raises(SingularCovariance):
+        evaluate(p, tiny, "markov")
 
 
 def test_posterior_cov_is_measurement_free_api():
-    # the mean changes with the data, the covariance cannot
+    # the mean changes with the data, the covariance cannot: two fields on
+    # one path differ in their map error, not in their entropy
     obs = [Location(0, 0), Location(1, 3)]
     targets = [Location(2, 2)]
     cov_once = posterior_cov(targets, obs, H, W)
-    posterior_mean(targets, obs, [0.0, 0.0], H, W)
-    posterior_mean(targets, obs, [123.0, -5.0], H, W)
+    rows = [(0,), (1,), (2,), (1,), (0,), (3,), (4,), (2,)]
+    recs = [
+        evaluate(measured_path(sample_prior_field(grid_5x8(), H, seed=s, mean=10.0), rows),
+                 H, "markov")
+        for s in (0, 1)
+    ]
+    assert recs[0].err != recs[1].err
+    assert recs[0].ent == recs[1].ent
     np.testing.assert_array_equal(cov_once, posterior_cov(targets, obs, H, W))
 
 
@@ -361,7 +430,7 @@ def test_minor_entropies_match_slogdet_oracle(k):
     cov = a @ a.T + 0.5 * np.eye(5)
     idx = np.array(list(itertools.combinations(range(5), k)))
     want = [oracle_entropy(cov[np.ix_(r, r)]) for r in idx]
-    np.testing.assert_allclose(minor_entropies(cov, idx), want, rtol=1e-11)
+    np.testing.assert_allclose(minor_factors(cov, idx)[0], want, rtol=1e-11)
 
 
 def test_minor_entropies_jitter_one_minor():
@@ -372,12 +441,12 @@ def test_minor_entropies_jitter_one_minor():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov[:2, :2])
     want = [gaussian_entropy(cov[np.ix_(r, r)]) for r in idx]
-    np.testing.assert_array_equal(minor_entropies(cov, idx), want)
+    np.testing.assert_array_equal(minor_factors(cov, idx)[0], want)
 
 
 def test_minor_entropies_collapsed_minor_raises():
     with pytest.raises(SingularCovariance):
-        minor_entropies(np.diag([1.0, 1e-310]), np.array([[0], [1]]))
+        minor_factors(np.diag([1.0, 1e-310]), np.array([[0], [1]]))
 
 
 def test_minor_factors_are_chol_factors_flagged_past_rung_0():
@@ -390,13 +459,11 @@ def test_minor_factors_are_chol_factors_flagged_past_rung_0():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov[1, :2, :2])
     idx = np.array(list(itertools.combinations(range(4), 2)))
-    entropies, L, ok = gp.minor_factors(cov, idx)
+    entropies, L, ok = minor_factors(cov, idx)
     minors = cov[:, idx[:, :, None], idx[:, None, :]]
     np.testing.assert_array_equal(L, chol_factor(minors))
     np.testing.assert_array_equal(entropies, gaussian_entropy(minors))
     np.testing.assert_array_equal(ok, [[True] * 6, [False] + [True] * 5])
-    with pytest.raises(SingularCovariance):
-        gp.minor_factors(np.diag([1.0, 1e-310]), np.array([[0], [1]]))
 
 
 # ----------------------------------------------------------- growing factor
@@ -703,7 +770,7 @@ def test_precision_refuses_a_matrix_it_cannot_invert():
 def test_conditional_entropy_matches_oracle():
     targets = [Location(4, 1), Location(5, 2)]
     obs = [Location(c, 0) for c in range(4)]
-    got = conditional_entropy(targets, obs, H, W)
+    got = gaussian_entropy(posterior_cov(targets, obs, H, W))
     assert got == pytest.approx(oracle_cond_entropy(targets, obs, H, W), rel=1e-10)
 
 
@@ -716,7 +783,9 @@ def test_chain_rule_random_disjoint_sets():
         a = [Location(*cells[i]) for i in range(na)]
         b = [Location(*cells[na + i]) for i in range(nb)]
         joint = gaussian_entropy(cov_matrix(a + b, H, W))
-        split = gaussian_entropy(cov_matrix(a, H, W)) + conditional_entropy(b, a, H, W)
+        split = gaussian_entropy(cov_matrix(a, H, W)) + gaussian_entropy(
+            posterior_cov(b, a, H, W)
+        )
         assert joint == pytest.approx(split, abs=1e-9)
 
 

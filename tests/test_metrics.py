@@ -15,13 +15,13 @@ from transectplan import (
     RobotConfig,
     TransectGrid,
     ZeroMeanField,
-    conditional_entropy,
     cov_matrix,
     evaluate,
     gaussian_entropy,
     metric_diff,
     plan,
     plan_markov,
+    posterior_cov,
     rollout,
     sample_prior_field,
     unobserved_entropy,
@@ -56,12 +56,12 @@ def test_unobserved_entropy_smallest_grid():
     g = TransectGrid(2, 2, 5.0, 5.0)
     p = path_of(g, [(0,), (0,)])
     # visited row 0 in both columns, row 1 never
-    want = conditional_entropy(
+    want = gaussian_entropy(posterior_cov(
         [Location(0, 1), Location(1, 1)],
         [Location(0, 0), Location(1, 0)],
         H,
         g.widths,
-    )
+    ))
     assert unobserved_entropy(p, H) == pytest.approx(want, rel=1e-13)
 
 
@@ -118,7 +118,8 @@ def test_unobserved_entropy_matches_the_oracle(shape, fit, ratio):
         want = oracle_cond_entropy(rest, visited, h, g.widths)
         assert got == pytest.approx(want, rel=ORACLE_RTOL[ratio])
         # the library's conditioned route, through one Cholesky factor
-        assert got == pytest.approx(conditional_entropy(rest, visited, h, g.widths), rel=1e-12)
+        conditioned = gaussian_entropy(posterior_cov(rest, visited, h, g.widths))
+        assert got == pytest.approx(conditioned, rel=1e-12)
 
 
 @pytest.mark.parametrize("fit", sorted(SURVEY_FITS))
@@ -164,7 +165,7 @@ def test_unobserved_entropy_permutation_invariant():
         rng = np.random.default_rng(perm_seed)
         order = rng.permutation(len(rest))
         shuffled = [rest[i] for i in order]
-        val = conditional_entropy(shuffled, p.locations(), H, g.widths)
+        val = gaussian_entropy(posterior_cov(shuffled, p.locations(), H, g.widths))
         assert val == pytest.approx(base, abs=1e-9)
 
 

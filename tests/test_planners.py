@@ -22,13 +22,14 @@ from transectplan import (
     ParseError,
     RobotConfig,
     TransectGrid,
-    conditional_entropy,
     enumerate_configs,
+    gaussian_entropy,
     path_entropies,
     path_entropy,
     plan,
     plan_all,
     plan_markov,
+    posterior_cov,
     rollout,
     verify_performance_bounds,
 )
@@ -140,12 +141,12 @@ def test_stage_entropy_table_entries():
         table = stage_entropy_table(g, h, configs)
         for i, xi in enumerate(configs):
             for j, xj in enumerate(configs):
-                want = conditional_entropy(
+                want = gaussian_entropy(posterior_cov(
                     list(config_locations(xj, 1)),
                     list(config_locations(xi, 0)),
                     h,
                     g.widths,
-                )
+                ))
                 assert table[i, j] == pytest.approx(want, abs=1e-12)
 
     # noise free, with the columns correlated to 1.0 in float64: a cell's
@@ -155,9 +156,9 @@ def test_stage_entropy_table_entries():
     refusals = []
     for xi, xj in itertools.product(configs, configs):
         try:
-            conditional_entropy(
+            gaussian_entropy(posterior_cov(
                 list(config_locations(xj, 1)), list(config_locations(xi, 0)), h, g.widths
-            )
+            ))
         except TransectPlanError as e:
             refusals.append(type(e))
     assert refusals
@@ -225,6 +226,19 @@ def test_markov_policy_rejects_foreign_configuration(x):
         pol.action(0, x)
     with pytest.raises(InvalidArity):
         rollout(pol, x)
+
+
+def test_markov_policy_refuses_a_stage_outside_its_range():
+    # stages run 0..n_cols-2; a negative one must not wrap to the last
+    pol = plan_markov(small_grid(3, 6), H, k=1)
+    x = RobotConfig((1,))
+    assert pol.value(4, x) == pol.values[4, 1]
+    assert pol.action(4, x) == pol.configs[pol.actions[4, 1]]
+    for stage in (-1, 5):
+        with pytest.raises(ValueError, match=re.escape(f"stage {stage} outside [0, 4]")):
+            pol.value(stage, x)
+        with pytest.raises(ValueError, match=re.escape(f"stage {stage} outside [0, 4]")):
+            pol.action(stage, x)
 
 
 # ------------------------------------------------------------ exact planner
@@ -753,7 +767,7 @@ def posterior_cov_route(g, h, idx, first, moves):
     for start, seq in zip(first, moves):
         history = [start, *idx[seq]]
         observed = [Location(c, int(r)) for c, rows in enumerate(history) for r in rows]
-        yield gp.minor_entropies(gp.posterior_cov(column, observed, h, g.widths), idx)
+        yield gp.minor_factors(gp.posterior_cov(column, observed, h, g.widths), idx)[0]
 
 
 @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.3])
