@@ -51,6 +51,12 @@ from .transect import Location, RobotConfig, TransectGrid
 #: Equality tolerance for the normalized length-scales in the team bound.
 ANISOTROPY_TOL = 1e-9
 
+#: Rounding slack of every inequality the audits and the contraction check test.
+AUDIT_TOL = 1e-9
+
+#: The contraction check's histories hold 1 to this many cells.
+MAX_HISTORY = 6
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -202,8 +208,6 @@ def check_covariance_contraction(
     h: Hyperparams,
     trials: int = 200,
     seed: int = 0,
-    max_history: int = 6,
-    tol: float = 1e-9,
 ) -> ContractionCheck:
     """Sample the assumption that conditioning on a whole history never
     leaves a pairwise covariance larger in magnitude than conditioning on
@@ -212,13 +216,13 @@ def check_covariance_contraction(
     The team bound relies on this property of the covariance structure; it
     is not a theorem for squared-exponential kernels, so counterexamples are
     reported rather than suppressed. ``passed`` is True when no sampled
-    tuple violates the inequality beyond ``tol``.
+    tuple violates the inequality beyond AUDIT_TOL.
     """
     rng = np.random.default_rng(seed)
     cells = grid.locations()
     found: list[ContractionViolation] = []
     for _ in range(trials):
-        hist_len = int(rng.integers(1, max_history + 1))
+        hist_len = int(rng.integers(1, MAX_HISTORY + 1))
         take = min(hist_len + 2, len(cells))
         picks = rng.choice(len(cells), size=take, replace=False)
         u, v = cells[picks[0]], cells[picks[1]]
@@ -228,7 +232,7 @@ def check_covariance_contraction(
         full = posterior_cov([u, v], list(history), h, grid.widths)[0, 1]
         for x_m in history:
             single = posterior_cov([u, v], [x_m], h, grid.widths)[0, 1]
-            if abs(full) > abs(single) + tol:
+            if abs(full) > abs(single) + AUDIT_TOL:
                 found.append(
                     ContractionViolation(
                         u, v, history, x_m, abs(float(full)), abs(float(single))
@@ -309,7 +313,6 @@ def verify_performance_bounds(
     h: Hyperparams,
     k: int = 1,
     budget: int = DEFAULT_BUDGET,
-    tol: float = 1e-9,
     per_stage: bool = True,
 ) -> BoundReport:
     """Audit the bound tables against the exhaustive oracle, every start.
@@ -317,7 +320,8 @@ def verify_performance_bounds(
     For each start configuration checks that the exhaustive optimum is
     bracketed by the Markov value from above and by the Markov value minus
     the stage-0 gap bound from below, and that executing the Markov policy
-    loses at most the stage-0 gap bound. With ``per_stage`` the bracket is
+    loses at most the stage-0 gap bound, each within AUDIT_TOL for
+    rounding. With ``per_stage`` the bracket is
     additionally checked at every stage along the oracle's optimal path.
     Raises ConditionViolated when the bounds are not valid on this instance,
     then BudgetExceeded, before any table is built, on oversized instances.
@@ -358,9 +362,9 @@ def verify_performance_bounds(
     for x0, res, v_roll in zip(starts, results, rollout_values):
         v_markov = policy.value(0, x0)
         v_exact = res.value
-        bracket = (v_exact <= v_markov + tol) and (v_exact >= v_markov - eps0 - tol)
+        bracket = v_markov - eps0 - AUDIT_TOL <= v_exact <= v_markov + AUDIT_TOL
         gap = v_exact - v_roll
-        roll_ok = -tol <= gap <= eps0 + tol
+        roll_ok = -AUDIT_TOL <= gap <= eps0 + AUDIT_TOL
         stage_ok = True
         if per_stage:
             cfgs = list(res.path.configs)
@@ -370,7 +374,7 @@ def verify_performance_bounds(
                 v_star = sum(res.stage_gains[i:])
                 v_m = policy.value(i, cfgs[i])
                 eps_i = float(report.tail_bounds[i])
-                if not (v_star <= v_m + tol and v_star >= v_m - eps_i - tol):
+                if not v_m - eps_i - AUDIT_TOL <= v_star <= v_m + AUDIT_TOL:
                     stage_ok = False
         audits.append(
             StartAudit(

@@ -4,7 +4,8 @@ Four subcommands: ``synth`` writes a synthetic field file, ``plan`` runs one
 planner on a field, ``bounds`` prints the bound tables (with oracle verdicts
 when the instance is small enough), and ``bench`` runs the benchmark
 harness. Reports are flat key=value lines, numbers at 17 significant
-digits. Exit codes: 0 success, 3 parse errors, 4 violated bound conditions,
+digits. Exit codes: 0 success, 3 parse errors, unreadable inputs and
+``--out`` paths that cannot be written, 4 violated bound conditions,
 5 search budget refusals, 6 factorization failures (no factor within the
 jitter ladder, or a factor diagonal too small to take a log of), 1 any other
 error the package raises deliberately; an unexpected exception also exits 1,
@@ -13,6 +14,7 @@ with its traceback.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
@@ -139,10 +141,20 @@ def _require(value, message: str):
     return value
 
 
+@contextlib.contextmanager
+def _writing(out):
+    """Refuse an output path that cannot be written as one error line."""
+    try:
+        yield
+    except OSError as e:
+        raise ParseError(f"cannot write {out}: {e}") from e
+
+
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        with _writing(out):
+            Path(out).write_text(text)
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
@@ -176,7 +188,8 @@ def synth(rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var, mean, s
     if not math.isfinite(mean):
         raise ParseError(f"mean must be finite, got {mean}")
     z = sample_prior_field(grid, h, seed, mean=mean)
-    write_field(out, replace(grid, measurements=z), h, mean, seed)
+    with _writing(out):
+        write_field(out, replace(grid, measurements=z), h, mean, seed)
     click.echo(f"field={out}")
     click.echo(f"sidecar={Path(out).with_suffix('.meta')}")
     click.echo(f"sha256={sha256_of(out)}")
@@ -356,7 +369,8 @@ def bench_cmd(rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var, mea
         budget=budget,
     )
     table = bench_mod.run_benchmark(spec)
-    bench_mod.write_csv(table, out)
+    with _writing(out):
+        bench_mod.write_csv(table, out)
     click.echo(f"rows={len(table)}")
     click.echo(f"out={out}")
     click.echo(f"sha256={sha256_of(out)}")

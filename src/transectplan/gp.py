@@ -51,8 +51,7 @@ product of two 1-D symmetric Toeplitz factors, along and across the
 transect, so whole-grid draws and the whole grid's entropy form no dense
 factor. The entropy comes from the two factors' eigenvalues. A draw embeds
 the along-track factor in a circulant, drawn by one real FFT per row, and
-takes the across-track factor's eigenfactors; that R x R factor is
-centrosymmetric, so its eigenproblem splits exactly into two half-size ones.
+takes the R x R across-track factor's eigenfactors from ``eigh``.
 """
 
 from __future__ import annotations
@@ -553,39 +552,6 @@ def grid_entropy(grid: TransectGrid, h: Hyperparams) -> float:
     return _grid_entropy(grid.n_rows, grid.n_cols, grid.omega1, grid.omega2, h)
 
 
-def _centro_eigh(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a symmetric
-    centrosymmetric matrix ``k`` (J k J = k, J the exchange matrix), as
-    ``(lam, q)`` with ``q @ diag(lam) @ q.T == k``, from two half-size
-    eigenproblems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
-
-    With m = n // 2, A the leading m x m block and B the trailing m rows'
-    leading m columns, the symmetric half A + JB gives the eigenvectors
-    [u; Ju] / sqrt(2) and the skew half A - JB gives [v; -Jv] / sqrt(2).
-    For odd n the symmetric half also holds the middle row, coupled to the
-    others by sqrt(2), and its eigenvectors carry their middle entry as is.
-    The eigenvalues are not sorted: the symmetric half's come first.
-    """
-    n = k.shape[0]
-    m, odd = divmod(n, 2)
-    a, jb = k[:m, :m], k[n - m :, :m][::-1]
-    sym = np.empty((m + odd, m + odd))
-    sym[:m, :m] = a + jb
-    if odd:
-        sym[:m, m] = sym[m, :m] = np.sqrt(2.0) * k[:m, m]
-        sym[m, m] = k[m, m]
-    lam_s, u = np.linalg.eigh(sym)
-    lam_a, v = np.linalg.eigh(a - jb)
-    r = np.sqrt(0.5)
-    q = np.zeros((n, n))
-    q[:m, : m + odd] = r * u[:m]
-    q[m : n - m, : m + odd] = u[m:]
-    q[n - m :, : m + odd] = r * u[:m][::-1]
-    q[:m, m + odd :] = r * v
-    q[n - m :, m + odd :] = -r * v[::-1]
-    return np.concatenate([lam_s, lam_a]), q
-
-
 def _smooth_at_least(n: int) -> int:
     """The smallest 2^a 3^b 5^c that is at least n >= 1."""
     best = 1 << (n - 1).bit_length()
@@ -657,9 +623,9 @@ def sample_prior_field(
     Hartley matrix, the C x M map A = H[:C] diag(sqrt(lam / M)) has
     A A^T = K_col. One ``standard_normal((M + C, R))`` call gives E, and
     the field is sqrt(signal_var) B (A E[:M])^T + sqrt(noise_var) E[M:]^T,
-    with B = q_r diag(sqrt(lam_r)) from :func:`_centro_eigh` of the R x R
-    factor. That costs one real FFT of M points per grid row and one R x R
-    eigenproblem, O(R M log M + R^3), and forms no C x C matrix. Eigenvalues
+    with B = q_r diag(sqrt(lam_r)) from ``eigh`` of the R x R factor. That
+    costs one real FFT of M points per grid row and one R x R eigenproblem,
+    O(R M log M + R^3), and forms no C x C matrix. Eigenvalues
     that rounding makes slightly negative are clipped to zero, so an
     ill-conditioned or noise-free covariance still draws. Deterministic for
     a given seed; the law, not the field a seed draws, is the contract.
@@ -680,7 +646,7 @@ def sample_prior_field(
             f"ell1 {h.ell1:g} is {h.ell1 / grid.omega1:g} cells: drawing its "
             f"circulant embedding exceeds {MAX_DENSE_CELLS**2} doubles"
         )
-    lam_r, q_r = _centro_eigh(_unit_toeplitz(n_rows, grid.omega2 / h.ell2))
+    lam_r, q_r = np.linalg.eigh(_unit_toeplitz(n_rows, grid.omega2 / h.ell2))
     across = q_r * np.sqrt(h.signal_var * np.clip(lam_r, 0.0, None))
     e = np.random.default_rng(seed).standard_normal((m + n_cols, n_rows))
     # one column of e per grid row: m normals for the row along the track,

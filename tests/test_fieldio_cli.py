@@ -662,6 +662,16 @@ BAD_VALUES = {
     "plan-nan-field": ["plan", "--field", "{nan_field}", "--policy", "markov",
                        "--start", "0", "--ell1", "1", "--ell2", "1",
                        "--signal-var", "1", "--noise-var", "0.1"],
+    # every --out that cannot be written: here, one in a missing directory
+    "synth-unwritable-out": ["synth", "--rows", "3", "--cols", "6",
+                             "--out", "{nodir}/x.csv"],
+    "plan-unwritable-out": ["plan", "--field", "{field}", "--policy", "markov",
+                            "--start", "0", "--out", "{nodir}/r.txt"],
+    "bounds-unwritable-out": ["bounds", "--field", "{field}", "--no-verify",
+                              "--out", "{nodir}/b.txt"],
+    "bench-unwritable-out": ["bench", "--rows", "2", "--cols", "4", "--ell1", "1",
+                             "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
+                             "--policies", "markov", "--out", "{nodir}/b.csv"],
 }
 
 
@@ -673,7 +683,7 @@ def test_cli_rejected_values_exit_3_with_one_error_line(tmp_path, args):
     nan_field.write_text("1.0,nan,2.0\n3.0,4.0,5.0\n")
     field = synth_field(tmp_path)
     paths = {"one_col": one_col, "nan_field": nan_field, "field": field,
-             "out": tmp_path / "o.csv"}
+             "out": tmp_path / "o.csv", "nodir": tmp_path / "nodir"}
     res = run_cli([a.format(**paths) for a in args])
     assert res.exit_code == 3, res.output
     assert res.stdout == ""

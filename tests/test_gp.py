@@ -937,7 +937,7 @@ def test_kron_eigen_rebuilds_grid_covariance(grid, h):
     np.testing.assert_allclose(
         a @ a.T, gp._unit_toeplitz(grid.n_cols, step), rtol=0.0, atol=1e-12
     )
-    lam_r, q_r = gp._centro_eigh(gp._unit_toeplitz(grid.n_rows, grid.omega2 / h.ell2))
+    lam_r, q_r = np.linalg.eigh(gp._unit_toeplitz(grid.n_rows, grid.omega2 / h.ell2))
     lam_r = np.clip(lam_r, 0.0, None)
     # the variance the draw puts along each of its directions
     var = h.signal_var * np.outer(lam / m, lam_r) + h.noise_var
@@ -1019,28 +1019,6 @@ def test_unit_toeplitz_is_the_signal_gram(n, width, ell):
     want_across = gp._signal_gram(across, across, Hyperparams(7.0, ell, 1.0, 0.0), (3.0, width))
     got = gp._unit_toeplitz(n, width / ell)
     assert np.array_equal(got, want_along) and np.array_equal(got, want_across)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41, 400])
-@pytest.mark.parametrize("ell", [0.2, 0.7, 3.0, 20.0, 100.0])
-def test_centro_eigh_rebuilds_the_toeplitz_factor(n, ell):
-    # ell in cell widths: from nearly the identity to nearly all ones
-    k = gp._unit_toeplitz(n, 1.0 / ell)
-    lam, q = gp._centro_eigh(k)
-    assert lam.shape == (n,) and q.shape == (n, n)
-    np.testing.assert_allclose(q @ np.diag(lam) @ q.T, k, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(q.T @ q, np.eye(n), rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 6])
-def test_centro_eigh_takes_any_symmetric_centrosymmetric_matrix(n):
-    s = np.random.default_rng(n).standard_normal((n, n))
-    k = s + s.T
-    k = k + k[::-1, ::-1]
-    lam, q = gp._centro_eigh(k)
-    np.testing.assert_allclose(q @ np.diag(lam) @ q.T, k, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(q.T @ q, np.eye(n), rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(k), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("grid, h", DRAW_CASES.values(), ids=DRAW_CASES)
