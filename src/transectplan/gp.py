@@ -24,15 +24,17 @@ Numerical policy, applied uniformly:
   matrix's refusal is the one raised;
 * the one explicit inverse, in :func:`precision`, is formed from one such
   factor as L^-T L^-1; nothing else inverts a matrix;
-* triangular solves and that inverse use SciPy's LAPACK routines, called
-  only in this module and imported on first use by :func:`_scipy_linalg`;
+* every triangular solve goes through :func:`_trsolve`, and that inverse
+  through LAPACK ``potri``: ``trtrs`` and ``potri`` are the only SciPy
+  routines the package calls, imported on first use by :func:`_lapack`;
   the posterior covariance, the unobserved-entropy metric below
   STABLE_NOISE_RATIO and an exhaustive node whose level factor failed
   condition through one step, :func:`_condition`, and load SciPy, as the
   relative-error metric's posterior mean and the greedy planners do; the
   Markov stage table solves its k x k factors by numpy's LU solve, so the
   Markov, exhaustive and bounds paths and the field draws run on numpy alone;
-* log-determinants come from the triangular factor;
+* log-determinants and entropies come from the triangular factor, the
+  entropies through :func:`_factor_entropy`;
 * entropies are reported in nats.
 
 Within a covariance matrix over a list of observations the noise term sits on
@@ -119,14 +121,14 @@ class Hyperparams:
 
 
 @functools.cache
-def _scipy_linalg():
-    """``scipy.linalg``, imported on the first call: its triangular solve and
-    LAPACK ``trtrs`` and ``potri`` serve the history factors and the
-    precision, and importing SciPy costs more than the Markov path's whole
-    run, so only the calls that need it pay."""
-    import scipy.linalg
+def _lapack():
+    """``scipy.linalg.lapack``, imported on the first call: its ``trtrs`` and
+    ``potri`` serve the triangular solves and the precision, and importing
+    SciPy costs more than the Markov path's whole run, so only the calls
+    that need it pay."""
+    import scipy.linalg.lapack
 
-    return scipy.linalg
+    return scipy.linalg.lapack
 
 
 def _as_int_array(locs: Sequence[Location]) -> np.ndarray:
@@ -265,18 +267,24 @@ def _duplicate_guard(locs: Sequence[Location], h: Hyperparams) -> None:
         )
 
 
+def _trsolve(L: np.ndarray, b: np.ndarray, trans: int = 1, overwrite_b: int = 0) -> np.ndarray:
+    """L^-1 b (``trans=1``) or L^-T b (``trans=0``) for a lower factor L by
+    LAPACK ``trtrs``, the one triangular solve. L^T, the upper factor in
+    Fortran order, is read in place, also from the first n rows of a wider
+    C-ordered buffer; ``overwrite_b=1`` solves in a Fortran-ordered ``b``.
+    An exact zero pivot raises SingularCovariance."""
+    x, info = _lapack().dtrtrs(L.T, b, lower=0, trans=trans, overwrite_b=overwrite_b)
+    if info != 0:
+        raise SingularCovariance(f"trtrs failed with info {info}")
+    return x
+
+
 def _condition(L: np.ndarray, k_xt: np.ndarray, k_tt: np.ndarray) -> np.ndarray:
-    """The conditioning step, K_tt - W^T W with W = L^-1 K_xt: the targets'
-    covariance given observations whose Gram matrix has the lower factor L."""
-    w = _scipy_linalg().solve_triangular(L, k_xt, lower=True, check_finite=False)
+    """The conditioning step, K_tt - W^T W with W = L^-1 K_xt by
+    :func:`_trsolve`: the targets' covariance given observations whose Gram
+    matrix has the lower factor L."""
+    w = _trsolve(L, k_xt)
     return k_tt - w.T @ w
-
-
-def _factor_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K^-1 b from the lower factor L of K, by two triangular solves."""
-    solve_triangular = _scipy_linalg().solve_triangular
-    alpha = solve_triangular(L, b, lower=True, check_finite=False)
-    return solve_triangular(L.T, alpha, lower=False, check_finite=False)
 
 
 def posterior_cov(
@@ -309,10 +317,16 @@ def gaussian_entropy(cov: np.ndarray) -> float | np.ndarray:
     Negative values are legitimate for small variances; a singular matrix
     raises instead of returning -inf.
     """
-    L = chol_factor(cov)
-    d = L.diagonal(axis1=-2, axis2=-1)
-    e = 0.5 * (L.shape[-1] * LOG_2PI_E + 2.0 * np.log(d).sum(axis=-1))
+    e = _factor_entropy(chol_factor(cov))
     return e if e.ndim else float(e)
+
+
+def _factor_entropy(L: np.ndarray) -> np.ndarray:
+    """Entropy in nats, 0.5 * (n log(2 pi e) + 2 sum(log(diag L))), of each
+    Gaussian of a stack of shape (..., n, n) from its lower factor L as
+    :func:`chol_factor`'s ladder leaves it, pivots unchecked: shape (...)."""
+    d = L.diagonal(axis1=-2, axis2=-1)
+    return 0.5 * (L.shape[-1] * LOG_2PI_E + 2.0 * np.log(d).sum(axis=-1))
 
 
 def minor_factors(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,8 +343,7 @@ def minor_factors(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     L, ok = _probe(minors)
     if not ok.all():
         _past_rung_0(minors, L, ok)
-    d = L.diagonal(axis1=-2, axis2=-1)
-    return 0.5 * (idx.shape[1] * LOG_2PI_E + 2.0 * np.log(d).sum(axis=-1)), L, ok
+    return _factor_entropy(L), L, ok
 
 
 def precision(cov: np.ndarray) -> np.ndarray:
@@ -343,7 +356,7 @@ def precision(cov: np.ndarray) -> np.ndarray:
     L = chol_factor(cov)
     del cov
     # L^T is the upper factor in Fortran order, which potri overwrites
-    p, info = _scipy_linalg().lapack.dpotri(L.T, lower=0, overwrite_c=1)
+    p, info = _lapack().dpotri(L.T, lower=0, overwrite_c=1)
     if info != 0:
         raise SingularCovariance(f"potri failed with info {info}")
     p += np.triu(p, 1).T
@@ -474,18 +487,15 @@ class GrowingFactor:
     def condition(self, cross: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(S, Wt)`` for candidate indices c, given ``cross[s]`` =
         M[c, V_s] (shape (stack, R, n)) and ``block`` = M[c, c]: with
-        W_s = L_s^-1 M[V_s, c], ``Wt[s]`` is W_s^T, solved in place in
-        ``cross`` (in a C-ordered copy when it is not one), and ``S[s]`` is
-        M[c, c] - W_s^T W_s."""
+        W_s = L_s^-1 M[V_s, c] by :func:`_trsolve`, ``Wt[s]`` is W_s^T,
+        solved in place in ``cross`` (in a C-ordered copy when it is not
+        one), and ``S[s]`` is M[c, c] - W_s^T W_s."""
         n = self.size
-        # M[c, V_s] is M[V_s, c]^T; each member's W_s^T is solved in it
+        # M[c, V_s] is M[V_s, c]^T; each member's W_s^T is solved in it, and
+        # L_s is read in place from the first n rows of the member's buffer
         wt = np.ascontiguousarray(cross, dtype=float)
-        dtrtrs = _scipy_linalg().lapack.dtrtrs
         for factor, w in zip(self.factor, wt):
-            # L_s^T, read in place from the buffer with leading dimension capacity
-            _, info = dtrtrs(factor.T[:, :n], w.T, lower=0, trans=1, overwrite_b=1)
-            if info != 0:
-                raise SingularCovariance(f"trtrs failed with info {info}")
+            _trsolve(factor[:n], w.T, overwrite_b=1)
         return block - wt @ wt.transpose(0, 2, 1), wt
 
     def extend(self, cells: np.ndarray, wt: np.ndarray, factor: np.ndarray, ok: np.ndarray) -> None:

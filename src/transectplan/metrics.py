@@ -17,7 +17,8 @@ from the eigenvalues of its Kronecker covariance and kept per grid shape and
 hyperparameters, minus the visited cells' entropy, from the factor's
 diagonal. Below that ratio the two terms nearly cancel and their rounding
 no longer does, so the unvisited cells are conditioned on the visited ones
-directly, through the factor.
+directly, through the factor. The posterior mean solves against the same
+factor, twice, through gp's one triangular solve.
 """
 
 from __future__ import annotations
@@ -29,16 +30,15 @@ import numpy as np
 
 from .errors import EmptyUnobservedSet, MismatchedInstances, ZeroMeanField
 from .gp import (
-    LOG_2PI_E,
     STABLE_NOISE_RATIO,
     Hyperparams,
     LagGram,
     _condition,
-    _factor_solve,
+    _factor_entropy,
+    _trsolve,
     chol_factor,
     gaussian_entropy,
     grid_entropy,
-    logdet_from_factor,
 )
 from .transect import ObservationPath, RobotConfig
 
@@ -83,8 +83,7 @@ class _PathMap:
         if self.visited.size == n_cells:
             raise EmptyUnobservedSet("path covers every cell")
         if h.noise_var >= STABLE_NOISE_RATIO * h.signal_var:
-            h_visited = 0.5 * (self.visited.size * LOG_2PI_E + logdet_from_factor(self.factor))
-            return grid_entropy(grid, h) - h_visited
+            return grid_entropy(grid, h) - float(_factor_entropy(self.factor))
         rest = np.setdiff1d(np.arange(n_cells), self.visited)
         k_xt = self.prior(self.visited, rest)
         return gaussian_entropy(_condition(self.factor, k_xt, self.prior(rest, rest)))
@@ -100,7 +99,8 @@ class _PathMap:
             mean = zbar
         # column-major cell i holds z[i % n_rows, i // n_rows]
         z_all = z.T.ravel()
-        alpha = _factor_solve(self.factor, z_all[self.visited] - mean)
+        # K^-1 (z - mean) over the visited cells, by L^-T L^-1
+        alpha = _trsolve(self.factor, _trsolve(self.factor, z_all[self.visited] - mean), trans=0)
         mu = mean + self.prior.all_against(self.cols, self.rows) @ alpha
         resid = (z_all - mu) / zbar
         return float(np.mean(resid * resid))

@@ -120,12 +120,6 @@ def enumerate_configs(grid: TransectGrid, k: int) -> list[RobotConfig]:
     return [RobotConfig(c) for c in itertools.combinations(range(grid.n_rows), k)]
 
 
-def config_locations(x: RobotConfig, col: int) -> tuple[Location, ...]:
-    """Cells occupied by configuration ``x`` placed at column ``col``,
-    ordered by row."""
-    return tuple(Location(col, r) for r in x.rows)
-
-
 @dataclass(frozen=True)
 class ObservationPath:
     """One configuration per column, column 0 through n_cols - 1."""
@@ -154,11 +148,7 @@ class ObservationPath:
 
     def locations(self) -> list[Location]:
         """All visited cells, stage by stage, rows ascending within a stage."""
-        return [
-            loc
-            for col, cfg in enumerate(self.configs)
-            for loc in config_locations(cfg, col)
-        ]
+        return [Location(col, r) for col, cfg in enumerate(self.configs) for r in cfg.rows]
 
 
 def robot_tracks(path: ObservationPath) -> list[list[int]]:

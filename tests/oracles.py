@@ -16,14 +16,19 @@ import numpy as np
 
 from transectplan import (
     Hyperparams,
+    Location,
     TransectGrid,
-    config_locations,
     enumerate_configs,
     gaussian_entropy,
     posterior_cov,
 )
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
+
+
+def config_locations(x, col):
+    """The cells of configuration ``x`` at column ``col``, ordered by row."""
+    return tuple(Location(col, r) for r in x.rows)
 
 
 def oracle_cov(locs, h, widths):

@@ -749,12 +749,84 @@ def test_cholesky_is_called_only_inside_chol_factor():
 
 def test_blocks_and_triangular_solves_are_read_only_inside_gp():
     # one home for the lag blocks' layout and for the triangular solves:
-    # every other module gathers through LagGram and conditions through gp
+    # every other module gathers through LagGram and conditions through gp,
+    # and no other module calls LAPACK directly
     sites = set()
     for path in sorted(Path(gp.__file__).parent.glob("*.py")):
-        if re.search(r"\.blocks\b|solve_triangular", path.read_text()):
+        if re.search(r"\.blocks\b|trtrs|potri|solve_triangular", path.read_text()):
             sites.add(path.name)
     assert sites == {"gp.py"}
+
+
+def test_trtrs_is_called_only_inside_trsolve():
+    # one triangular-solve route: every solve against a factor is _trsolve's
+    sites = []
+    for path in sorted(Path(gp.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert "solve_triangular" not in source
+        functions = [f for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)]
+        for line, text in enumerate(source.splitlines(), start=1):
+            if re.search(r"trtrs\(", text):
+                owner = [f.name for f in functions if f.lineno <= line <= f.end_lineno]
+                sites.append((path.name, *owner))
+    assert sites == [("gp.py", "_trsolve")]
+
+
+def c_ordered_factor(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return np.linalg.cholesky(a @ a.T + n * np.eye(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 80])
+def test_trsolve_reproduces_scipy_solve_triangular_bits(n):
+    from scipy.linalg import solve_triangular
+
+    L = c_ordered_factor(n, n)
+    assert L.flags.c_contiguous
+    rng = np.random.default_rng(1)
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+        forward = gp._trsolve(L, b)
+        np.testing.assert_array_equal(
+            forward, solve_triangular(L, b, lower=True, check_finite=False)
+        )
+        # the back-solve, as the posterior mean takes K^-1 b
+        np.testing.assert_array_equal(
+            gp._trsolve(L, forward, trans=0),
+            solve_triangular(L.T, forward, lower=False, check_finite=False),
+        )
+        assert forward.shape == b.shape
+    # the conditioning step, on a cross block that is a view of a larger
+    # matrix, as an exhaustive node's redo passes it; the view is not written
+    k = rng.standard_normal((n, 7))
+    before = k.copy()
+    k_tt = rng.standard_normal((4, 4))
+    w = solve_triangular(L, k[:, 3:], lower=True, check_finite=False)
+    np.testing.assert_array_equal(gp._condition(L, k[:, 3:], k_tt), k_tt - w.T @ w)
+    np.testing.assert_array_equal(k, before)
+
+
+def test_one_member_growing_factor_conditions_as_condition_does():
+    g = TransectGrid(4, 9, 5.0, 5.0)
+    h = Hyperparams(ell1=8.0, ell2=6.0, signal_var=2.5, noise_var=0.01)
+    gram = gp.LagGram(g, h)
+    history = np.array([[0, 3, 5, 6, 9]])
+    f = GrowingFactor(gram, history, capacity=12)
+    cand = np.arange(12, 16)
+    s, wt = f.condition(gram(cand, history[0])[None], gram(cand, cand))
+    L = f.factor[0, : f.size, : f.size]
+    w = gp._trsolve(L, gram(history[0], cand))
+    np.testing.assert_array_equal(s[0], gp._condition(L, gram(history[0], cand), gram(cand, cand)))
+    np.testing.assert_array_equal(wt[0], w.T)
+
+
+@pytest.mark.parametrize("b", [np.ones((2, 1)), np.ones((2, 3))])
+def test_a_zero_pivot_refuses_as_singular_covariance(b):
+    # an exact zero on the factor's diagonal: the solve refuses with the
+    # package's typed error, not numpy's or SciPy's
+    L = np.array([[1.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(SingularCovariance):
+        gp._condition(L, b, np.eye(b.shape[1]))
 
 
 def test_precision_refuses_a_matrix_it_cannot_invert():

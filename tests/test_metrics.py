@@ -140,6 +140,35 @@ def test_evaluate_conditions_the_unvisited_cells_only_at_tiny_noise(fit, monkeyp
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fit", sorted(SURVEY_FITS))
+def test_metric_solves_reproduce_scipy_solve_triangular_bits(fit):
+    # the posterior mean's forward and back solves, and the conditioned
+    # route at tiny noise, against SciPy's solve_triangular on the same
+    # C-ordered factor
+    from scipy.linalg import solve_triangular
+
+    h = SURVEY_FITS[fit]
+    g = measured_grid(5, 12, h, seed=1)
+    p = random_path(g, 2, 1)
+    m = metrics._PathMap(p, h)
+    L = m.factor
+    assert L.flags.c_contiguous
+    z_all = g.measurements.T.ravel()
+    zbar = float(np.mean(g.measurements))
+    w = solve_triangular(L, z_all[m.visited] - zbar, lower=True, check_finite=False)
+    alpha = solve_triangular(L.T, w, lower=False, check_finite=False)
+    resid = (z_all - (zbar + m.prior.all_against(m.cols, m.rows) @ alpha)) / zbar
+    assert relative_error(p, h) == float(np.mean(resid * resid))
+
+    tiny = dataclasses.replace(h, noise_var=1e-6 * h.signal_var)
+    m = metrics._PathMap(p, tiny)
+    rest = np.setdiff1d(np.arange(g.n_rows * g.n_cols), m.visited)
+    k_xt = m.prior(m.visited, rest)
+    w = solve_triangular(m.factor, k_xt, lower=True, check_finite=False)
+    want = gaussian_entropy(m.prior(rest, rest) - w.T @ w)
+    assert unobserved_entropy(p, tiny) == want
+
+
 def test_unobserved_entropy_monotone_under_extra_coverage():
     # a second robot can only shrink what remains unexplained
     g = TransectGrid(3, 5, 5.0, 5.0)

@@ -38,9 +38,9 @@ from transectplan.bench import ExperimentSpec, run_benchmark
 from transectplan.errors import FactorizationFailure, SingularCovariance, TransectPlanError
 from transectplan.gp import MAX_DENSE_CELLS
 from transectplan.planners import TIE_RTOL, stage_entropy_table
-from transectplan.transect import config_locations
 
 from oracles import (
+    config_locations,
     oracle_cond_entropy,
     oracle_cov,
     oracle_entropy,

@@ -12,7 +12,6 @@ from transectplan import (
     ObservationPath,
     RobotConfig,
     TransectGrid,
-    config_locations,
     enumerate_configs,
     robot_tracks,
 )
@@ -122,11 +121,6 @@ def test_enumerate_configs_roundtrip(r, k):
     assert len(set(configs)) == len(configs)
     for x in configs:
         assert 0 <= x.rows[0] and x.rows[-1] < r
-
-
-def test_config_locations_orders_by_row():
-    locs = config_locations(RobotConfig((1, 3)), 2)
-    assert locs == (Location(2, 1), Location(2, 3))
 
 
 # ----------------------------------------------------------- observation path
