@@ -6,7 +6,9 @@ together with their gaps against the Markov planner. Each planner plans all
 of a (field, team size)'s starts in one :func:`~transectplan.planners.plan_all`
 call: one Markov table, one greedy sweep or one exhaustive tree. A row's
 ``plan_seconds`` is that planning time amortized over the starts it serves,
-and its ``plan_total_seconds`` the whole of it. A refusal is the one that
+and its ``plan_total_seconds`` the whole of it. The Markov stage table is
+kept per row count, spacing, fit and team size, so after the first seed a
+markov row's time is the DP sweep's alone. A refusal is the one that
 planning and evaluating the starts one at a time meets first.
 """
 

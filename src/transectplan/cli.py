@@ -4,8 +4,9 @@ Four subcommands: ``synth`` writes a synthetic field file, ``plan`` runs one
 planner on a field, ``bounds`` prints the bound tables (with oracle verdicts
 when the instance is small enough), and ``bench`` runs the benchmark
 harness. Reports are flat key=value lines, numbers at 17 significant
-digits. Exit codes: 0 success, 3 parse errors, unreadable inputs and
-``--out`` paths that cannot be written, 4 violated bound conditions,
+digits. Exit codes: 0 success, 3 parse errors, unreadable inputs, a team
+size or start that is not a configuration of the grid's rows and ``--out``
+paths that cannot be written, 4 violated bound conditions,
 5 search budget refusals, 6 factorization failures (no factor within the
 jitter ladder, or a factor diagonal too small to take a log of), 1 any other
 error the package raises deliberately; an unexpected exception also exits 1,
@@ -42,6 +43,7 @@ from .transect import RobotConfig, TransectGrid, enumerate_configs
 
 EXIT_CODES = {
     ParseError: 3,
+    InvalidArity: 3,
     ConditionViolated: 4,
     AnisotropyViolated: 4,
     BudgetExceeded: 5,

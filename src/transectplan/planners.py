@@ -49,7 +49,9 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,6 +65,7 @@ from .errors import (
     TransectPlanError,
 )
 from .gp import (
+    LAG_BLOCK_KEYS,
     LOG_2PI_E,
     MAX_DENSE_CELLS,
     GrowingFactor,
@@ -100,6 +103,9 @@ class MarkovPolicy:
     configuration ``configs[j]``; ``actions[i, j]`` indexes the destination
     configuration for column ``i + 1``. The value past the last decision is
     zero by definition. Stages outside [0, n_cols - 2] raise ValueError.
+    ``plan_seconds`` is :func:`plan_markov`'s wall time: the stage table's
+    and the sweep's, or the sweep's alone when the table was kept from an
+    earlier call with the same key.
     """
 
     grid: TransectGrid
@@ -214,6 +220,37 @@ def stage_entropy_table(
     return table
 
 
+# Stage tables kept by _stage_table, one per row count, spacing, fit and team
+# size, oldest first; the lock keeps that order whole across threads.
+_stage_tables: OrderedDict = OrderedDict()
+_stage_tables_lock = threading.Lock()
+
+
+def _stage_table(grid: TransectGrid, h: Hyperparams, k: int, configs) -> np.ndarray:
+    """:func:`stage_entropy_table` of the k-robot ``configs``, read-only and
+    kept for the last LAG_BLOCK_KEYS keys (n_rows, omega1, omega2, h, k).
+
+    The table reads only the lag-0 and lag-1 blocks, whose bits depend on
+    neither the column count nor the measurements, so a grid of another
+    length or field hits the same key with the same bits. A miss computes
+    the table on the caller's own grid; a refusal is not kept, so a refusing
+    key refuses again on every call.
+    """
+    key = (grid.n_rows, grid.omega1, grid.omega2, h, k)
+    with _stage_tables_lock:
+        table = _stage_tables.get(key)
+        if table is not None:
+            _stage_tables.move_to_end(key)
+            return table
+    table = stage_entropy_table(grid, h, configs)
+    table.flags.writeable = False
+    with _stage_tables_lock:
+        _stage_tables[key] = table
+        if len(_stage_tables) > LAG_BLOCK_KEYS:
+            _stage_tables.popitem(last=False)
+    return table
+
+
 # The DP's actions are taken over stacks of (stages, m, m) scores of at most
 # this many elements, so the sweep's memory does not grow with the horizon.
 _SWEEP_ELEMENTS = 1 << 15
@@ -228,12 +265,16 @@ def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
     |A|^2 entropy evaluations. The values are swept stage by stage; the
     actions then come from stacks of stages at once. Deterministic; ties
     within TIE_RTOL go to the smallest action.
+
+    The table depends on the row count, spacing, fit and team size only, so
+    it is kept per such key (:func:`_stage_table`): on a hit the policy's
+    ``plan_seconds`` is the sweep's time alone.
     """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
     m = len(configs)
     stages = grid.n_cols - 1
-    table = stage_entropy_table(grid, h, configs)
+    table = _stage_table(grid, h, k, configs)
 
     # values[stages] is the zero value past the last decision
     values = np.zeros((stages + 1, m))
@@ -622,7 +663,9 @@ def plan_all(
     bound on the joint entropy of any path from its start, not the
     rollout's own joint entropy; the exact and greedy results by the path's
     joint entropy. Every result's ``plan_seconds`` is the planning time
-    divided by the number of starts; for markov, that of the table alone.
+    divided by the number of starts; for markov, that of
+    :func:`plan_markov` alone, not of the rollouts, which is the DP sweep's
+    alone when the stage table was kept from an earlier call.
     """
     if policy not in POLICIES:
         raise ParseError(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -663,5 +706,5 @@ def plan(
 ) -> PlanResult:
     """Plan from ``x0`` with the planner named ``policy``, one of POLICIES:
     the one-start call of :func:`plan_all`. The markov result carries the
-    whole table's planning time."""
+    whole of :func:`plan_markov`'s time."""
     return plan_all(policy, grid, h, k, [x0], budget=budget)[0]

@@ -672,6 +672,16 @@ BAD_VALUES = {
     "bench-unwritable-out": ["bench", "--rows", "2", "--cols", "4", "--ell1", "1",
                              "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
                              "--policies", "markov", "--out", "{nodir}/b.csv"],
+    # a team size or start that is not a configuration of the field's 3 rows
+    "plan-zero-team": ["plan", "--field", "{field}", "--policy", "markov", "-k", "0"],
+    "plan-team-past-rows": ["plan", "--field", "{field}", "--policy", "markov",
+                            "-k", "9"],
+    "plan-start-past-rows": ["plan", "--field", "{field}", "--policy", "exact",
+                             "-k", "2", "--start", "0,7"],
+    "bench-zero-team": ["bench", "--rows", "2", "--cols", "4", "--ell1", "1",
+                        "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
+                        "-k", "0", "--out", "{out}"],
+    "bounds-zero-team": ["bounds", "--field", "{field}", "-k", "0"],
 }
 
 

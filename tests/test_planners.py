@@ -4,6 +4,7 @@ import inspect
 import itertools
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -211,6 +212,122 @@ def test_markov_deterministic():
     b = plan_markov(g, H, k=2)
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.actions, b.actions)
+
+
+def counted_tables(monkeypatch):
+    """A list that gets the arguments of every stage table computed from
+    here on."""
+    real, calls = planners.stage_entropy_table, []
+
+    def table(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(planners, "stage_entropy_table", table)
+    return calls
+
+
+def test_markov_table_is_kept_per_key(monkeypatch):
+    calls = counted_tables(monkeypatch)
+    g = small_grid(4, 6)
+    first = plan_markov(g, H, k=2)
+    again = plan_markov(g, H, k=2)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(first.values, again.values)
+    np.testing.assert_array_equal(first.actions, again.actions)
+    # a hit gives the bits of an uncached call
+    planners._stage_tables.clear()
+    uncached = plan_markov(g, H, k=2)
+    np.testing.assert_array_equal(again.values, uncached.values)
+    np.testing.assert_array_equal(again.actions, uncached.actions)
+    (kept,) = planners._stage_tables.values()
+    np.testing.assert_array_equal(kept, stage_entropy_table(g, H, enumerate_configs(g, 2)))
+
+
+def test_markov_table_key_leaves_out_the_columns_and_the_field(monkeypatch):
+    calls = counted_tables(monkeypatch)
+    short, long = TransectGrid(5, 6, 5.0, 5.0), TransectGrid(5, 400, 5.0, 5.0)
+    plan_markov(short, H, k=2)
+    field = np.random.default_rng(0).standard_normal((5, 6))
+    plan_markov(dataclasses.replace(short, measurements=field), H, k=2)
+    plan_markov(long, H, k=2)
+    assert len(calls) == 1
+    configs = enumerate_configs(short, 2)
+    np.testing.assert_array_equal(
+        stage_entropy_table(short, H, configs), stage_entropy_table(long, H, configs)
+    )
+
+
+@pytest.mark.parametrize(
+    "grid, h, k",
+    [
+        (small_grid(4, 6), dataclasses.replace(H, ell1=6.0), 2),
+        (small_grid(4, 6), H, 1),
+        (small_grid(5, 6), H, 2),
+        (TransectGrid(4, 6, 5.0, 6.0), H, 2),
+        (TransectGrid(4, 6, 6.0, 5.0), H, 2),
+    ],
+    ids=["fit", "team", "rows", "omega2", "omega1"],
+)
+def test_markov_table_misses_on_another_key(monkeypatch, grid, h, k):
+    calls = counted_tables(monkeypatch)
+    plan_markov(small_grid(4, 6), H, k=2)
+    plan_markov(grid, h, k)
+    assert len(calls) == 2
+
+
+def test_kept_markov_table_is_read_only():
+    g = small_grid(4, 6)
+    plan_markov(g, H, k=2)
+    (table,) = planners._stage_tables.values()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
+
+
+def test_markov_table_refusal_is_not_kept(monkeypatch):
+    # no noise and pivots near 3e-153, below DIAG_FLOOR: the table refuses
+    calls = counted_tables(monkeypatch)
+    tiny = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1e-305, noise_var=0.0)
+    for _ in range(2):
+        with pytest.raises(SingularCovariance):
+            plan_markov(small_grid(3, 5), tiny, k=1)
+    assert len(calls) == 2
+    assert not planners._stage_tables
+
+
+def test_kept_markov_tables_hold_under_threads():
+    # more keys than are kept and four threads switching often: every
+    # thread's policy keeps the bits of planning alone, and the cache never
+    # holds more than its keys
+    g = small_grid(3, 5)
+    fits = [dataclasses.replace(H, ell1=4.0 + i) for i in range(gp.LAG_BLOCK_KEYS + 2)]
+    want = [plan_markov(g, h, k=1).values for h in fits]
+    failures = []
+
+    def work(offset):
+        try:
+            for i in range(30):
+                j = (i + offset) % len(fits)
+                got = plan_markov(g, fits[j], k=1).values
+                if not np.array_equal(got, want[j]):
+                    failures.append(f"fit {j} moved")
+                if len(planners._stage_tables) > gp.LAG_BLOCK_KEYS:
+                    failures.append("too many tables kept")
+        except Exception as e:  # noqa: BLE001 - reported below
+            failures.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 @pytest.mark.parametrize(
