@@ -7,9 +7,10 @@ of a (field, team size)'s starts in one :func:`~transectplan.planners.plan_all`
 call: one Markov table, one greedy sweep or one exhaustive tree. A row's
 ``plan_seconds`` is that planning time amortized over the starts it serves,
 and its ``plan_total_seconds`` the whole of it. The Markov stage table is
-kept per row count, spacing, fit and team size, so after the first seed a
-markov row's time is the DP sweep's alone. A refusal is the one that
-planning and evaluating the starts one at a time meets first.
+kept per grid shape, spacing, fit and team size, for the last four keys, so
+after the first seed a markov row's time is the DP sweep's alone. A refusal
+is the one that planning and evaluating the starts one at a time meets
+first.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import ParseError
 from .gp import Hyperparams, sample_prior_field
 from .fieldio import fmt
 from .metrics import EvalRecord, evaluate, metric_diff
-from .planners import DEFAULT_BUDGET, POLICIES, _one_at_a_time, plan_all
+from .planners import DEFAULT_BUDGET, POLICIES, _one_at_a_time, _planner
 from .transect import RobotConfig, TransectGrid, enumerate_configs
 
 # the exhaustive search is exponentially priced, so it runs only on request
@@ -73,6 +74,10 @@ class ExperimentSpec:
             )
         if self.start_mode == "explicit" and not self.starts:
             raise ParseError("explicit start mode needs at least one start")
+        if self.starts and self.start_mode != "explicit":
+            raise ParseError(
+                f"starts are taken in explicit start mode only, not {self.start_mode!r}"
+            )
         if not self.team_sizes:
             raise ParseError("at least one team size required")
         if not self.seeds:
@@ -81,6 +86,8 @@ class ExperimentSpec:
             raise ParseError(f"seeds must be non-negative, got {self.seeds}")
         if not math.isfinite(self.mean):
             raise ParseError(f"mean must be finite, got {self.mean}")
+        if self.budget < 1:
+            raise ParseError(f"budget must be at least 1, got {self.budget}")
 
 
 def _records_for(
@@ -100,7 +107,7 @@ def _records_for(
                 evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
                 res.plan_seconds * len(some),
             )
-            for res in plan_all(policy, grid, h, k, some, budget=budget)
+            for res in _planner(policy, grid, h, k, some, budget)(some)
         ]
 
     return dict(zip(starts, _one_at_a_time(records, starts)))

@@ -5,8 +5,9 @@ planner on a field, ``bounds`` prints the bound tables (with oracle verdicts
 when the instance is small enough), and ``bench`` runs the benchmark
 harness. Reports are flat key=value lines, numbers at 17 significant
 digits. Exit codes: 0 success, 3 parse errors, unreadable inputs, a team
-size or start that is not a configuration of the grid's rows and ``--out``
-paths that cannot be written, 4 violated bound conditions,
+size or start that is not a configuration of the grid's rows, a budget below
+1, ``bench`` starts without ``--mode explicit`` and ``--out`` paths that
+cannot be written, 4 violated bound conditions,
 5 search budget refusals, 6 factorization failures (no factor within the
 jitter ladder, or a factor diagonal too small to take a log of), 1 any other
 error the package raises deliberately; an unexpected exception also exits 1,
@@ -81,6 +82,11 @@ def _checked(make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as e:
         raise ParseError(str(e)) from e
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ParseError(f"budget must be at least 1, got {budget}")
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -226,6 +232,7 @@ def instance_options(fn):
 def plan_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var,
              policy, robots, start, budget, out):
     """Plan an observation path on a field."""
+    _check_budget(budget)
     grid, h = _resolve_instance(
         field, None, None, omega1, omega2, ell1, ell2, signal_var, noise_var
     )
@@ -276,6 +283,7 @@ def plan_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var,
 def bounds_cmd(field, omega1, omega2, ell1, ell2, signal_var, noise_var,
                rows, cols, robots, budget, verify, out):
     """Print bound tables, auditing them on oracle-sized instances."""
+    _check_budget(budget)
     grid, h = _resolve_instance(
         field, rows, cols, omega1, omega2, ell1, ell2, signal_var, noise_var
     )

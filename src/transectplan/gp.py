@@ -47,11 +47,11 @@ its lag blocks (:class:`LagGram`), which depend on the grid's shape and
 spacing and on the hyperparameters only. They are built once per such key,
 shared read-only, and kept for the last LAG_BLOCK_KEYS (4) keys, at
 n_cols * n_rows^2 * 8 bytes each. The Markov planner keeps its stage tables
-the same way (``planners._stage_table``): per key (n_rows, omega1, omega2,
-h, k), read-only, for the last LAG_BLOCK_KEYS keys, at C(n_rows, k)^2 * 8
-bytes each (16 KB at 10 rows and k = 2). The whole grid's entropy
-(:func:`grid_entropy`) is kept for the last 32 keys of shape, spacing and
-hyperparameters, at one float each.
+the same way, through ``functools.lru_cache`` (``planners._stage_table``):
+read-only, kept per grid shape, spacing, fit and team size, for the last
+four keys, at C(n_rows, k)^2 * 8 bytes each (16 KB at 10 rows and k = 2).
+The whole grid's entropy (:func:`grid_entropy`) is kept for the last 32
+keys of shape, spacing and hyperparameters, at one float each.
 
 On a regular grid the squared-exponential covariance is a Kronecker
 product of two 1-D symmetric Toeplitz factors, along and across the

@@ -35,8 +35,10 @@ column by column in one sweep, and the exhaustive search holds every start
 in the root level of one tree; each start's result is bit for bit the
 one-start call's. A many-start call refuses as its one-start calls would:
 when it refuses, ``_one_at_a_time`` runs the starts again one by one, so the
-first failing start's refusal is raised; when such calls nest, only the
-outermost replays.
+first failing start's refusal is raised. ``_planner`` raises the up-front
+refusals and returns a planner that does not replay, so a caller that
+replays its own work around it, as the benchmark does, never nests a replay
+in another one.
 
 Values are reported in nats. The exact and greedy planners report a path's
 joint entropy given the start (``path_entropy``; ``path_entropies`` values
@@ -47,11 +49,8 @@ the start from above.
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,7 +104,8 @@ class MarkovPolicy:
     zero by definition. Stages outside [0, n_cols - 2] raise ValueError.
     ``plan_seconds`` is :func:`plan_markov`'s wall time: the stage table's
     and the sweep's, or the sweep's alone when the table was kept from an
-    earlier call with the same key.
+    earlier call; tables are kept per grid shape, spacing, fit and team size,
+    for the last four keys.
     """
 
     grid: TransectGrid
@@ -220,34 +220,17 @@ def stage_entropy_table(
     return table
 
 
-# Stage tables kept by _stage_table, one per row count, spacing, fit and team
-# size, oldest first; the lock keeps that order whole across threads.
-_stage_tables: OrderedDict = OrderedDict()
-_stage_tables_lock = threading.Lock()
-
-
-def _stage_table(grid: TransectGrid, h: Hyperparams, k: int, configs) -> np.ndarray:
-    """:func:`stage_entropy_table` of the k-robot ``configs``, read-only and
-    kept for the last LAG_BLOCK_KEYS keys (n_rows, omega1, omega2, h, k).
-
-    The table reads only the lag-0 and lag-1 blocks, whose bits depend on
-    neither the column count nor the measurements, so a grid of another
-    length or field hits the same key with the same bits. A miss computes
-    the table on the caller's own grid; a refusal is not kept, so a refusing
-    key refuses again on every call.
+@functools.lru_cache(maxsize=LAG_BLOCK_KEYS)
+def _stage_table(grid: TransectGrid, h: Hyperparams, k: int) -> np.ndarray:
+    """:func:`stage_entropy_table` of every k-robot configuration,
+    read-only, kept per grid shape, spacing, fit and team size, for the last
+    LAG_BLOCK_KEYS keys, as the lag blocks are kept. The grid's measurements
+    are not part of its key, and the table does not read them; a kept key
+    holds on to the first grid that made it, measurements included. A
+    refusal is not kept, so a refusing key refuses again on every call.
     """
-    key = (grid.n_rows, grid.omega1, grid.omega2, h, k)
-    with _stage_tables_lock:
-        table = _stage_tables.get(key)
-        if table is not None:
-            _stage_tables.move_to_end(key)
-            return table
-    table = stage_entropy_table(grid, h, configs)
+    table = stage_entropy_table(grid, h, enumerate_configs(grid, k))
     table.flags.writeable = False
-    with _stage_tables_lock:
-        _stage_tables[key] = table
-        if len(_stage_tables) > LAG_BLOCK_KEYS:
-            _stage_tables.popitem(last=False)
     return table
 
 
@@ -266,15 +249,15 @@ def plan_markov(grid: TransectGrid, h: Hyperparams, k: int) -> MarkovPolicy:
     actions then come from stacks of stages at once. Deterministic; ties
     within TIE_RTOL go to the smallest action.
 
-    The table depends on the row count, spacing, fit and team size only, so
-    it is kept per such key (:func:`_stage_table`): on a hit the policy's
+    The table is kept per grid shape, spacing, fit and team size, for the
+    last four keys (:func:`_stage_table`): on a hit the policy's
     ``plan_seconds`` is the sweep's time alone.
     """
     t0 = time.perf_counter()
     configs = enumerate_configs(grid, k)
     m = len(configs)
     stages = grid.n_cols - 1
-    table = _stage_table(grid, h, k, configs)
+    table = _stage_table(grid, h, k)
 
     # values[stages] is the zero value past the last decision
     values = np.zeros((stages + 1, m))
@@ -365,20 +348,10 @@ def _level_entropies(gram, idx, first, moves):
     return scores
 
 
-# Whether an enclosing _one_at_a_time call will replay the starts; a context
-# variable, so threads and tasks planning at once do not share it.
-_replaying = contextvars.ContextVar("_replaying", default=False)
-
-
 def _one_at_a_time(run, starts):
     """``run(starts)``, refusing as its one-start calls would: when it
     refuses, each start is run again alone, in order, so the first failing
-    start's refusal is the one raised. Only the outermost call replays: a
-    call made inside ``run`` just runs, so no start is searched again by a
-    replay nested in another one."""
-    if _replaying.get():
-        return run(starts)
-    token = _replaying.set(True)
+    start's refusal is the one raised. ``run`` itself does not replay."""
     try:
         return run(starts)
     except TransectPlanError:
@@ -386,8 +359,6 @@ def _one_at_a_time(run, starts):
             for x0 in starts:
                 run([x0])
         raise
-    finally:
-        _replaying.reset(token)
 
 
 # Nodes scored by one stacked factorization at most. The frontier is held in
@@ -637,6 +608,39 @@ def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
     return [PlanResult(policy, path, v, seconds) for path, v in zip(paths, values)]
 
 
+def _planner(policy: str, grid: TransectGrid, h: Hyperparams, k: int, starts, budget: int):
+    """:func:`plan_all`'s refusals of ``policy`` on this instance and of
+    ``starts``, raised here in its order; then the planner: a function that
+    plans some of the starts at once, one result each, with no replay on a
+    refusal. Callers that replay around it, :func:`plan_all` and the
+    benchmark's records, therefore never replay inside a replay."""
+    if policy not in POLICIES:
+        raise ParseError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    if policy == "exact":
+        configs = _exact_configs(grid, k, budget)
+    else:
+        if policy == "greedy-mi" and grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
+            raise GridTooLarge(
+                "mutual-information scores condition on the whole grid; "
+                f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
+            )
+        configs = enumerate_configs(grid, k)
+    for x0 in starts:
+        if x0 not in configs:
+            raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
+    if policy == "markov":
+        # the table does not depend on the starts, so its refusal is every
+        # start's and needs no replay; a rollout does not refuse
+        pol = plan_markov(grid, h, k)
+        return lambda some: [
+            PlanResult(policy, rollout(pol, x0), pol.value(0, x0), pol.plan_seconds / len(some))
+            for x0 in some
+        ]
+    if policy == "exact":
+        return lambda some: _exact_results(grid, h, configs, some)
+    return lambda some: _greedy_sweep(policy, grid, h, configs, some)
+
+
 def plan_all(
     policy: str,
     grid: TransectGrid,
@@ -664,36 +668,11 @@ def plan_all(
     rollout's own joint entropy; the exact and greedy results by the path's
     joint entropy. Every result's ``plan_seconds`` is the planning time
     divided by the number of starts; for markov, that of
-    :func:`plan_markov` alone, not of the rollouts, which is the DP sweep's
-    alone when the stage table was kept from an earlier call.
+    :func:`plan_markov` alone, not of the rollouts. The stage table is kept
+    per grid shape, spacing, fit and team size, for the last four keys, so
+    on a kept table that time is the DP sweep's alone.
     """
-    if policy not in POLICIES:
-        raise ParseError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    if policy == "exact":
-        configs = _exact_configs(grid, k, budget)
-    else:
-        if policy == "greedy-mi" and grid.n_rows * grid.n_cols > MAX_DENSE_CELLS:
-            raise GridTooLarge(
-                "mutual-information scores condition on the whole grid; "
-                f"{grid.n_rows * grid.n_cols} cells exceeds {MAX_DENSE_CELLS}"
-            )
-        configs = enumerate_configs(grid, k)
-    for x0 in starts:
-        if x0 not in configs:
-            raise InvalidArity(f"start {x0} is not a {k}-robot configuration on this grid")
-    if policy == "markov":
-        # the table does not depend on the starts, so its refusal is every
-        # start's and needs no replay; a rollout does not refuse
-        pol = plan_markov(grid, h, k)
-        run = lambda some: [
-            PlanResult(policy, rollout(pol, x0), pol.value(0, x0), pol.plan_seconds / len(some))
-            for x0 in some
-        ]
-    elif policy == "exact":
-        run = lambda some: _exact_results(grid, h, configs, some)
-    else:
-        run = lambda some: _greedy_sweep(policy, grid, h, configs, some)
-    return _one_at_a_time(run, starts)
+    return _one_at_a_time(_planner(policy, grid, h, k, starts, budget), starts)
 
 
 def plan(

@@ -20,4 +20,4 @@ def _fresh_stage_tables():
     timing or call count depends on the tests that ran before it."""
     from transectplan import planners
 
-    planners._stage_tables.clear()
+    planners._stage_table.cache_clear()

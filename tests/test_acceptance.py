@@ -242,7 +242,7 @@ def min_time(fn, n=7):
 def whole_markov(grid, h, k):
     # plan_markov with no kept stage table, so every timed call builds the
     # table as well as sweeping, as the first call does
-    planners._stage_tables.clear()
+    planners._stage_table.cache_clear()
     return plan_markov(grid, h, k)
 
 

@@ -10,11 +10,13 @@ from click.testing import CliRunner
 
 from transectplan import (
     POLICIES,
+    BudgetExceeded,
     Hyperparams,
     ParseError,
     RobotConfig,
     TransectGrid,
     enumerate_configs,
+    plan,
     read_field,
     sample_prior_field,
     sha256_of,
@@ -240,6 +242,21 @@ def test_spec_validation():
     for mean in (float("nan"), float("inf")):
         with pytest.raises(ParseError, match="finite"):
             spec_of(mean=mean)
+
+
+def test_spec_refuses_a_budget_below_one():
+    for budget in (0, -1):
+        with pytest.raises(ParseError, match="budget must be at least 1"):
+            spec_of(budget=budget)
+    # the library planners refuse such a budget as a search they cannot run
+    with pytest.raises(BudgetExceeded):
+        plan("exact", TransectGrid(3, 6, 5.0, 5.0), H, 1, RobotConfig((1,)), budget=0)
+
+
+def test_spec_refuses_starts_without_explicit_mode():
+    for mode in ("all", "adversarial-worst"):
+        with pytest.raises(ParseError, match="explicit start mode only"):
+            spec_of(start_mode=mode, starts=(RobotConfig((1,)),))
 
 
 def test_spec_refuses_empty_team_sizes():
@@ -682,6 +699,22 @@ BAD_VALUES = {
                         "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
                         "-k", "0", "--out", "{out}"],
     "bounds-zero-team": ["bounds", "--field", "{field}", "-k", "0"],
+    # a budget below 1, which no search could meet, is malformed input
+    "plan-negative-budget": ["plan", "--field", "{field}", "--policy", "exact",
+                             "--start", "1", "--budget", "-5"],
+    "plan-zero-budget": ["plan", "--field", "{field}", "--policy", "exact",
+                         "--start", "1", "--budget", "0"],
+    "plan-markov-negative-budget": ["plan", "--field", "{field}", "--policy", "markov",
+                                    "--budget", "-3"],
+    "bounds-negative-budget": ["bounds", "--field", "{field}", "--budget", "-1"],
+    "bench-negative-budget": ["bench", "--rows", "3", "--cols", "6", "--ell1", "1",
+                              "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
+                              "--policies", "exact", "--budget", "-1", "--out", "{out}"],
+    # a start is taken in explicit mode only; here row 9 does not exist
+    "bench-start-without-explicit-mode": ["bench", "--rows", "3", "--cols", "6",
+                                          "--ell1", "1", "--ell2", "1",
+                                          "--signal-var", "1", "--noise-var", "0.1",
+                                          "--start", "9", "--out", "{out}"],
 }
 
 

@@ -235,23 +235,30 @@ def test_markov_table_is_kept_per_key(monkeypatch):
     assert len(calls) == 1
     np.testing.assert_array_equal(first.values, again.values)
     np.testing.assert_array_equal(first.actions, again.actions)
+    info = planners._stage_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     # a hit gives the bits of an uncached call
-    planners._stage_tables.clear()
+    planners._stage_table.cache_clear()
     uncached = plan_markov(g, H, k=2)
     np.testing.assert_array_equal(again.values, uncached.values)
     np.testing.assert_array_equal(again.actions, uncached.actions)
-    (kept,) = planners._stage_tables.values()
+    kept = planners._stage_table(g, H, 2)
+    assert planners._stage_table.cache_info().hits == 1
     np.testing.assert_array_equal(kept, stage_entropy_table(g, H, enumerate_configs(g, 2)))
 
 
-def test_markov_table_key_leaves_out_the_columns_and_the_field(monkeypatch):
+def test_markov_table_key_holds_the_columns_not_the_field(monkeypatch):
     calls = counted_tables(monkeypatch)
     short, long = TransectGrid(5, 6, 5.0, 5.0), TransectGrid(5, 400, 5.0, 5.0)
     plan_markov(short, H, k=2)
     field = np.random.default_rng(0).standard_normal((5, 6))
     plan_markov(dataclasses.replace(short, measurements=field), H, k=2)
-    plan_markov(long, H, k=2)
     assert len(calls) == 1
+    assert planners._stage_table.cache_info().hits == 1
+    plan_markov(long, H, k=2)
+    assert len(calls) == 2
+    # the table reads only the lag-0 and lag-1 blocks, so the keys differ
+    # in the column count alone, not in the table's bits
     configs = enumerate_configs(short, 2)
     np.testing.assert_array_equal(
         stage_entropy_table(short, H, configs), stage_entropy_table(long, H, configs)
@@ -266,8 +273,9 @@ def test_markov_table_key_leaves_out_the_columns_and_the_field(monkeypatch):
         (small_grid(5, 6), H, 2),
         (TransectGrid(4, 6, 5.0, 6.0), H, 2),
         (TransectGrid(4, 6, 6.0, 5.0), H, 2),
+        (small_grid(4, 7), H, 2),
     ],
-    ids=["fit", "team", "rows", "omega2", "omega1"],
+    ids=["fit", "team", "rows", "omega2", "omega1", "cols"],
 )
 def test_markov_table_misses_on_another_key(monkeypatch, grid, h, k):
     calls = counted_tables(monkeypatch)
@@ -279,7 +287,8 @@ def test_markov_table_misses_on_another_key(monkeypatch, grid, h, k):
 def test_kept_markov_table_is_read_only():
     g = small_grid(4, 6)
     plan_markov(g, H, k=2)
-    (table,) = planners._stage_tables.values()
+    table = planners._stage_table(g, H, 2)
+    assert planners._stage_table.cache_info().hits == 1
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 0.0
 
@@ -292,7 +301,7 @@ def test_markov_table_refusal_is_not_kept(monkeypatch):
         with pytest.raises(SingularCovariance):
             plan_markov(small_grid(3, 5), tiny, k=1)
     assert len(calls) == 2
-    assert not planners._stage_tables
+    assert planners._stage_table.cache_info().currsize == 0
 
 
 def test_kept_markov_tables_hold_under_threads():
@@ -311,7 +320,7 @@ def test_kept_markov_tables_hold_under_threads():
                 got = plan_markov(g, fits[j], k=1).values
                 if not np.array_equal(got, want[j]):
                     failures.append(f"fit {j} moved")
-                if len(planners._stage_tables) > gp.LAG_BLOCK_KEYS:
+                if planners._stage_table.cache_info().currsize > gp.LAG_BLOCK_KEYS:
                     failures.append("too many tables kept")
         except Exception as e:  # noqa: BLE001 - reported below
             failures.append(repr(e))
