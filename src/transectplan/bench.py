@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ParseError
-from .gp import Hyperparams, sample_prior_field
+from .gp import Hyperparams, _steps, sample_prior_field
 from .fieldio import fmt
 from .metrics import EvalRecord, evaluate, metric_diff
 from .planners import DEFAULT_BUDGET, POLICIES, _one_at_a_time, _planner
@@ -47,7 +47,9 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything a benchmark run needs, in one hashable record."""
+    """Everything a benchmark run needs, in one hashable record. Malformed
+    values raise ParseError here, a fit whose spacing the kernel cannot
+    take included (:func:`~transectplan.gp._steps`)."""
 
     n_rows: int
     n_cols: int
@@ -88,6 +90,10 @@ class ExperimentSpec:
             raise ParseError(f"mean must be finite, got {self.mean}")
         if self.budget < 1:
             raise ParseError(f"budget must be at least 1, got {self.budget}")
+        try:
+            _steps((self.omega1, self.omega2), self.h)
+        except ValueError as e:
+            raise ParseError(f"bad benchmark grid: {e}") from e
 
 
 def _records_for(

@@ -4,7 +4,7 @@ The quality of single-column conditioning hinges on two scalars derived from
 the hyperparameters and the grid spacing:
 
 * ``step_corr``: the prior signal correlation between horizontally adjacent
-  cells, exp(-1 / (2 * (ell1/omega1)^2)), in (0, 1);
+  cells, exp(-1 / (2 * (ell1/omega1)^2)), in [0, 1];
 * ``variance_ratio``: total measurement variance over signal variance,
   1 + noise_var/signal_var, at least 1.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnisotropyViolated, ConditionViolated
-from .gp import Hyperparams, posterior_cov
+from .gp import Hyperparams, _steps, posterior_cov
 
 # The audit prunes its exhaustive search with the Markov values only when
 # noise_var is at least this fraction of signal_var, gp's one threshold for
@@ -74,13 +74,15 @@ class BoundParams:
 
 
 def bound_params(h: Hyperparams, widths: tuple[float, float]) -> BoundParams:
-    """Normalize hyperparameters by the cell widths."""
-    if not (widths[0] > 0 and widths[1] > 0):
-        raise ValueError("cell widths must be positive")
+    """Normalize hyperparameters by the cell widths, refusing what
+    :func:`~transectplan.gp._steps` refuses. A length-scale so short that
+    2 * norm_ell1^2 underflows to 0 has step_corr 0, its limit."""
+    _steps(widths, h)
     norm1 = h.ell1 / widths[0]
     norm2 = h.ell2 / widths[1]
+    spread = 2.0 * norm1 * norm1
     return BoundParams(
-        step_corr=math.exp(-1.0 / (2.0 * norm1 * norm1)),
+        step_corr=math.exp(-1.0 / spread) if spread > 0 else 0.0,
         variance_ratio=1.0 + h.noise_var / h.signal_var,
         norm_ell1=norm1,
         norm_ell2=norm2,

@@ -46,7 +46,8 @@ class ZeroMeanField(TransectPlanError):
 
 
 class MismatchedInstances(TransectPlanError):
-    """Two evaluation records do not describe the same planning instance."""
+    """Two evaluation records, or paths valued together, do not describe the
+    same planning instance (one grid and one team size)."""
 
 
 class ParseError(TransectPlanError):

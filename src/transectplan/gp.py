@@ -35,6 +35,10 @@ Numerical policy, applied uniformly:
   Markov, exhaustive and bounds paths and the field draws run on numpy alone;
 * log-determinants and entropies come from the triangular factor, the
   entropies through :func:`_factor_entropy`;
+* the cell spacing in length-scales comes from :func:`_steps` alone, which
+  reads a spacing past 40 length-scales as 40 (the kernel is 0 beyond one
+  cell either way) and refuses a length-scale that overflows float64 in
+  cells, so no kernel sees an inf or a zero spacing;
 * entropies are reported in nats.
 
 Within a covariance matrix over a list of observations the noise term sits on
@@ -125,6 +129,35 @@ class Hyperparams:
             raise ValueError(f"signal_var + noise_var must be finite, got {self}")
 
 
+#: A cell spacing of more than this many length-scales is read as this many:
+#: the kernel one cell away, exp(-0.5 * 40^2) = exp(-800), is 0 in float64
+#: already, so no value changes.
+_FAR_STEP = 40.0
+
+
+def _steps(widths: tuple[float, float], h: Hyperparams) -> tuple[float, float]:
+    """The cell spacing in length-scales, (omega1 / ell1, omega2 / ell2),
+    for every kernel, draw and bound.
+
+    A spacing past _FAR_STEP reads as _FAR_STEP: the kernel between distinct
+    cells is 0 either way, so values keep their bits, no squared distance
+    overflows, and a spacing that overflows to inf answers its limit,
+    independent cells. Refuses with ValueError cell widths that are not
+    positive and a length-scale whose count of cells, ell / omega,
+    overflows float64.
+    """
+    w1, w2 = float(widths[0]), float(widths[1])
+    if not (w1 > 0 and w2 > 0):
+        raise ValueError("cell widths must be positive")
+    ell1, ell2 = float(h.ell1), float(h.ell2)
+    if not (math.isfinite(ell1 / w1) and math.isfinite(ell2 / w2)):
+        raise ValueError(
+            f"length-scales ({ell1:g}, {ell2:g}) m in cells of ({w1:g}, {w2:g}) m "
+            "overflow float64 as counts of cells"
+        )
+    return min(w1 / ell1, _FAR_STEP), min(w2 / ell2, _FAR_STEP)
+
+
 @functools.cache
 def _lapack():
     """``scipy.linalg.lapack``, imported on the first call: its ``trtrs`` and
@@ -145,8 +178,9 @@ def _signal_gram(
     a: np.ndarray, b: np.ndarray, h: Hyperparams, widths: tuple[float, float]
 ) -> np.ndarray:
     """Squared-exponential block between integer location arrays."""
-    d1 = (a[:, None, 0] - b[None, :, 0]) * (widths[0] / h.ell1)
-    d2 = (a[:, None, 1] - b[None, :, 1]) * (widths[1] / h.ell2)
+    step1, step2 = _steps(widths, h)
+    d1 = (a[:, None, 0] - b[None, :, 0]) * step1
+    d2 = (a[:, None, 1] - b[None, :, 1]) * step2
     return h.signal_var * np.exp(-0.5 * (d1 * d1 + d2 * d2))
 
 
@@ -542,8 +576,9 @@ def _unit_toeplitz(n: int, step: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _grid_entropy(n_rows: int, n_cols: int, omega1: float, omega2: float, h: Hyperparams) -> float:
-    lam_c = np.linalg.eigvalsh(_unit_toeplitz(n_cols, omega1 / h.ell1))
-    lam_r = np.linalg.eigvalsh(_unit_toeplitz(n_rows, omega2 / h.ell2))
+    step1, step2 = _steps((omega1, omega2), h)
+    lam_c = np.linalg.eigvalsh(_unit_toeplitz(n_cols, step1))
+    lam_r = np.linalg.eigvalsh(_unit_toeplitz(n_rows, step2))
     lam_c, lam_r = np.clip(lam_c, 0.0, None), np.clip(lam_r, 0.0, None)
     var = h.signal_var * np.outer(lam_c, lam_r) + h.noise_var
     if not var.min() > 0.0:
@@ -649,19 +684,20 @@ def sample_prior_field(
     before anything is allocated, length-scales whose embedding's normals
     and their transform, (2M + C + 2) R doubles, would exceed
     MAX_DENSE_CELLS^2 doubles, the largest dense factor the cell cap admits.
+    A spacing :func:`_steps` refuses raises its ValueError.
     """
     n_rows, n_cols = grid.n_rows, grid.n_cols
     n = n_rows * n_cols
     if n > MAX_DENSE_CELLS:
         raise GridTooLarge(f"{n} cells exceeds the dense limit {MAX_DENSE_CELLS}")
-    step = grid.omega1 / h.ell1
+    step, step2 = _steps(grid.widths, h)
     m = _embedding_length(n_cols, step)
     if (2 * m + n_cols + 2) * n_rows > MAX_DENSE_CELLS**2:
         raise GridTooLarge(
             f"ell1 {h.ell1:g} is {h.ell1 / grid.omega1:g} cells: drawing its "
             f"circulant embedding exceeds {MAX_DENSE_CELLS**2} doubles"
         )
-    lam_r, q_r = np.linalg.eigh(_unit_toeplitz(n_rows, grid.omega2 / h.ell2))
+    lam_r, q_r = np.linalg.eigh(_unit_toeplitz(n_rows, step2))
     across = q_r * np.sqrt(h.signal_var * np.clip(lam_r, 0.0, None))
     e = np.random.default_rng(seed).standard_normal((m + n_cols, n_rows))
     # one column of e per grid row: m normals for the row along the track,

@@ -60,6 +60,7 @@ from .errors import (
     BudgetExceeded,
     GridTooLarge,
     InvalidArity,
+    MismatchedInstances,
     ParseError,
     TransectPlanError,
 )
@@ -167,7 +168,8 @@ def path_entropy(path: ObservationPath, h: Hyperparams) -> float:
 
 def path_entropies(paths: list[ObservationPath], h: Hyperparams) -> np.ndarray:
     """:func:`path_entropy` of each of ``paths``, which share one grid and
-    one team size; each value is the same whatever the other paths are.
+    one team size, or MismatchedInstances is raised; each value is the same
+    whatever the other paths are.
 
     The Gram matrices of every path and of every start are gathered by one
     ``LagGram.along``, and each stack is valued by :func:`gaussian_entropy`,
@@ -178,6 +180,8 @@ def path_entropies(paths: list[ObservationPath], h: Hyperparams) -> np.ndarray:
     if not paths:
         return np.empty(0)
     grid, k = paths[0].grid, paths[0].k
+    if any(p.grid != grid or p.k != k for p in paths[1:]):
+        raise MismatchedInstances("paths valued together need one grid and one team size")
     rows = np.array([[r for x in p.configs for r in x.rows] for p in paths])
     gram = LagGram(grid, h).along(np.repeat(np.arange(grid.n_cols), k), rows)
     return gaussian_entropy(gram) - gaussian_entropy(gram[:, :k, :k])
@@ -649,9 +653,10 @@ def plan_all(
     starts,
     budget: int = DEFAULT_BUDGET,
 ) -> list[PlanResult]:
-    """Plan from every start in ``starts`` with the planner named ``policy``,
-    one of POLICIES; one result per start, in order, whose value, path and
-    stage gains are bit for bit those of its one-start call.
+    """Plan from every start in ``starts``, an iterable read once, with the
+    planner named ``policy``, one of POLICIES; one result per start, in
+    order, whose value, path and stage gains are bit for bit those of its
+    one-start call.
 
     Refuses, in this order: an unknown policy; an exhaustive search whose
     leaf count |A|^(n_cols - 1) from one start exceeds ``budget``, which
@@ -672,6 +677,7 @@ def plan_all(
     per grid shape, spacing, fit and team size, for the last four keys, so
     on a kept table that time is the DP sweep's alone.
     """
+    starts = list(starts)
     return _one_at_a_time(_planner(policy, grid, h, k, starts, budget), starts)
 
 

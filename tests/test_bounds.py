@@ -86,6 +86,17 @@ def test_bound_params_rejects_bad_widths():
         bound_params(h, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("ell1", [1e-200, 1e-320])
+def test_bound_params_step_corr_reaches_its_limit(ell1):
+    # 2 * norm_ell1^2 underflows to 0; step_corr -> 0 as ell1 / omega1 -> 0
+    h = Hyperparams(ell1=ell1, ell2=1.0, signal_var=1.0, noise_var=0.1)
+    p = bound_params(h, (1.0, 1.0))
+    assert (p.step_corr, p.norm_ell1) == (0.0, ell1)
+    report = bound_report(h, (1.0, 1.0), 3)
+    assert report.condition_ok
+    assert report.stage_bounds.tolist() == [0.0] * 4
+
+
 # ------------------------------------------------------------- stage bound
 
 

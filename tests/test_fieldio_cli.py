@@ -253,6 +253,12 @@ def test_spec_refuses_a_budget_below_one():
         plan("exact", TransectGrid(3, 6, 5.0, 5.0), H, 1, RobotConfig((1,)), budget=0)
 
 
+def test_spec_refuses_a_length_scale_past_float64_in_cells():
+    # 1e100 m is 1e400 cells of 1e-300 m, refused before any draw
+    with pytest.raises(ParseError, match="overflow float64 as counts of cells"):
+        spec_of(omega1=1e-300, h=Hyperparams(1e100, 4.0, 1.0, 0.1))
+
+
 def test_spec_refuses_starts_without_explicit_mode():
     for mode in ("all", "adversarial-worst"):
         with pytest.raises(ParseError, match="explicit start mode only"):
@@ -710,6 +716,21 @@ BAD_VALUES = {
     "bench-negative-budget": ["bench", "--rows", "3", "--cols", "6", "--ell1", "1",
                               "--ell2", "1", "--signal-var", "1", "--noise-var", "0.1",
                               "--policies", "exact", "--budget", "-1", "--out", "{out}"],
+    # 1e100 m is 1e400 cells of 1e-300 m: the spacing underflows to 0
+    "synth-length-scale-past-float64": ["synth", "--rows", "3", "--cols", "6",
+                                        "--omega1", "1e-300", "--ell1", "1e100",
+                                        "--out", "{out}"],
+    "plan-length-scale-past-float64": ["plan", "--field", "{field}", "--policy", "markov",
+                                       "--start", "0", "--omega1", "1e-300",
+                                       "--ell1", "1e100"],
+    "bounds-length-scale-past-float64": ["bounds", "--rows", "3", "--cols", "5",
+                                         "--omega1", "1e-300", "--ell1", "1e100",
+                                         "--ell2", "1", "--signal-var", "1",
+                                         "--noise-var", "0.1"],
+    "bench-length-scale-past-float64": ["bench", "--rows", "3", "--cols", "6",
+                                        "--omega1", "1e-300", "--ell1", "1e100",
+                                        "--ell2", "1", "--signal-var", "1",
+                                        "--noise-var", "0.1", "--out", "{out}"],
     # a start is taken in explicit mode only; here row 9 does not exist
     "bench-start-without-explicit-mode": ["bench", "--rows", "3", "--cols", "6",
                                           "--ell1", "1", "--ell2", "1",
@@ -734,6 +755,53 @@ def test_cli_rejected_values_exit_3_with_one_error_line(tmp_path, args):
     assert res.stderr.startswith("error: ")
 
 
+def far_and_near(args, short):
+    """``args`` with ``{ell}`` at ``short`` and at 0.01 m, whose spacing is
+    past the kernel's reach too, with no overflow on the way."""
+    return [[str(a).replace("{ell}", ell) for a in args] for ell in (short, "0.01")]
+
+
+SHORT_LENGTH_SCALES = {
+    "synth-ell1": ["synth", "--rows", "3", "--cols", "6", "--ell1", "{ell}", "--out", "{out}"],
+    "synth-ell2": ["synth", "--rows", "3", "--cols", "6", "--ell2", "{ell}", "--out", "{out}"],
+    "bounds": ["bounds", "--rows", "3", "--cols", "5", "--ell1", "{ell}", "--ell2", "1",
+               "--signal-var", "1", "--noise-var", "0.1"],
+    "plan": ["plan", "--field", "{field}", "--policy", "markov", "--start", "0",
+             "--ell1", "{ell}"],
+    "bench": ["bench", "--rows", "3", "--cols", "6", "--ell1", "{ell}", "--ell2", "1",
+              "--signal-var", "1", "--noise-var", "0.1", "--policies", "markov,greedy-ent",
+              "--out", "{out}"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("short", ["1e-200", "1e-320"])
+@pytest.mark.parametrize("args", SHORT_LENGTH_SCALES.values(), ids=SHORT_LENGTH_SCALES.keys())
+def test_cli_length_scale_far_below_the_spacing_answers_its_limit(tmp_path, args, short):
+    # at 1e-200 m the squared distances overflowed, at 1e-320 m the spacing
+    # itself did, to a NaN diagonal; the kernel is 0 between cells at all
+    # three length-scales, so each report is the 0.01 m one
+    field = synth_field(tmp_path)
+    reports = []
+    for i, run in enumerate(far_and_near(args, short)):
+        out = tmp_path / f"o{i}.csv"
+        res = run_cli([a.format(field=field, out=out) for a in run])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        text = out.read_text() if out.exists() else res.stdout
+        if run[0] == "bench":
+            # the plan_seconds columns
+            text = [line.split(",")[:-2] for line in text.splitlines()]
+        elif run[0] == "bounds":
+            text = [line for line in text.splitlines() if not line.startswith("norm_ell1=")]
+        else:
+            text = mask_times(text)
+        reports.append(text)
+    assert reports[0] == reports[1]
+    if args[0] == "synth":
+        assert np.isfinite(read_field(tmp_path / "o0.csv").grid.measurements).all()
+
+
 def test_cli_zero_team_refused_alike_by_bounds_and_plan(tmp_path):
     field = synth_field(tmp_path)
     results = [
@@ -756,6 +824,20 @@ def test_cli_exit_code_budget(tmp_path):
     ])
     assert res.exit_code == 5
     assert "error:" in res.output
+    # bounds skips the audit that refuses the budget, unless told to run it;
+    # the golden audit's instance, whose bound condition holds
+    audited = [
+        "bounds", "--rows", "3", "--cols", "5", "--omega1", "5", "--omega2", "5",
+        "--ell1", "2.5", "--ell2", "2.5", "--signal-var", "1.0",
+        "--noise-var", "1.0", "--budget", "2",
+    ]
+    res = run_cli(audited)
+    assert res.exit_code == 0, res.output
+    assert "condition_ok=true" in res.output
+    assert "value_bracket=skipped" in res.output
+    res = run_cli(audited + ["--verify"])
+    assert res.exit_code == 5
+    assert res.stderr.startswith("error: 3^4 = 81 leaf evaluations exceed the budget 2")
 
 
 def test_cli_exit_code_condition(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import bisect
+import dataclasses
 import itertools
 import math
 import re
@@ -20,6 +21,7 @@ from transectplan import (
     RobotConfig,
     SingularCovariance,
     TransectGrid,
+    bound_params,
     cov_matrix,
     evaluate,
     gaussian_entropy,
@@ -1134,6 +1136,37 @@ def test_sample_prior_field_refuses_an_embedding_past_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # refused before any array of the draw is made
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", ["ell1", "ell2"])
+@pytest.mark.parametrize("short", [1e-200, 1e-320])
+def test_a_spacing_past_the_kernels_reach_keeps_its_values(axis, short):
+    # 5 m cells are 500 length-scales of 0.01 m apart, past the kernel's
+    # reach; at 1e-200 m the squared distances overflowed, and at 1e-320 m
+    # the spacing itself, to a NaN diagonal: all three are one model
+    grid = TransectGrid(3, 6, 5.0, 5.0)
+    base = Hyperparams(5.0, 4.0, 1.0, 0.1)
+    far, near = (dataclasses.replace(base, **{axis: ell}) for ell in (short, 0.01))
+    cells = grid.locations()
+    assert cov_matrix(cells, far, grid.widths).tobytes() == cov_matrix(cells, near, grid.widths).tobytes()
+    assert gp.grid_entropy(grid, far) == gp.grid_entropy(grid, near)
+    assert sample_prior_field(grid, far, 3).tobytes() == sample_prior_field(grid, near, 3).tobytes()
+
+
+def test_a_length_scale_past_float64_in_cells_is_refused():
+    # 1e100 m is 1e400 cells of 1e-300 m: the spacing underflows to 0
+    grid = TransectGrid(3, 6, 1e-300, 1.0)
+    h = Hyperparams(1e100, 1.0, 1.0, 0.1)
+    calls = [
+        lambda: sample_prior_field(grid, h, 0),
+        lambda: gp.grid_entropy(grid, h),
+        lambda: cov_matrix(grid.locations(), h, grid.widths),
+        lambda: bound_params(h, grid.widths),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="overflow float64 as counts of cells"):
+            call()
 
 
 def test_sample_prior_field_draws_ell_of_ten_thousand_cells():

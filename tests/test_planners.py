@@ -19,6 +19,7 @@ from transectplan import (
     Hyperparams,
     InvalidArity,
     Location,
+    MismatchedInstances,
     ObservationPath,
     ParseError,
     RobotConfig,
@@ -818,6 +819,20 @@ def test_path_entropies_fall_back_to_path_entropy(h, refusal):
     assert path_entropies([], h).shape == (0,)
 
 
+def test_path_entropies_refuse_paths_of_two_instances():
+    # each path would be valued on the first path's grid and team size
+    h = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.1)
+    g5, g1 = TransectGrid(3, 6, 5.0, 5.0), TransectGrid(3, 6, 1.0, 1.0)
+    p5, p1 = (ObservationPath(g, (RobotConfig((0,)),) * 6) for g in (g5, g1))
+    pair = ObservationPath(g5, (RobotConfig((0, 1)),) * 6)
+    for paths in ([p5, p1], [p5, pair]):
+        with pytest.raises(MismatchedInstances, match="one grid and one team size"):
+            path_entropies(paths, h)
+    # one geometry with other measurements is the same instance
+    measured = ObservationPath(dataclasses.replace(g1, measurements=np.ones((3, 6))), p1.configs)
+    assert path_entropies([p1, measured], h).tolist() == [path_entropy(p1, h)] * 2
+
+
 def test_exact_frontier_memory_stays_chunked():
     # the unchunked frontier of this 4x9 search peaks near 42 MB, the
     # chunked one near 3.5 MB
@@ -1229,6 +1244,15 @@ def test_plan_all_matches_one_start_calls(monkeypatch, policy):
         with pytest.raises(InvalidArity, match=re.escape(message)):
             plan(policy, g, H, 2, bad)
     assert tables == []
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_plan_all_reads_its_starts_once(policy):
+    # the up-front start check must not use up a one-shot iterable
+    g = small_grid(3, 6)
+    starts = enumerate_configs(g, 1)
+    want = [exact_bits(r) for r in plan_all(policy, g, H, 1, starts)]
+    assert [exact_bits(r) for r in plan_all(policy, g, H, 1, (x0 for x0 in starts))] == want
 
 
 # Noise-free survey fits whose greedy sweeps over every start, k=2, meet a
