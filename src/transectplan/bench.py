@@ -3,14 +3,18 @@
 Each seed draws one exact field realization, every requested planner runs
 from every requested start, and both map metrics land in one flat table
 together with their gaps against the Markov planner. Each planner plans all
-of a (field, team size)'s starts in one :func:`~transectplan.planners.plan_all`
+of a team size's starts in one :func:`~transectplan.planners.plan_all`
 call: one Markov table, one greedy sweep or one exhaustive tree. A row's
 ``plan_seconds`` is that planning time amortized over the starts it serves,
-and its ``plan_total_seconds`` the whole of it. The Markov stage table is
-kept per grid shape, spacing, fit and team size, for the last four keys, so
-after the first seed a markov row's time is the DP sweep's alone. A refusal
-is the one that planning and evaluating the starts one at a time meets
-first.
+and its ``plan_total_seconds`` the whole of it. A refusal is the one that
+planning and evaluating the starts one at a time meets first.
+
+Planning, its paths and the unobserved entropy do not read the field, so
+only the first seed plans and evaluates; every later seed reuses its paths,
+entropies and planning times and computes only the relative error on its own
+field. So every seed's row carries the planning time measured at the first
+seed. A later seed can only add a refusal of that error, ZeroMeanField, and
+one start at a time meets it at the first start too.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass, replace
 from .errors import ParseError
 from .gp import Hyperparams, _steps, sample_prior_field
 from .fieldio import fmt
-from .metrics import EvalRecord, evaluate, metric_diff
+from .metrics import EvalRecord, evaluate, metric_diff, relative_error
 from .planners import DEFAULT_BUDGET, POLICIES, _one_at_a_time, _planner
-from .transect import RobotConfig, TransectGrid, enumerate_configs
+from .transect import ObservationPath, RobotConfig, TransectGrid, enumerate_configs
 
 # the exhaustive search is exponentially priced, so it runs only on request
 DEFAULT_POLICIES = tuple(p for p in POLICIES if p != "exact")
@@ -104,19 +108,31 @@ def _records_for(
     starts: list[RobotConfig],
     mean: float,
     budget: int,
-) -> dict[RobotConfig, tuple[EvalRecord, float]]:
-    """Evaluation record and total planning time per start."""
+) -> dict[RobotConfig, tuple[EvalRecord, float, ObservationPath]]:
+    """Evaluation record, total planning time and path per start."""
 
     def records(some):
         return [
             (
                 evaluate(res.path, h, policy, plan_seconds=res.plan_seconds, mean=mean),
                 res.plan_seconds * len(some),
+                res.path,
             )
             for res in _planner(policy, grid, h, k, some, budget)(some)
         ]
 
     return dict(zip(starts, _one_at_a_time(records, starts)))
+
+
+def _reseeded(records: dict, grid: TransectGrid, h: Hyperparams, mean: float) -> dict:
+    """``records`` of an earlier seed on the field of ``grid``: the same
+    paths, entropies and times, with each path's relative error on this
+    field, computed start by start in order."""
+    out = {}
+    for x0, (rec, seconds, path) in records.items():
+        path = ObservationPath(grid, path.configs)
+        out[x0] = (replace(rec, err=relative_error(path, h, mean)), seconds, path)
+    return out
 
 
 def _row(
@@ -163,6 +179,17 @@ def run_benchmark(spec: ExperimentSpec) -> list[dict]:
     except ValueError as e:
         raise ParseError(f"bad benchmark grid: {e}") from e
     rows: list[dict] = []
+    # the first seed's records per (team size, policy)
+    planned: dict[tuple[int, str], dict] = {}
+
+    def records(policy, grid, k, starts):
+        if (k, policy) not in planned:
+            planned[k, policy] = _records_for(
+                policy, grid, spec.h, k, starts, spec.mean, spec.budget
+            )
+            return planned[k, policy]
+        return _reseeded(planned[k, policy], grid, spec.h, spec.mean)
+
     for seed in spec.seeds:
         z = sample_prior_field(base_grid, spec.h, seed, mean=spec.mean)
         grid = replace(base_grid, measurements=z)
@@ -175,17 +202,9 @@ def run_benchmark(spec: ExperimentSpec) -> list[dict]:
             else:
                 starts = enumerate_configs(grid, k)
             # Markov records anchor the gap columns even when not requested
-            markov = _records_for(
-                "markov", grid, spec.h, k, starts, spec.mean, spec.budget
-            )
+            markov = records("markov", grid, k, starts)
             for policy in spec.policies:
-                recs = (
-                    markov
-                    if policy == "markov"
-                    else _records_for(
-                        policy, grid, spec.h, k, starts, spec.mean, spec.budget
-                    )
-                )
+                recs = markov if policy == "markov" else records(policy, grid, k, starts)
                 per_start = [
                     _row(recs[x0][0], markov[x0][0], spec, k, seed, str(x0), recs[x0][1])
                     for x0 in starts

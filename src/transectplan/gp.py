@@ -14,9 +14,10 @@ factorizations and triangular solves, never through determinants.
 
 Numerical policy, applied uniformly:
 
-* every factorization goes through :func:`chol_factor`, over one matrix or a
-  stack: one stacked Cholesky with no jitter, then, for the matrices that
-  fail it only, one by one, a diagonal jitter of 1e-12, 1e-10 and 1e-8
+* every factorization goes through one ladder, :func:`_ladder`, behind
+  :func:`chol_factor` and :func:`minor_factors`, over one matrix or a stack:
+  one stacked Cholesky with no jitter, then, for the matrices that fail it
+  only, one by one, a diagonal jitter of 1e-12, 1e-10 and 1e-8
   times the matrix's mean diagonal before giving up with
   FactorizationFailure; a factor diagonal entry below 1e-150 raises
   SingularCovariance instead of overflowing a log-determinant, a NaN or inf
@@ -47,13 +48,14 @@ but not the noise, which keeps the matrix nonsingular when noise_var > 0.
 Repeated rows with noise_var == 0 are rejected as singular.
 
 The planners and metrics gather Gram matrices between cells of one grid from
-its lag blocks (:class:`LagGram`), which depend on the grid's shape and
-spacing and on the hyperparameters only. They are built once per such key,
-shared read-only, and kept for the last LAG_BLOCK_KEYS (4) keys, at
-n_cols * n_rows^2 * 8 bytes each. The Markov planner keeps its stage tables
-the same way, through ``functools.lru_cache`` (``planners._stage_table``):
-read-only, kept per grid shape, spacing, fit and team size, for the last
-four keys, at C(n_rows, k)^2 * 8 bytes each (16 KB at 10 rows and k = 2).
+its lag blocks through one gather, :meth:`LagGram.block`; the blocks depend
+on the grid's shape and spacing and on the hyperparameters only. They are
+built once per such key, shared read-only, and kept for the last
+LAG_BLOCK_KEYS (4) keys, at n_cols * n_rows^2 * 8 bytes each. The Markov
+planner keeps its stage tables the same way, through ``functools.lru_cache``
+(``planners._stage_table``): read-only, kept per grid shape, spacing, fit
+and team size, for the last four keys, at C(n_rows, k)^2 * 8 bytes each
+(16 KB at 10 rows and k = 2).
 The whole grid's entropy (:func:`grid_entropy`) is kept for the last 32
 keys of shape, spacing and hyperparameters, at one float each.
 
@@ -257,7 +259,7 @@ def _climb(cov: np.ndarray) -> np.ndarray:
 
 def chol_factor(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a matrix or a stack of shape (..., n, n),
-    the one factorization routine behind every other.
+    the one factorization routine behind every other, by :func:`_ladder`.
 
     One stacked Cholesky runs with no jitter. Only the matrices that fail it
     are retried, one by one in C order, up the jitter ladder, so the others
@@ -266,28 +268,30 @@ def chol_factor(cov: np.ndarray) -> np.ndarray:
     a retried factor has a NaN or inf pivot, SingularCovariance when a
     pivot is below DIAG_FLOOR.
     """
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    return _ladder(np.atleast_2d(np.asarray(cov, dtype=float)))[0]
+
+
+def _ladder(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`chol_factor`'s ladder over the stack ``cov``: ``(L, ok)`` as
+    :func:`_probe` gives them, with the matrices that failed rung 0 retried
+    in place in ``L``, one by one in C order, up the jitter ladder, and the
+    first failing one's refusal raised. A stack that passes rung 0 returns
+    at once."""
     L, ok = _probe(cov)
-    if not ok.all():
-        _past_rung_0(cov, L, ok)
-    return L
-
-
-def _past_rung_0(cov: np.ndarray, L: np.ndarray, ok: np.ndarray) -> None:
-    """The rest of :func:`chol_factor` after :func:`_probe` gave ``(L, ok)``
-    for the stack ``cov``: in place in ``L``, the matrices that failed rung 0
-    are retried one by one in C order up the jitter ladder, and the first
-    failing one's refusal is raised."""
+    if ok.all():
+        return L, ok
     n = cov.shape[-1]
     flat, covs = L.reshape(-1, n, n), cov.reshape(-1, n, n)
     for i in np.flatnonzero(~ok):
         if np.isnan(flat[i]).any():
             flat[i] = _climb(covs[i])
-        logdet_from_factor(flat[i])  # refuses a non-finite or sub-floor pivot
+        _check_pivots(flat[i])
+    return L, ok
 
 
-def logdet_from_factor(factor: np.ndarray) -> float:
-    """Log-determinant from a triangular factor, guarding the log."""
+def _check_pivots(factor: np.ndarray) -> None:
+    """Refuses a triangular factor whose diagonal holds a NaN or inf pivot
+    (FactorizationFailure) or one below DIAG_FLOOR (SingularCovariance)."""
     d = np.diag(factor)
     if not np.all(np.isfinite(d)):
         raise FactorizationFailure("factor diagonal holds a NaN or inf pivot")
@@ -295,7 +299,6 @@ def logdet_from_factor(factor: np.ndarray) -> float:
         raise SingularCovariance(
             f"factor diagonal reaches {d.min():g}, below {DIAG_FLOOR:g}"
         )
-    return 2.0 * float(np.sum(np.log(d)))
 
 
 def _duplicate_guard(locs: Sequence[Location], h: Hyperparams) -> None:
@@ -375,13 +378,10 @@ def minor_factors(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     ok)`` of shapes (..., m), (..., m, k, k) and (..., m), ``ok`` false
     where a minor failed rung 0 and was factored with jitter. The steps,
     bits and refusals are :func:`gaussian_entropy`'s on the gathered minors,
-    by :func:`_probe` and the rest of :func:`chol_factor`'s ladder.
+    by :func:`chol_factor`'s :func:`_ladder`.
     """
     idx = np.asarray(idx)
-    minors = cov[..., idx[:, :, None], idx[:, None, :]]
-    L, ok = _probe(minors)
-    if not ok.all():
-        _past_rung_0(minors, L, ok)
+    L, ok = _ladder(cov[..., idx[:, :, None], idx[:, None, :]])
     return _factor_entropy(L), L, ok
 
 
@@ -419,16 +419,17 @@ def _lag_blocks(
 
 
 class LagGram:
-    """Prior covariance between the cells of one grid, numbered column-major
-    (``col * n_rows + row``), gathered from covariance blocks by lag.
+    """Prior covariance between the cells of one grid, gathered from
+    covariance blocks by lag.
 
     ``blocks[lag, r, s]`` is the covariance of the cells (c, r) and
     (c + lag, s), with the noise on the lag-0 diagonal, as :func:`cross_cov`
     puts it. The kernel is stationary, so these n_cols blocks of
     n_rows x n_rows hold every entry of the grid's Gram matrix, with the same
     bits as :func:`cross_cov` between the same cells. No other code reads
-    the blocks: a call, :meth:`along`, :meth:`before`, :meth:`all_against`
-    and :meth:`dense` gather from them.
+    the blocks: :meth:`block` gathers from them, a call is its adapter for
+    cells numbered column-major (``col * n_rows + row``), and :meth:`dense`
+    fills the whole matrix.
 
     The blocks depend on the grid's shape and spacing and on ``h`` only, not
     on its measurements, so they are built once per such key and shared,
@@ -440,44 +441,20 @@ class LagGram:
     """
 
     def __init__(self, grid: TransectGrid, h: Hyperparams):
-        n_rows = self.n_rows = grid.n_rows
-        self.blocks = _lag_blocks(n_rows, grid.n_cols, grid.omega1, grid.omega2, h)
-        # where each row's entries start within a block
-        self._row_starts = (np.arange(n_rows) * n_rows)[:, None]
+        self.n_rows = grid.n_rows
+        self.blocks = _lag_blocks(self.n_rows, grid.n_cols, grid.omega1, grid.omega2, h)
+
+    def block(self, a_cols, a_rows, b_cols, b_rows) -> np.ndarray:
+        """The block M[a][:, b] between the cell lists a, whose i-th cell is
+        (a_cols[..., i], a_rows[..., i]), and b, likewise, as
+        ``blocks[|a_col - b_col|, a_row, b_row]``: shape (..., len(a),
+        len(b)), the leading axes of all four arrays broadcast."""
+        lag = np.abs(a_cols[..., :, None] - b_cols[..., None, :])
+        return self.blocks[lag, a_rows[..., :, None], b_rows[..., None, :]]
 
     def __call__(self, a, b) -> np.ndarray:
-        """The block M[a][:, b] for cell index arrays ``a`` and ``b``, whose
-        leading axes broadcast: shape (..., len(a), len(b))."""
-        a_col, a_row = np.divmod(np.asarray(a), self.n_rows)
-        b_col, b_row = np.divmod(np.asarray(b), self.n_rows)
-        # one flat index into the (lag, row, row) blocks
-        lag = np.abs(a_col[..., :, None] - b_col[..., None, :])
-        flat = lag * self.n_rows**2 + (a_row * self.n_rows)[..., :, None] + b_row[..., None, :]
-        return self.blocks.reshape(-1)[flat]
-
-    def along(self, cols, rows) -> np.ndarray:
-        """The Gram matrices, shape (..., n, n), of the cell lists whose i-th
-        cells are (cols[i], rows[..., i]); one lag array serves the stack."""
-        lag = np.abs(cols[:, None] - cols[None, :])
-        return self.blocks[lag, rows[..., :, None], rows[..., None, :]]
-
-    def before(self, col: int, cols, rows) -> np.ndarray:
-        """The block M[a][:, b], shape (..., n_rows, n), for ``a`` the cells
-        of column ``col`` in row order and ``b`` the n cells
-        (cols[i], rows[..., i]), each in a column before ``col``: every lag
-        col - cols[i] is positive, so the call's divmod and abs are not
-        needed. The same bits as the call."""
-        flat = (col - cols) * self.n_rows**2 + rows
-        return self.blocks.reshape(-1)[flat[..., None, :] + self._row_starts]
-
-    def all_against(self, cols, rows) -> np.ndarray:
-        """The block M[:, b], shape (n_rows * n_cols, n), of every cell,
-        column-major, against the n cells b = (cols[i], rows[i]): one lag
-        per column pair instead of the call's divmod of every cell. The same
-        bits as the call."""
-        n_cols, n_rows, _ = self.blocks.shape
-        lag = np.abs(np.arange(n_cols)[:, None] - cols[None, :])
-        return self.blocks[lag[:, None, :], np.arange(n_rows)[:, None], rows].reshape(-1, cols.size)
+        """:meth:`block` for column-major cell index arrays ``a`` and ``b``."""
+        return self.block(*np.divmod(a, self.n_rows), *np.divmod(b, self.n_rows))
 
     def dense(self) -> np.ndarray:
         """The whole grid's Gram matrix over column-major cells, filled one
@@ -497,7 +474,7 @@ class GrowingFactor:
 
     ``entries(a, b)`` returns the block M[a][:, b] of a symmetric positive
     definite matrix M that need never be formed whole; its index arrays
-    broadcast over a leading stack axis, as :class:`LagGram`'s do. It
+    broadcast over a leading stack axis, as a :class:`LagGram` call's do. It
     gathers the start's block and a refactored member's history; the
     caller gathers the candidates' blocks, by whatever route is cheapest.
     :meth:`condition` gives each member's Schur complement of M[V_s, V_s]

@@ -75,7 +75,7 @@ class _PathMap:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        return chol_factor(self.prior.along(self.cols, self.rows))
+        return chol_factor(self.prior.block(self.cols, self.rows, self.cols, self.rows))
 
     def unobserved_entropy(self) -> float:
         grid, h = self.grid, self.h
@@ -101,7 +101,11 @@ class _PathMap:
         z_all = z.T.ravel()
         # K^-1 (z - mean) over the visited cells, by L^-T L^-1
         alpha = _trsolve(self.factor, _trsolve(self.factor, z_all[self.visited] - mean), trans=0)
-        mu = mean + self.prior.all_against(self.cols, self.rows) @ alpha
+        # every column's cells against the visited ones, (n_cols, n_rows, n):
+        # column-major cells once flattened, with one lag per column pair
+        every = np.arange(self.grid.n_cols)[:, None], np.arange(self.grid.n_rows)
+        k_all = self.prior.block(*every, self.cols, self.rows).reshape(z_all.size, -1)
+        mu = mean + k_all @ alpha
         resid = (z_all - mu) / zbar
         return float(np.mean(resid * resid))
 

@@ -172,7 +172,7 @@ def path_entropies(paths: list[ObservationPath], h: Hyperparams) -> np.ndarray:
     whatever the other paths are.
 
     The Gram matrices of every path and of every start are gathered by one
-    ``LagGram.along``, and each stack is valued by :func:`gaussian_entropy`,
+    ``LagGram.block``, and each stack is valued by :func:`gaussian_entropy`,
     so only a path whose matrix fails the stacked Cholesky climbs the jitter
     ladder. The joint matrices are factored before the starts', and within
     a stack the first failing path's refusal is raised.
@@ -183,7 +183,8 @@ def path_entropies(paths: list[ObservationPath], h: Hyperparams) -> np.ndarray:
     if any(p.grid != grid or p.k != k for p in paths[1:]):
         raise MismatchedInstances("paths valued together need one grid and one team size")
     rows = np.array([[r for x in p.configs for r in x.rows] for p in paths])
-    gram = LagGram(grid, h).along(np.repeat(np.arange(grid.n_cols), k), rows)
+    cols = np.repeat(np.arange(grid.n_cols), k)
+    gram = LagGram(grid, h).block(cols, rows, cols, rows)
     return gaussian_entropy(gram) - gaussian_entropy(gram[:, :k, :k])
 
 
@@ -210,8 +211,8 @@ def stage_entropy_table(
     :func:`~transectplan.gp.posterior_cov` entry by entry.
     """
     n_rows = grid.n_rows
-    cells = np.arange(2 * n_rows)  # columns 0 and 1, column-major
-    gram = LagGram(grid, h).along(cells // n_rows, cells % n_rows)
+    cols, rows = np.divmod(np.arange(2 * n_rows), n_rows)  # columns 0 and 1
+    gram = LagGram(grid, h).block(cols, rows, cols, rows)
     nxt = gram[n_rows:, n_rows:]
     idx = [np.ix_(x.rows, x.rows) for x in configs]
     table = np.empty((len(configs), len(configs)))
@@ -306,26 +307,17 @@ def _first_best(scores: np.ndarray, best: np.ndarray | None = None) -> np.ndarra
     return np.argmax(scores >= best - _tie_tol(best), axis=-1)
 
 
-@functools.lru_cache(maxsize=256)
-def _level_columns(k: int, n_rows: int, depth: int) -> np.ndarray:
-    """The columns of a depth-``depth`` node's joint cells, read-only: k
-    cells in each column through ``depth``, then the n_rows cells of the
-    next one."""
-    cols = np.repeat(np.arange(depth + 2), [k] * (depth + 1) + [n_rows])
-    cols.flags.writeable = False
-    return cols
-
-
 def _level_entropies(gram, idx, first, moves):
     """The column step for nodes of one depth: entry (i, j) is the entropy of
     the row set ``idx[j]`` of the next column given the cells of the path
     from the start rows ``first[i]`` through the configurations
     ``idx[moves[i]]``.
 
-    The nodes' cell rows are filled into one array and their columns, the
-    same for every node of a depth, come from :func:`_level_columns`. One
-    stacked Cholesky factors every node's history-plus-next-column Gram
-    matrix, gathered by ``gram.along``; the trailing R x R block of a factor
+    The nodes' cell rows are filled into one array; their columns, k cells
+    in each column through ``depth`` and then the n_rows cells of the next
+    one, are the same for every node of a depth. One stacked Cholesky
+    factors every node's history-plus-next-column Gram matrix, gathered by
+    one ``gram.block``; the trailing R x R block of a factor
     is the factor of the next column's posterior. Only the nodes whose factor
     fails or reaches DIAG_FLOOR are redone, one by one from the same matrix,
     as ``posterior_cov`` does it, with its jitter ladder and refusals.
@@ -337,7 +329,8 @@ def _level_entropies(gram, idx, first, moves):
     rows[:, :k] = first
     rows[:, k:t] = idx[moves].reshape(n, -1)
     rows[:, t:] = np.arange(n_rows)
-    joint = gram.along(_level_columns(k, n_rows, depth), rows)
+    cols = np.repeat(np.arange(depth + 2), [k] * (depth + 1) + [n_rows])
+    joint = gram.block(cols, rows, cols, rows)
     factor, ok = _probe(joint)
     tail = factor[:, t:, t:]
     post = tail @ tail.transpose(0, 2, 1)
@@ -540,7 +533,7 @@ def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
     Cells are numbered column-major (``col * n_rows + row``). The first term
     conditions the column's prior covariance on a stacked factor of each
     start's visited cells; the column's block against those cells is
-    gathered by lag (``LagGram.before``), and its own block is the same at
+    gathered by lag (``LagGram.block``), and its own block is the same at
     every column. The second term conditions the whole grid's precision
     P = K^-1, formed once per sweep, on a stacked factor of P over the
     visited cells, since P_cc - P_cV P_VV^-1 P_Vc is the inverse of the
@@ -572,7 +565,7 @@ def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
     rows = np.empty((len(starts), k * n_cols), dtype=np.int64)
     rows[:, :k] = [x0.rows for x0 in starts]
     stack = np.arange(len(starts))
-    here = np.arange(n_rows)  # column 0's cells
+    here = np.arange(n_rows)  # column 0's cells, and every column's rows
     # a column's own block, the same at every column
     own = prior(here, here)
     factors = [GrowingFactor(prior, rows[:, :k], k * n_cols)]
@@ -585,7 +578,8 @@ def _greedy_sweep(policy, grid, h, configs, starts) -> list[PlanResult]:
     for col in range(1, n_cols):
         n = col * k
         column = col * n_rows + here
-        post[0], wt = factors[0].condition(prior.before(col, cols[:n], rows[:, :n]), own)
+        cross = prior.block(np.full(n_rows, col), here, cols[:n], rows[:, :n])
+        post[0], wt = factors[0].condition(cross, own)
         wts = [wt]
         if mi:
             cross = entries(column, factors[1].cells[:, :n])

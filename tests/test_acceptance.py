@@ -228,15 +228,18 @@ def test_team_conditioning_cap():
 # --------------------------------------------------- 6. runtime behaviour
 
 
-def min_time(fn, n=7):
+def min_times(fns, n=7):
     # the minimum, not the median: a host stall only ever adds time, so the
-    # fastest of several calls is the one least disturbed by other load
-    times = []
+    # fastest of several calls is the one least disturbed by other load; and
+    # round-robin, each of n rounds timing every call once, so a stretch of
+    # load lands on all the calls compared rather than on one of them
+    times = {key: [] for key in fns}
     for _ in range(n):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
+        for key, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            times[key].append(time.perf_counter() - t0)
+    return {key: min(t) for key, t in times.items()}
 
 
 def whole_markov(grid, h, k):
@@ -252,30 +255,35 @@ def test_runtime_scaling():
     running the greedy planner from every start."""
     h = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.1)
 
-    dp_times = {}
+    dp_legs = {}
     for n_cols in (15, 30, 60):
         g = TransectGrid(5, n_cols, 5.0, 5.0)
-        dp_times[n_cols] = min_time(lambda g=g: whole_markov(g, h, 1))
+        dp_legs[n_cols] = lambda g=g: whole_markov(g, h, 1)
+    dp_times = min_times(dp_legs)
     dp_ok = (
         dp_times[30] / dp_times[15] <= 2.5 and dp_times[60] / dp_times[30] <= 2.5
     )
 
     # 729, 2,187 and 6,561 leaves: enough that the leaf count, not a fixed
     # cost per search level, sets the time
-    ex_times = {}
+    ex_legs = {}
     for n_cols in (7, 8, 9):
         g = TransectGrid(3, n_cols, 5.0, 5.0)
         x0 = enumerate_configs(g, 1)[0]
-        ex_times[n_cols] = min_time(lambda g=g, x0=x0: plan("exact", g, h, 1, x0))
+        ex_legs[n_cols] = lambda g=g, x0=x0: plan("exact", g, h, 1, x0)
+    ex_times = min_times(ex_legs)
     ex_ok = (
         ex_times[8] / ex_times[7] >= 1.5 and ex_times[9] / ex_times[8] >= 1.5
     )
 
     g = TransectGrid(5, 30, 5.0, 5.0)
-    dp_once = min_time(lambda: whole_markov(g, h, 1))
-    greedy_all = min_time(
-        lambda: [plan("greedy-ent", g, h, 1, x0) for x0 in enumerate_configs(g, 1)]
+    amortized = min_times(
+        {
+            "dp": lambda: whole_markov(g, h, 1),
+            "greedy": lambda: [plan("greedy-ent", g, h, 1, x0) for x0 in enumerate_configs(g, 1)],
+        }
     )
+    dp_once, greedy_all = amortized["dp"], amortized["greedy"]
     amortized_ok = dp_once < greedy_all
 
     # one verdict per leg, so a failure names the leg that failed

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -32,7 +33,7 @@ from transectplan.bench import (
 )
 from transectplan import bench, planners
 from transectplan.cli import main, mapped_exits
-from transectplan.errors import FactorizationFailure, SingularCovariance
+from transectplan.errors import FactorizationFailure, SingularCovariance, ZeroMeanField
 from transectplan.fieldio import fmt
 
 DATA = Path(__file__).parent / "data"
@@ -400,6 +401,50 @@ def test_benchmark_raises_the_first_failing_starts_error_type(monkeypatch):
         run_benchmark(spec_of(start_mode="explicit", starts=(a, b)))
     with pytest.raises(SingularCovariance, match="planning from b"):
         run_benchmark(spec_of(start_mode="explicit", starts=(b, a)))
+
+
+def test_benchmark_plans_each_team_size_and_policy_once_across_seeds(monkeypatch):
+    # planning and the unobserved entropy never read the field, so a later
+    # seed keeps the first seed's paths, entropies and planning times and
+    # scores only its own relative error
+    real_planner = bench._planner
+    planned = []
+
+    def planner(policy, grid, h, k, starts, budget):
+        planned.append((k, policy))
+        return real_planner(policy, grid, h, k, starts, budget)
+
+    spec = spec_of(team_sizes=(1, 2), policies=("markov", "greedy-ent", "greedy-mi"), seeds=(0, 1, 2))
+    monkeypatch.setattr(bench, "_planner", planner)
+    rows = run_benchmark(spec)
+    assert sorted(planned) == sorted((k, p) for k in (1, 2) for p in spec.policies)
+    monkeypatch.setattr(bench, "_planner", real_planner)
+    alone = [r for s in spec.seeds for r in run_benchmark(dataclasses.replace(spec, seeds=(s,)))]
+    timing = ("plan_seconds", "plan_total_seconds")
+    assert len(rows) == len(alone)
+    for got, want in zip(rows, alone):
+        assert {c: got[c] for c in CSV_COLUMNS if c not in timing} == {
+            c: want[c] for c in CSV_COLUMNS if c not in timing
+        }
+    # every seed's rows carry the planning time measured at the first seed
+    per_seed = len(rows) // len(spec.seeds)
+    for got, first in zip(rows[per_seed:], rows[:per_seed] * 2):
+        assert [got[c] for c in timing] == [first[c] for c in timing]
+
+
+def test_benchmark_refuses_a_zero_mean_field_first_met_at_a_later_seed(monkeypatch):
+    # seed 1 draws a field of mean zero: its relative error is refused, as
+    # evaluating its first start one at a time refuses it
+    real_draw = bench.sample_prior_field
+
+    def draw(grid, h, seed, mean=0.0):
+        z = real_draw(grid, h, seed, mean=mean)
+        return np.zeros_like(z) if seed == 1 else z
+
+    monkeypatch.setattr(bench, "sample_prior_field", draw)
+    assert run_benchmark(spec_of(seeds=(0, 2)))
+    with pytest.raises(ZeroMeanField, match="field mean is zero"):
+        run_benchmark(spec_of(seeds=(0, 1, 2)))
 
 
 @pytest.mark.parametrize("order", ["deeper first", "searched first"])

@@ -35,7 +35,6 @@ from transectplan.gp import (
     GrowingFactor,
     chol_factor,
     cross_cov,
-    logdet_from_factor,
     minor_factors,
     precision,
 )
@@ -360,13 +359,13 @@ def test_entropy_rejects_indefinite_matrix():
 
 def test_singular_floor_detected():
     with pytest.raises(SingularCovariance):
-        logdet_from_factor(np.diag([1.0, 1e-200]))
+        gp._check_pivots(np.diag([1.0, 1e-200]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_logdet_refuses_a_non_finite_pivot(bad):
     with pytest.raises(FactorizationFailure, match="NaN or inf"):
-        logdet_from_factor(np.diag([1.0, bad]))
+        gp._check_pivots(np.diag([1.0, bad]))
 
 
 def test_chol_factor_refuses_a_nan_matrix():
@@ -520,7 +519,7 @@ def test_lag_gram_matches_cross_cov_bits():
             along = np.sort(rng.integers(0, cols, 6))
             lists = rng.integers(0, rows, (3, 6))
             along[1], lists[0, 1] = along[0], lists[0, 0]
-            got = gram.along(along, lists)
+            got = gram.block(along, lists, along, lists)
             for mine, rs in zip(got, lists):
                 locs = [Location(int(c), int(r)) for c, r in zip(along, rs)]
                 np.testing.assert_array_equal(mine, cross_cov(locs, locs, h, g.widths))
@@ -532,17 +531,22 @@ def test_lag_gram_matches_cross_cov_bits():
             earlier_rows = rng.integers(0, rows, (3, 5))
             column = col * rows + np.arange(rows)
             want = grid_entries(g, h)(column, earlier * rows + earlier_rows)
-            np.testing.assert_array_equal(gram.before(col, earlier, earlier_rows), want)
+            got = gram.block(np.full(rows, col), np.arange(rows), earlier, earlier_rows)
+            np.testing.assert_array_equal(got, want)
             path = rng.integers(0, rows, (2, cols))
             locs = [[Location(c, int(r)) for c, r in enumerate(rs)] for rs in path]
             want = [cov_matrix(x, h, g.widths) for x in locs]
-            np.testing.assert_array_equal(gram.along(np.arange(cols), path), want)
+            every = np.arange(cols)
+            np.testing.assert_array_equal(gram.block(every, path, every, path), want)
             # every cell against a cell list, one repeated: the call's bits
             along_rows = path[0, along]
-            against = gram.all_against(along, along_rows)
-            assert against.shape == (rows * cols, along.size)
             want = gram(np.arange(rows * cols), along * rows + along_rows)
+            against = gram.block(*np.divmod(np.arange(rows * cols), rows), along, along_rows)
             np.testing.assert_array_equal(against, want)
+            # the same, one lag per column pair: a column axis before the rows
+            against = gram.block(np.arange(cols)[:, None], np.arange(rows), along, along_rows)
+            assert against.shape == (cols, rows, along.size)
+            np.testing.assert_array_equal(against.reshape(rows * cols, -1), want)
 
 
 def test_lag_grams_of_one_grid_and_fit_share_read_only_blocks():
