@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnisotropyViolated, ConditionViolated
-from .gp import Hyperparams, _steps, posterior_cov
+from .gp import Hyperparams, LagGram, _condition, _steps, chol_factor
 
 # The audit prunes its exhaustive search with the Markov values only when
 # noise_var is at least this fraction of signal_var, gp's one threshold for
@@ -219,26 +219,42 @@ def check_covariance_contraction(
     is not a theorem for squared-exponential kernels, so counterexamples are
     reported rather than suppressed. ``passed`` is True when no sampled
     tuple violates the inequality beyond AUDIT_TOL.
+
+    Each trial draws two distinct cells u, v and a history of 1 to
+    MAX_HISTORY more, gathers their blocks from the grid's
+    :class:`~transectplan.gp.LagGram` and conditions by
+    :func:`~transectplan.gp._condition` on the history's factor. Refuses
+    with ValueError fewer than one trial, and a grid of fewer than 3 cells,
+    which holds no such tuple.
     """
-    rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise ValueError(f"the contraction check needs at least one trial, got {trials}")
     cells = grid.locations()
+    if len(cells) < 3:
+        raise ValueError(f"a grid of {len(cells)} cells holds no pair with a history")
+    gram = LagGram(grid, h)
+    rng = np.random.default_rng(seed)
     found: list[ContractionViolation] = []
     for _ in range(trials):
         hist_len = int(rng.integers(1, MAX_HISTORY + 1))
         take = min(hist_len + 2, len(cells))
+        # column-major cell numbers, as LagGram reads them
         picks = rng.choice(len(cells), size=take, replace=False)
-        u, v = cells[picks[0]], cells[picks[1]]
-        history = tuple(cells[i] for i in picks[2:])
-        if not history:
-            continue
-        full = posterior_cov([u, v], list(history), h, grid.widths)[0, 1]
-        for x_m in history:
-            single = posterior_cov([u, v], [x_m], h, grid.widths)[0, 1]
+        uv, history = picks[:2], picks[2:]
+        prior = gram(uv, uv)
+
+        def given(x):
+            return _condition(chol_factor(gram(x, x)), gram(x, uv), prior)[0, 1]
+
+        full = given(history)
+        for j, m in enumerate(history):
+            single = given(history[j : j + 1])
             if abs(full) > abs(single) + AUDIT_TOL:
                 found.append(
                     ContractionViolation(
-                        u, v, history, x_m, abs(float(full)), abs(float(single))
-                    )
+                        cells[uv[0]], cells[uv[1]], tuple(cells[i] for i in history),
+                        cells[m], abs(float(full)), abs(float(single)),
+                    )  # fmt: skip
                 )
     return ContractionCheck(not found, trials, tuple(found))
 

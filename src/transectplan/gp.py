@@ -28,12 +28,13 @@ Numerical policy, applied uniformly:
 * every triangular solve goes through :func:`_trsolve`, and that inverse
   through LAPACK ``potri``: ``trtrs`` and ``potri`` are the only SciPy
   routines the package calls, imported on first use by :func:`_lapack`;
-  the posterior covariance, the unobserved-entropy metric below
+  the covariance-contraction check, the unobserved-entropy metric below
   STABLE_NOISE_RATIO and an exhaustive node whose level factor failed
   condition through one step, :func:`_condition`, and load SciPy, as the
   relative-error metric's posterior mean and the greedy planners do; the
   Markov stage table solves its k x k factors by numpy's LU solve, so the
-  Markov, exhaustive and bounds paths and the field draws run on numpy alone;
+  Markov, exhaustive and bound-audit paths and the field draws run on numpy
+  alone;
 * log-determinants and entropies come from the triangular factor, the
   entropies through :func:`_factor_entropy`;
 * the cell spacing in length-scales comes from :func:`_steps` alone, which
@@ -42,16 +43,13 @@ Numerical policy, applied uniformly:
   cells, so no kernel sees an inf or a zero spacing;
 * entropies are reported in nats.
 
-Within a covariance matrix over a list of observations the noise term sits on
-the index diagonal: two observations taken at the same cell share the signal
-but not the noise, which keeps the matrix nonsingular when noise_var > 0.
-Repeated rows with noise_var == 0 are rejected as singular.
-
-The planners and metrics gather Gram matrices between cells of one grid from
-its lag blocks through one gather, :meth:`LagGram.block`; the blocks depend
-on the grid's shape and spacing and on the hyperparameters only. They are
-built once per such key, shared read-only, and kept for the last
-LAG_BLOCK_KEYS (4) keys, at n_cols * n_rows^2 * 8 bytes each. The Markov
+Every Gram matrix is gathered from one grid's lag blocks by :class:`LagGram`,
+the one Gram route of the planners, metrics and audits, through one gather,
+:meth:`LagGram.block`; the noise term is added wherever two gathered cells
+coincide, as the kernel above reads. The blocks depend on the grid's shape
+and spacing and on the hyperparameters only. They are built once per such
+key, shared read-only, and kept for the last LAG_BLOCK_KEYS (4) keys, at
+n_cols * n_rows^2 * 8 bytes each. The Markov
 planner keeps its stage tables the same way, through ``functools.lru_cache``
 (``planners._stage_table``): read-only, kept per grid shape, spacing, fit
 and team size, for the last four keys, at C(n_rows, k)^2 * 8 bytes each
@@ -72,12 +70,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import FactorizationFailure, GridTooLarge, SingularCovariance
-from .transect import Location, TransectGrid
+from .transect import TransectGrid
 
 LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
@@ -171,54 +168,14 @@ def _lapack():
     return scipy.linalg.lapack
 
 
-def _as_int_array(locs: Sequence[Location]) -> np.ndarray:
-    a = np.asarray([(l.col, l.row) for l in locs], dtype=np.int64)
-    return a.reshape(-1, 2)
-
-
 def _signal_gram(
     a: np.ndarray, b: np.ndarray, h: Hyperparams, widths: tuple[float, float]
 ) -> np.ndarray:
-    """Squared-exponential block between integer location arrays."""
+    """Squared-exponential block between arrays of integer (col, row) cells."""
     step1, step2 = _steps(widths, h)
     d1 = (a[:, None, 0] - b[None, :, 0]) * step1
     d2 = (a[:, None, 1] - b[None, :, 1]) * step2
     return h.signal_var * np.exp(-0.5 * (d1 * d1 + d2 * d2))
-
-
-def cov_matrix(
-    locs: Sequence[Location], h: Hyperparams, widths: tuple[float, float]
-) -> np.ndarray:
-    """Prior covariance matrix of the measurements at ``locs``.
-
-    Noise lands on the index diagonal, so two entries for the same cell are
-    modeled as independent repeated measurements (off-diagonal signal_var,
-    diagonal signal_var + noise_var).
-    """
-    a = _as_int_array(locs)
-    m = _signal_gram(a, a, h, widths)
-    m[np.diag_indices_from(m)] += h.noise_var
-    return m
-
-
-def cross_cov(
-    rows: Sequence[Location],
-    cols: Sequence[Location],
-    h: Hyperparams,
-    widths: tuple[float, float],
-) -> np.ndarray:
-    """Covariance block between two location lists.
-
-    Entry (i, j) is the squared-exponential signal covariance of the cells
-    ``rows[i]`` and ``cols[j]``, plus the noise variance wherever the two
-    cells coincide, which makes a conditioning set containing the target
-    cell pin the target exactly.
-    """
-    ra, ca = _as_int_array(rows), _as_int_array(cols)
-    m = _signal_gram(ra, ca, h, widths)
-    same = (ra[:, None, 0] == ca[None, :, 0]) & (ra[:, None, 1] == ca[None, :, 1])
-    m[same] += h.noise_var
-    return m
 
 
 def _probe(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,14 +258,6 @@ def _check_pivots(factor: np.ndarray) -> None:
         )
 
 
-def _duplicate_guard(locs: Sequence[Location], h: Hyperparams) -> None:
-    # Noise-free repeated observations make the Gram matrix exactly singular.
-    if h.noise_var == 0 and len(set(locs)) != len(locs):
-        raise SingularCovariance(
-            "duplicate observed locations with zero noise variance"
-        )
-
-
 def _trsolve(L: np.ndarray, b: np.ndarray, trans: int = 1, overwrite_b: int = 0) -> np.ndarray:
     """L^-1 b (``trans=1``) or L^-T b (``trans=0``) for a lower factor L by
     LAPACK ``trtrs``, the one triangular solve. L^T, the upper factor in
@@ -327,28 +276,6 @@ def _condition(L: np.ndarray, k_xt: np.ndarray, k_tt: np.ndarray) -> np.ndarray:
     matrix has the lower factor L."""
     w = _trsolve(L, k_xt)
     return k_tt - w.T @ w
-
-
-def posterior_cov(
-    targets: Sequence[Location],
-    obs_locs: Sequence[Location],
-    h: Hyperparams,
-    widths: tuple[float, float],
-) -> np.ndarray:
-    """Posterior covariance of the measurements at ``targets`` after
-    observing ``obs_locs``, by :func:`_condition` on their factor.
-
-    Does not depend on the observed values, only on where they were taken,
-    which is what makes offline planning of observation paths possible.
-    """
-    targets = list(targets)
-    obs_locs = list(obs_locs)
-    prior = cov_matrix(targets, h, widths)
-    if len(obs_locs) == 0:
-        return prior
-    _duplicate_guard(obs_locs, h)
-    L = chol_factor(cov_matrix(obs_locs, h, widths))
-    return _condition(L, cross_cov(obs_locs, targets, h, widths), prior)
 
 
 def gaussian_entropy(cov: np.ndarray) -> float | np.ndarray:
@@ -423,13 +350,13 @@ class LagGram:
     covariance blocks by lag.
 
     ``blocks[lag, r, s]`` is the covariance of the cells (c, r) and
-    (c + lag, s), with the noise on the lag-0 diagonal, as :func:`cross_cov`
-    puts it. The kernel is stationary, so these n_cols blocks of
-    n_rows x n_rows hold every entry of the grid's Gram matrix, with the same
-    bits as :func:`cross_cov` between the same cells. No other code reads
-    the blocks: :meth:`block` gathers from them, a call is its adapter for
-    cells numbered column-major (``col * n_rows + row``), and :meth:`dense`
-    fills the whole matrix.
+    (c + lag, s), from :func:`_signal_gram`, with the noise on the lag-0
+    diagonal, where the two cells coincide. The kernel is stationary, so
+    these n_cols blocks of n_rows x n_rows hold every entry of the grid's
+    Gram matrix. No other code reads the blocks: :meth:`block` gathers from
+    them, a call is its adapter for cells numbered column-major
+    (``col * n_rows + row``, a cell's position in ``grid.locations()``), and
+    :meth:`dense` fills the whole matrix.
 
     The blocks depend on the grid's shape and spacing and on ``h`` only, not
     on its measurements, so they are built once per such key and shared,

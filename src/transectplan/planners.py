@@ -200,15 +200,14 @@ def stage_entropy_table(
 
     The conditioning is done once per current configuration: one Gram
     matrix of the two columns, gathered from the grid's shared lag blocks
-    (:class:`~transectplan.gp.LagGram`) with
-    :func:`~transectplan.gp.cov_matrix`'s bits, holds every block, each
+    (:class:`~transectplan.gp.LagGram`), holds every block, each
     K_xx is factored by :func:`chol_factor`, W = L^-1 K_x,next is solved by
     numpy's LU solve on the k x k factor, and the whole next column's
     posterior is K_next - W^T W. Entry (i, j) is :func:`gaussian_entropy`
     of its minor at configs[j], with that function's jitter ladder and
     refusals; entries are taken in row-major order, so the first refusal
-    raised is the first entry's, as from :func:`gaussian_entropy` of
-    :func:`~transectplan.gp.posterior_cov` entry by entry.
+    raised is the first entry's, as from :func:`gaussian_entropy` of each
+    entry's posterior covariance, conditioned one entry at a time.
     """
     n_rows = grid.n_rows
     cols, rows = np.divmod(np.arange(2 * n_rows), n_rows)  # columns 0 and 1
@@ -320,7 +319,8 @@ def _level_entropies(gram, idx, first, moves):
     one ``gram.block``; the trailing R x R block of a factor
     is the factor of the next column's posterior. Only the nodes whose factor
     fails or reaches DIAG_FLOOR are redone, one by one from the same matrix,
-    as ``posterior_cov`` does it, with its jitter ladder and refusals.
+    by :func:`chol_factor` of the history block, with its jitter ladder and
+    refusals, and :func:`_condition`.
     """
     n, depth = moves.shape
     n_rows, k = gram.n_rows, idx.shape[1]

@@ -11,6 +11,7 @@ the number of planning decisions is n_cols-1 (the start column is given).
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,8 +36,9 @@ class TransectGrid:
     Parameters
     ----------
     n_rows, n_cols : int
-        Grid dimensions. At least one row and two columns (a single-column
-        grid leaves nothing to plan).
+        Grid dimensions, Python or numpy integers, kept as ``int``. At least
+        one row and two columns (a single-column grid leaves nothing to
+        plan).
     omega1, omega2 : float
         Cell-center spacing in meters, along and across the transect.
     measurements : ndarray of shape (n_rows, n_cols), optional
@@ -50,6 +52,15 @@ class TransectGrid:
     measurements: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        try:
+            # numpy integers too; a float or a string is refused here
+            shape = operator.index(self.n_rows), operator.index(self.n_cols)
+        except TypeError:
+            raise ValueError(
+                f"grid shape must be integers, got ({self.n_rows!r}, {self.n_cols!r})"
+            ) from None
+        object.__setattr__(self, "n_rows", shape[0])
+        object.__setattr__(self, "n_cols", shape[1])
         if self.n_rows < 1 or self.n_cols < 2:
             raise ValueError("grid needs n_rows >= 1 and n_cols >= 2")
         if not (0 < self.omega1 < np.inf and 0 < self.omega2 < np.inf):

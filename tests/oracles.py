@@ -3,9 +3,13 @@
 Everything here recomputes quantities from first principles with explicit
 inverses, slogdet and itertools enumeration, deliberately avoiding the
 library's Cholesky and dynamic-programming code paths. Slow and dense on
-purpose; only ever applied to desk-sized instances. The one exception is
+purpose; only ever applied to desk-sized instances. The exceptions are
+:func:`gram`, the prior covariance between two location lists in the
+library's float expression, so gathers from its lag blocks can be checked
+bit for bit, :func:`posterior_cov`, which conditions on that Gram through
+the library's Cholesky factor and conditioning step, and
 :func:`cond_mutual_info`, the conditional mutual information the paper's
-per-stage caps bound, composed from the library's posterior covariance.
+per-stage caps bound, composed from that posterior covariance.
 """
 
 import itertools
@@ -20,8 +24,8 @@ from transectplan import (
     TransectGrid,
     enumerate_configs,
     gaussian_entropy,
-    posterior_cov,
 )
+from transectplan import gp
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -66,6 +70,33 @@ def oracle_posterior_cov(targets, obs, h, widths):
     k_tx = oracle_cross(targets, obs, h, widths)
     inv = np.linalg.inv(oracle_cov(obs, h, widths))
     return prior - k_tx @ inv @ k_tx.T
+
+
+def gram(rows, h, widths, cols=None):
+    """Prior covariance between the location lists ``rows`` and ``cols``
+    (``rows`` again when None), vectorised in the float expression the
+    library builds its lag blocks with, so a gather of the same cells has
+    the same bits: the squared-exponential term plus the noise wherever a
+    row's cell is a column's cell."""
+    a = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    b = a if cols is None else np.asarray(cols, dtype=np.int64).reshape(-1, 2)
+    d1 = (a[:, None, 0] - b[None, :, 0]) * (widths[0] / h.ell1)
+    d2 = (a[:, None, 1] - b[None, :, 1]) * (widths[1] / h.ell2)
+    m = h.signal_var * np.exp(-0.5 * (d1 * d1 + d2 * d2))
+    m[(a[:, None] == b[None, :]).all(axis=-1)] += h.noise_var
+    return m
+
+
+def posterior_cov(targets, obs, h, widths):
+    """Covariance of ``targets`` given observations at ``obs``: the prior
+    when ``obs`` is empty, else gp's conditioning step on the Cholesky
+    factor of the observations' :func:`gram`, with its jitter ladder and
+    refusals."""
+    prior = gram(targets, h, widths)
+    if not len(obs):
+        return prior
+    factor = gp.chol_factor(gram(obs, h, widths))
+    return gp._condition(factor, gram(obs, h, widths, targets), prior)
 
 
 def oracle_posterior_mean(targets, obs, vals, h, widths, mean=0.0):

@@ -22,14 +22,12 @@ from transectplan import (
     TransectGrid,
     bound_params,
     bound_report,
-    cov_matrix,
     enumerate_configs,
     evaluate,
     gaussian_entropy,
     metric_diff,
     plan,
     plan_markov,
-    posterior_cov,
     rollout,
     sample_prior_field,
     stage_mi_bound,
@@ -40,7 +38,14 @@ from transectplan import (
 )
 from transectplan import planners
 
-from oracles import cond_mutual_info, oracle_markov_best, random_hyperparams, scaled_grid
+from oracles import (
+    cond_mutual_info,
+    gram,
+    oracle_markov_best,
+    posterior_cov,
+    random_hyperparams,
+    scaled_grid,
+)
 
 
 def verdict(name, ok, detail=""):
@@ -370,9 +375,9 @@ def test_information_identities_and_bound_shape():
         nb = int(rng.integers(1, 6))
         part_a = [locs[i] for i in idx[:na]]
         part_b = [locs[i] for i in idx[na : na + nb]]
-        joint = gaussian_entropy(cov_matrix(part_a + part_b, h, g.widths))
+        joint = gaussian_entropy(gram(part_a + part_b, h, g.widths))
         split = gaussian_entropy(posterior_cov(part_a, part_b, h, g.widths))
-        split += gaussian_entropy(cov_matrix(part_b, h, g.widths))
+        split += gaussian_entropy(gram(part_b, h, g.widths))
         if abs(joint - split) > 1e-9:
             failures.append("chain rule")
             break

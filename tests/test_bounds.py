@@ -22,6 +22,8 @@ from transectplan import (
 from transectplan import bounds, planners
 from transectplan.errors import BudgetExceeded, FactorizationFailure, SingularCovariance
 
+from oracles import posterior_cov
+
 # frozen by a high-precision script before the implementation existed
 EXP_HALF = 0.6065306597126334
 EXP_TWO = 0.1353352832366127
@@ -340,6 +342,71 @@ def test_contraction_deterministic_per_seed():
     a = check_covariance_contraction(g, h, trials=40, seed=3)
     b = check_covariance_contraction(g, h, trials=40, seed=3)
     assert a == b
+
+
+def test_contraction_check_refuses_a_grid_without_a_history():
+    # a 1x2 grid holds two cells and no third to condition on: no trial can
+    # check anything, so there is no pass to report
+    g = TransectGrid(1, 2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="2 cells"):
+        check_covariance_contraction(g, Hyperparams(0.8, 0.8, 1.0, 0.02))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_contraction_check_refuses_fewer_than_one_trial(trials):
+    g = TransectGrid(5, 8, 1.0, 1.0)
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_covariance_contraction(g, Hyperparams(0.8, 0.8, 1.0, 0.02), trials=trials)
+
+
+def location_list_contraction(grid, h, trials, seed):
+    """The contraction check's draws, each covariance conditioned on a list
+    of locations by the oracle's ``posterior_cov``."""
+    rng = np.random.default_rng(seed)
+    cells = grid.locations()
+    found = []
+    for _ in range(trials):
+        hist_len = int(rng.integers(1, bounds.MAX_HISTORY + 1))
+        picks = rng.choice(len(cells), size=min(hist_len + 2, len(cells)), replace=False)
+        u, v = cells[picks[0]], cells[picks[1]]
+        history = tuple(cells[i] for i in picks[2:])
+        full = posterior_cov([u, v], list(history), h, grid.widths)[0, 1]
+        for m in history:
+            single = posterior_cov([u, v], [m], h, grid.widths)[0, 1]
+            if abs(full) > abs(single) + bounds.AUDIT_TOL:
+                found.append((u, v, history, m, abs(float(full)), abs(float(single))))
+    return not found, trials, found
+
+
+def contraction_bits(chk):
+    return (
+        chk.passed,
+        chk.trials,
+        [
+            (c.u, c.v, c.history, c.conditioned_on, c.full_abs.hex(), c.single_abs.hex())
+            for c in chk.counterexamples
+        ],
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "grid, ell, passes",
+    [(TransectGrid(4, 10, 1.0, 1.0), 0.25, True), (TransectGrid(5, 8, 1.0, 1.0), 0.8, False)],
+    ids=["passing", "counterexamples"],
+)
+def test_contraction_check_matches_the_location_list_route(grid, ell, passes, seed):
+    # noise 0: the gathered blocks and the location lists condition alike,
+    # bit for bit, through the same factor and conditioning step
+    h = Hyperparams(ell, ell, 1.0, 0.0)
+    chk = check_covariance_contraction(grid, h, trials=60, seed=seed)
+    passed, trials, found = location_list_contraction(grid, h, 60, seed)
+    assert chk.passed is passes
+    assert contraction_bits(chk) == (
+        passed,
+        trials,
+        [(u, v, hist, m, full.hex(), single.hex()) for u, v, hist, m, full, single in found],
+    )
 
 
 # --------------------------------------------------------- oracle audits

@@ -22,10 +22,8 @@ from transectplan import (
     SingularCovariance,
     TransectGrid,
     bound_params,
-    cov_matrix,
     evaluate,
     gaussian_entropy,
-    posterior_cov,
     relative_error,
     sample_prior_field,
 )
@@ -34,19 +32,20 @@ from transectplan.gp import (
     MAX_DENSE_CELLS,
     GrowingFactor,
     chol_factor,
-    cross_cov,
     minor_factors,
     precision,
 )
 
 from oracles import (
     cond_mutual_info,
+    gram,
     oracle_cond_entropy,
-    oracle_cov,
+    oracle_cross,
     oracle_entropy,
     oracle_posterior_cov,
     oracle_posterior_mean,
     oracle_relative_error,
+    posterior_cov,
 )
 
 # frozen by a high-precision script before the implementation existed
@@ -65,9 +64,19 @@ def grid_5x8():
 # ---------------------------------------------------------------- covariance
 
 
+def lag_cov(rows, cols, h, widths):
+    """The library's covariance between two location lists, gathered by
+    LagGram on a grid that holds every cell."""
+    n_rows = max(u.row for u in [*rows, *cols]) + 1
+    n_cols = max(u.col for u in [*rows, *cols]) + 1
+    g = TransectGrid(n_rows, max(n_cols, n_rows + 1), *widths)
+    index = lambda locs: np.array([u.col * n_rows + u.row for u in locs])
+    return gp.LagGram(g, h)(index(rows), index(cols))
+
+
 def test_covariance_zero_distance_adds_noise():
     u = Location(2, 1)
-    assert cross_cov([u], [u], H, W)[0, 0] == pytest.approx(1.1, abs=0)
+    assert lag_cov([u], [u], H, W)[0, 0] == pytest.approx(1.1, abs=0)
 
 
 def test_survey_constants_accepted_as_hyperparams():
@@ -96,7 +105,7 @@ def test_hyperparams_refuse_an_overflowing_variance():
 
 def test_covariance_one_column_step():
     # ell1 equals omega1, so one horizontal step decays by exp(-1/2)
-    got = cross_cov([Location(0, 0)], [Location(1, 0)], H, W)[0, 0]
+    got = lag_cov([Location(0, 0)], [Location(1, 0)], H, W)[0, 0]
     assert got == pytest.approx(EXP_HALF, rel=1e-15)
 
 
@@ -105,9 +114,9 @@ def test_covariance_symmetry_and_stationarity():
     for _ in range(50):
         u = Location(int(rng.integers(0, 9)), int(rng.integers(0, 7)))
         v = Location(int(rng.integers(0, 9)), int(rng.integers(0, 7)))
-        a = cross_cov([u], [v], H, W)[0, 0]
-        assert a == cross_cov([v], [u], H, W)[0, 0]
-        shifted = cross_cov(
+        a = lag_cov([u], [v], H, W)[0, 0]
+        assert a == lag_cov([v], [u], H, W)[0, 0]
+        shifted = lag_cov(
             [Location(u.col + 1, u.row)], [Location(v.col + 1, v.row)], H, W
         )[0, 0]
         assert shifted == pytest.approx(a, rel=1e-12)
@@ -122,28 +131,20 @@ def test_covariance_symmetry_and_stationarity():
 @settings(max_examples=60, deadline=None)
 def test_covariance_bounded_by_prior_variance(dc, dr, ell, sig):
     h = Hyperparams(ell1=ell, ell2=ell, signal_var=sig, noise_var=0.0)
-    val = cross_cov([Location(0, 0)], [Location(dc, dr)], h, W)[0, 0]
+    # stationary: a cell 6 cells in holds every displacement on the grid
+    val = lag_cov([Location(6, 6)], [Location(6 + dc, 6 + dr)], h, W)[0, 0]
     assert 0.0 <= val <= sig + 1e-12
 
 
 def test_cov_matrix_single_location():
-    m = cov_matrix([Location(0, 0)], H, W)
+    m = lag_cov([Location(0, 0)], [Location(0, 0)], H, W)
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(1.1)
 
 
-def test_cov_matrix_duplicate_locations_noise_on_diagonal_only():
-    m = cov_matrix([Location(1, 1), Location(1, 1)], H, W)
-    assert m[0, 0] == pytest.approx(1.1)
-    assert m[1, 1] == pytest.approx(1.1)
-    assert m[0, 1] == pytest.approx(1.0)
-    # still factorizable: the repeated-measurement model is PSD
-    chol_factor(m)
-
-
 def test_cov_matrix_collinear_row():
     locs = [Location(c, 0) for c in range(3)]
-    m = cov_matrix(locs, H, W)
+    m = lag_cov(locs, locs, H, W)
     assert m[0, 1] == pytest.approx(EXP_HALF, rel=1e-15)
     assert m[0, 2] == pytest.approx(EXP_TWO, rel=1e-15)
 
@@ -153,8 +154,8 @@ def test_cov_matrix_matches_oracle_and_is_symmetric():
     locs = [
         Location(int(rng.integers(0, 8)), int(rng.integers(0, 5))) for _ in range(7)
     ]
-    m = cov_matrix(locs, H, W)
-    np.testing.assert_allclose(m, oracle_cov(locs, H, W), rtol=1e-14)
+    m = lag_cov(locs, locs, H, W)
+    np.testing.assert_allclose(m, oracle_cross(locs, locs, H, W), rtol=1e-14)
     np.testing.assert_allclose(m, m.T, rtol=1e-12)
 
 
@@ -234,9 +235,7 @@ def test_posterior_mean_scalar_conditioning_formula():
     mu = np.empty(z.shape)
     for col, (row,) in enumerate(rows):
         u, v = Location(col, 1 - row), Location(col, row)
-        shift = cross_cov([u], [v], h, p.grid.widths)[0, 0] / cross_cov(
-            [v], [v], h, p.grid.widths
-        )[0, 0]
+        shift = gram([u], h, p.grid.widths, [v])[0, 0] / gram([v], h, p.grid.widths)[0, 0]
         mu[1 - row, col] = mean + shift * (z[row, col] - mean)
     assert relative_error(p, h, mean=mean) == pytest.approx(
         unvisited_error(p, mu), rel=1e-12
@@ -254,27 +253,13 @@ def test_posterior_mean_matches_dense_oracle():
         assert evaluate(p, H, "greedy-mi", mean=mean).err == got
 
 
-def test_duplicate_noiseless_observations_rejected():
-    h0 = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.0)
-    dup = [Location(0, 0), Location(0, 0)]
-    with pytest.raises(SingularCovariance):
-        posterior_cov([Location(1, 0)], dup, h0, W)
-
-
 # ------------------------------------------------------- posterior covariance
-
-
-def test_posterior_cov_empty_obs_is_prior():
-    targets = [Location(0, 0), Location(3, 2)]
-    np.testing.assert_array_equal(
-        posterior_cov(targets, [], H, W), cov_matrix(targets, H, W)
-    )
 
 
 def test_posterior_cov_fully_observed_target_vanishes():
     h0 = Hyperparams(ell1=5.0, ell2=4.0, signal_var=2.0, noise_var=0.0)
-    u = Location(1, 1)
-    post = posterior_cov([u], [u], h0, W)
+    k = lag_cov([Location(1, 1)], [Location(1, 1)], h0, W)
+    post = gp._condition(chol_factor(k), k, k)
     assert post.shape == (1, 1)
     assert abs(post[0, 0]) < 1e-12
 
@@ -310,18 +295,17 @@ def test_posterior_refuses_a_history_below_the_floor():
 def test_posterior_cov_is_measurement_free_api():
     # the mean changes with the data, the covariance cannot: two fields on
     # one path differ in their map error, not in their entropy
-    obs = [Location(0, 0), Location(1, 3)]
-    targets = [Location(2, 2)]
-    cov_once = posterior_cov(targets, obs, H, W)
     rows = [(0,), (1,), (2,), (1,), (0,), (3,), (4,), (2,)]
-    recs = [
-        evaluate(measured_path(sample_prior_field(grid_5x8(), H, seed=s, mean=10.0), rows),
-                 H, "markov")
+    paths = [
+        measured_path(sample_prior_field(grid_5x8(), H, seed=s, mean=10.0), rows)
         for s in (0, 1)
     ]
+    recs = [evaluate(p, H, "markov") for p in paths]
     assert recs[0].err != recs[1].err
     assert recs[0].ent == recs[1].ent
-    np.testing.assert_array_equal(cov_once, posterior_cov(targets, obs, H, W))
+    # every covariance is gathered from lag blocks that never read the field
+    a, b = (gp.LagGram(p.grid, H).blocks for p in paths)
+    assert a is b
 
 
 # ------------------------------------------------------------------- entropy
@@ -472,7 +456,7 @@ def test_minor_factors_are_chol_factors_flagged_past_rung_0():
 
 def grid_entries(grid, h):
     """``entries(a, b)`` of the prior covariance over column-major cells,
-    one cross_cov per stack member; leading axes of ``a`` and ``b``
+    one oracle gram per stack member; leading axes of ``a`` and ``b``
     broadcast."""
     cells = grid.locations()
 
@@ -482,7 +466,7 @@ def grid_entries(grid, h):
         a = np.broadcast_to(a, lead + a.shape[-1:]).reshape(-1, a.shape[-1])
         b = np.broadcast_to(b, lead + b.shape[-1:]).reshape(-1, b.shape[-1])
         blocks = [
-            cross_cov([cells[i] for i in x], [cells[j] for j in y], h, grid.widths)
+            gram([cells[i] for i in x], h, grid.widths, [cells[j] for j in y])
             for x, y in zip(a, b)
         ]
         return np.reshape(blocks, lead + (a.shape[-1], b.shape[-1]))
@@ -496,7 +480,7 @@ def test_lag_gram_matches_cross_cov_bits():
     rng = np.random.default_rng(0)
     a = rng.choice(g.n_rows * g.n_cols, (3, 7))
     b = rng.choice(g.n_rows * g.n_cols, 5)
-    # shared cells pick up the noise, as cross_cov adds it
+    # shared cells pick up the noise, as the oracle gram adds it
     b[0] = a[1, 2]
     np.testing.assert_array_equal(gp.LagGram(g, h)(a, b), grid_entries(g, h)(a, b))
     # every block, on random grids and noise ratios from none to large
@@ -508,43 +492,40 @@ def test_lag_gram_matches_cross_cov_bits():
             signal = float(rng.uniform(0.05, 5.0))
             h = Hyperparams(*rng.uniform(0.5, 60.0, size=2), signal, ratio * signal)
             cells = g.locations()
-            want = cross_cov(cells, cells[:rows], h, g.widths).reshape(cols, rows, rows)
-            gram = gp.LagGram(g, h)
-            np.testing.assert_array_equal(gram.blocks, want)
+            want = gram(cells, h, g.widths, cells[:rows]).reshape(cols, rows, rows)
+            lag = gp.LagGram(g, h)
+            np.testing.assert_array_equal(lag.blocks, want)
             # the whole grid's Gram matrix, column-major as g.locations()
-            np.testing.assert_array_equal(gram.dense(), cov_matrix(cells, h, g.widths))
+            np.testing.assert_array_equal(lag.dense(), gram(cells, h, g.widths))
             # cell lists that share their columns: the first repeats a cell,
-            # which picks up the noise as cross_cov adds it, and lists of
-            # distinct cells are cov_matrix's
+            # which picks up the noise at every pair of its copies
             along = np.sort(rng.integers(0, cols, 6))
             lists = rng.integers(0, rows, (3, 6))
             along[1], lists[0, 1] = along[0], lists[0, 0]
-            got = gram.block(along, lists, along, lists)
+            got = lag.block(along, lists, along, lists)
             for mine, rs in zip(got, lists):
                 locs = [Location(int(c), int(r)) for c, r in zip(along, rs)]
-                np.testing.assert_array_equal(mine, cross_cov(locs, locs, h, g.widths))
-                if len(set(locs)) == len(locs):
-                    np.testing.assert_array_equal(mine, cov_matrix(locs, h, g.widths))
+                np.testing.assert_array_equal(mine, gram(locs, h, g.widths))
             # one column's cells against cells of earlier columns, by lag
             col = int(rng.integers(1, cols))
             earlier = rng.integers(0, col, 5)
             earlier_rows = rng.integers(0, rows, (3, 5))
             column = col * rows + np.arange(rows)
             want = grid_entries(g, h)(column, earlier * rows + earlier_rows)
-            got = gram.block(np.full(rows, col), np.arange(rows), earlier, earlier_rows)
+            got = lag.block(np.full(rows, col), np.arange(rows), earlier, earlier_rows)
             np.testing.assert_array_equal(got, want)
             path = rng.integers(0, rows, (2, cols))
             locs = [[Location(c, int(r)) for c, r in enumerate(rs)] for rs in path]
-            want = [cov_matrix(x, h, g.widths) for x in locs]
+            want = [gram(x, h, g.widths) for x in locs]
             every = np.arange(cols)
-            np.testing.assert_array_equal(gram.block(every, path, every, path), want)
+            np.testing.assert_array_equal(lag.block(every, path, every, path), want)
             # every cell against a cell list, one repeated: the call's bits
             along_rows = path[0, along]
-            want = gram(np.arange(rows * cols), along * rows + along_rows)
-            against = gram.block(*np.divmod(np.arange(rows * cols), rows), along, along_rows)
+            want = lag(np.arange(rows * cols), along * rows + along_rows)
+            against = lag.block(*np.divmod(np.arange(rows * cols), rows), along, along_rows)
             np.testing.assert_array_equal(against, want)
             # the same, one lag per column pair: a column axis before the rows
-            against = gram.block(np.arange(cols)[:, None], np.arange(rows), along, along_rows)
+            against = lag.block(np.arange(cols)[:, None], np.arange(rows), along, along_rows)
             assert against.shape == (cols, rows, along.size)
             np.testing.assert_array_equal(against.reshape(rows * cols, -1), want)
 
@@ -567,7 +548,7 @@ def test_lag_grams_of_one_grid_and_fit_share_read_only_blocks():
         blocks[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         blocks.reshape(-1)[0] = 0.0
-    np.testing.assert_array_equal(gp.LagGram(g, h).dense(), cov_matrix(g.locations(), h, g.widths))
+    np.testing.assert_array_equal(gp.LagGram(g, h).dense(), gram(g.locations(), h, g.widths))
 
 
 def pivot_blocks(s, members, chosen):
@@ -613,7 +594,7 @@ def test_growing_factor_tracks_history_gram(seed, k):
     for f, column, s, _ in grown_history(g, h, seed, k):
         for member, (L, v) in enumerate(members_of(f)):
             history = [cells[i] for i in v]
-            want = cov_matrix(history, h, g.widths)
+            want = gram(history, h, g.widths)
             np.testing.assert_allclose(L @ L.T, want, rtol=0, atol=1e-12 * h.signal_var)
             if column is not None:
                 post = posterior_cov([cells[i] for i in column], history, h, g.widths)
@@ -629,7 +610,7 @@ def test_growing_factor_precision_route_inverts_rest_posterior():
     h = Hyperparams(ell1=8.0, ell2=6.0, signal_var=1.5, noise_var=0.05)
     cells = g.locations()
     n = len(cells)
-    p = precision(cov_matrix(cells, h, g.widths))
+    p = precision(gram(cells, h, g.widths))
     entries = lambda a, b: p[np.asarray(a)[..., :, None], np.asarray(b)[..., None, :]]
     for f, column, _, _ in grown_history(g, h, 3, 2):
         if column is None:
@@ -670,7 +651,7 @@ def test_growing_factor_refactors_when_the_pivot_block_fails(monkeypatch):
     np.testing.assert_array_equal(forced.cells, f.cells)
     np.testing.assert_allclose(forced.factor, f.factor, rtol=0, atol=1e-13)
     for L, v in members_of(forced):
-        want = cov_matrix([cells[i] for i in v], H, g.widths)
+        want = gram([cells[i] for i in v], H, g.widths)
         np.testing.assert_array_equal(L, real_cholesky(want))
 
 
@@ -720,7 +701,7 @@ def test_growing_factor_refactors_only_the_member_whose_pivot_fails(monkeypatch,
             if member not in bad:
                 np.testing.assert_array_equal(forced.factor[member], grown.factor[member])
                 continue
-            want = cov_matrix([cells[i] for i in forced.cells[member, :4]], H, g.widths)
+            want = gram([cells[i] for i in forced.cells[member, :4]], H, g.widths)
             np.testing.assert_array_equal(forced.factor[member, :4, :4], np.linalg.cholesky(want))
             np.testing.assert_allclose(
                 forced.factor[member], grown.factor[member], rtol=0, atol=1e-13
@@ -729,7 +710,7 @@ def test_growing_factor_refactors_only_the_member_whose_pivot_fails(monkeypatch,
 
 def test_precision_inverts_through_chol_factor():
     g = TransectGrid(4, 6, 5.0, 5.0)
-    cov = cov_matrix(g.locations(), H, g.widths)
+    cov = gram(g.locations(), H, g.widths)
     p = precision(cov.copy())
     np.testing.assert_array_equal(p, p.T)
     np.testing.assert_allclose(p @ cov, np.eye(cov.shape[0]), rtol=0, atol=1e-9)
@@ -860,8 +841,8 @@ def test_chain_rule_random_disjoint_sets():
         na, nb = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = [Location(*cells[i]) for i in range(na)]
         b = [Location(*cells[na + i]) for i in range(nb)]
-        joint = gaussian_entropy(cov_matrix(a + b, H, W))
-        split = gaussian_entropy(cov_matrix(a, H, W)) + gaussian_entropy(
+        joint = gaussian_entropy(gram(a + b, H, W))
+        split = gaussian_entropy(gram(a, H, W)) + gaussian_entropy(
             posterior_cov(b, a, H, W)
         )
         assert joint == pytest.approx(split, abs=1e-9)
@@ -945,7 +926,7 @@ def test_sample_prior_field_covariance_monte_carlo():
         ]
     )
     emp = np.cov(draws.T, bias=False)
-    want = cov_matrix(picks, H, W)
+    want = gram(picks, H, W)
     n = draws.shape[0]
     for i in range(3):
         for j in range(3):
@@ -1021,7 +1002,7 @@ def test_kron_eigen_rebuilds_grid_covariance(grid, h):
     var = h.signal_var * np.outer(lam / m, lam_r) + h.noise_var
     assert var.min() >= h.noise_var
     f = np.sqrt(h.signal_var) * np.kron(a, q_r * np.sqrt(lam_r))
-    want = cov_matrix(grid.locations(), h, grid.widths)
+    want = gram(grid.locations(), h, grid.widths)
     np.testing.assert_allclose(
         f @ f.T + h.noise_var * np.eye(len(want)), want, rtol=0.0, atol=1e-12 * h.signal_var
     )
@@ -1066,7 +1047,7 @@ def test_circulant_embedding_rebuilds_the_along_track_factor(n, reach, seed):
 )
 def test_grid_entropy_is_the_whole_grids_entropy(grid, h, ratio):
     h = Hyperparams(h.ell1, h.ell2, h.signal_var, ratio * h.signal_var)
-    want = gaussian_entropy(cov_matrix(grid.locations(), h, grid.widths))
+    want = gaussian_entropy(gram(grid.locations(), h, grid.widths))
     # eigenvalues against one dense Cholesky factor; worst seen 4.8e-14
     assert gp.grid_entropy(grid, h) == pytest.approx(want, rel=1e-12)
     # kept per shape, spacing and hyperparameters, whatever the measurements
@@ -1091,8 +1072,8 @@ def test_grid_entropy_refuses_a_zero_eigenvalue():
     "width, ell", [(5.0, 40.45), (5.0, 16.0), (4.0, 134.64), (2.5, 0.3), (1.0, 1.0)]
 )
 def test_unit_toeplitz_is_the_signal_gram(n, width, ell):
-    along = gp._as_int_array([Location(c, 0) for c in range(n)])
-    across = gp._as_int_array([Location(0, r) for r in range(n)])
+    along = np.column_stack([np.arange(n), np.zeros(n, np.int64)])
+    across = along[:, ::-1]
     want_along = gp._signal_gram(along, along, Hyperparams(ell, 7.0, 1.0, 0.0), (width, 3.0))
     want_across = gp._signal_gram(across, across, Hyperparams(7.0, ell, 1.0, 0.0), (3.0, width))
     got = gp._unit_toeplitz(n, width / ell)
@@ -1111,7 +1092,7 @@ def test_sample_prior_field_draws_the_grid_covariance(grid, h):
         [sample_prior_field(grid, h, seed=s, mean=1.5).T.ravel() - 1.5 for s in range(count)]
     )
     a = np.linalg.solve(e, z).T
-    want = cov_matrix(grid.locations(), h, grid.widths)
+    want = gram(grid.locations(), h, grid.widths)
     np.testing.assert_allclose(a @ a.T, want, rtol=0.0, atol=1e-10 * h.signal_var)
 
 
@@ -1152,8 +1133,7 @@ def test_a_spacing_past_the_kernels_reach_keeps_its_values(axis, short):
     grid = TransectGrid(3, 6, 5.0, 5.0)
     base = Hyperparams(5.0, 4.0, 1.0, 0.1)
     far, near = (dataclasses.replace(base, **{axis: ell}) for ell in (short, 0.01))
-    cells = grid.locations()
-    assert cov_matrix(cells, far, grid.widths).tobytes() == cov_matrix(cells, near, grid.widths).tobytes()
+    assert gp.LagGram(grid, far).dense().tobytes() == gp.LagGram(grid, near).dense().tobytes()
     assert gp.grid_entropy(grid, far) == gp.grid_entropy(grid, near)
     assert sample_prior_field(grid, far, 3).tobytes() == sample_prior_field(grid, near, 3).tobytes()
 
@@ -1165,7 +1145,7 @@ def test_a_length_scale_past_float64_in_cells_is_refused():
     calls = [
         lambda: sample_prior_field(grid, h, 0),
         lambda: gp.grid_entropy(grid, h),
-        lambda: cov_matrix(grid.locations(), h, grid.widths),
+        lambda: gp.LagGram(grid, h),
         lambda: bound_params(h, grid.widths),
     ]
     for call in calls:

@@ -15,20 +15,18 @@ from transectplan import (
     RobotConfig,
     TransectGrid,
     ZeroMeanField,
-    cov_matrix,
     evaluate,
     gaussian_entropy,
     metric_diff,
     plan,
     plan_markov,
-    posterior_cov,
     rollout,
     sample_prior_field,
     unobserved_entropy,
     relative_error,
 )
 
-from oracles import oracle_cond_entropy
+from oracles import gram, oracle_cond_entropy, posterior_cov
 
 H = Hyperparams(ell1=5.0, ell2=4.0, signal_var=1.0, noise_var=0.1)
 
@@ -70,8 +68,8 @@ def test_unobserved_entropy_chain_rule_split():
     p = path_of(g, [(0,), (1,), (2,), (1,), (0,)])
     visited = p.locations()
     rest = [u for u in g.locations() if u not in set(visited)]
-    joint = gaussian_entropy(cov_matrix(rest + visited, H, g.widths))
-    split = gaussian_entropy(cov_matrix(visited, H, g.widths)) + unobserved_entropy(
+    joint = gaussian_entropy(gram(rest + visited, H, g.widths))
+    split = gaussian_entropy(gram(visited, H, g.widths)) + unobserved_entropy(
         p, H
     )
     assert joint == pytest.approx(split, abs=1e-9)

@@ -31,7 +31,6 @@ from transectplan import (
     plan,
     plan_all,
     plan_markov,
-    posterior_cov,
     rollout,
     verify_performance_bounds,
 )
@@ -43,6 +42,7 @@ from transectplan.planners import TIE_RTOL, stage_entropy_table
 
 from oracles import (
     config_locations,
+    gram,
     oracle_cond_entropy,
     oracle_cov,
     oracle_entropy,
@@ -50,6 +50,7 @@ from oracles import (
     oracle_greedy_ent_scores,
     oracle_greedy_mi_scores,
     oracle_markov_best,
+    posterior_cov,
     random_hyperparams,
     scaled_grid,
 )
@@ -800,12 +801,12 @@ def test_path_entropies_fall_back_to_path_entropy(h, refusal):
     def reference(path):
         # the Location-list route: the joint entropy less the start's
         start = list(config_locations(path.configs[0], 0))
-        full = gp.cov_matrix(path.locations(), h, g.widths)
-        return gp.gaussian_entropy(full) - gp.gaussian_entropy(gp.cov_matrix(start, h, g.widths))
+        full = gram(path.locations(), h, g.widths)
+        return gp.gaussian_entropy(full) - gp.gaussian_entropy(gram(start, h, g.widths))
 
     if refusal is None:
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(gp.cov_matrix(paths[0].locations(), h, g.widths))
+            np.linalg.cholesky(gram(paths[0].locations(), h, g.widths))
         want = [reference(p).hex() for p in paths]
         assert [v.hex() for v in path_entropies(paths, h).tolist()] == want
         assert [path_entropy(p, h).hex() for p in paths] == want
@@ -908,7 +909,7 @@ def posterior_cov_route(g, h, idx, first, moves):
     for start, seq in zip(first, moves):
         history = [start, *idx[seq]]
         observed = [Location(c, int(r)) for c, rows in enumerate(history) for r in rows]
-        yield gp.minor_factors(gp.posterior_cov(column, observed, h, g.widths), idx)[0]
+        yield gp.minor_factors(posterior_cov(column, observed, h, g.widths), idx)[0]
 
 
 @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.3])

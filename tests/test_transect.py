@@ -43,6 +43,22 @@ def test_grid_refuses_non_finite_widths(widths):
         TransectGrid(3, 4, *widths)
 
 
+@pytest.mark.parametrize(
+    "shape", [(2.5, 4), (3, 4.0), (np.float64(3), 4), (3, np.float32(4)), ("3", 4), (None, 4)]
+)
+def test_grid_refuses_a_shape_that_is_not_integral(shape):
+    # refused where the grid is made, not later inside enumerate_configs
+    with pytest.raises(ValueError, match="integers"):
+        TransectGrid(*shape, 1.0, 1.0)
+
+
+def test_grid_keeps_a_numpy_integer_shape_as_int():
+    g = TransectGrid(np.int64(3), np.int32(4), 1.0, 1.0)
+    assert (type(g.n_rows), type(g.n_cols)) == (int, int)
+    assert g == TransectGrid(3, 4, 1.0, 1.0)
+    assert len(enumerate_configs(g, 2)) == 3
+
+
 def test_grid_warns_when_not_wide():
     with pytest.warns(UserWarning):
         TransectGrid(5, 5, 1.0, 1.0)

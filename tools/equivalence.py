@@ -14,9 +14,11 @@ planner's leaf cap, for every policy (see :func:`many`), so the many-start
 route of the one planning entry point is compared too, ``run_benchmark`` on
 the survey-fit cases (see :func:`survey`), so the benchmark's batched route
 and its map metrics are compared, ``verify_performance_bounds`` on the cases
-within the leaf cap (see :func:`audit`), and ``plan_markov``
+within the leaf cap (see :func:`audit`), ``plan_markov``
 with its stage table, its rollouts and their ``path_entropy`` on every
-instance (see :func:`markov`). ``compare`` puts each run in one class of
+instance (see :func:`markov`), and ``check_covariance_contraction`` on a few
+of the corpus's grids and fits (see :func:`contraction`). ``compare`` puts
+each run in one class of
 ``CLASSES`` and prints the counts per planner and noise group; noise ratios
 0 and 1e-6 are grouped apart from the rest, because at zero or tiny noise
 two algebraically equal routes are known to round differently. The BLAS
@@ -75,11 +77,15 @@ SURVEY_POLICIES = ("markov", "greedy-ent", "greedy-mi")
 
 CLASSES = ("identical", "close", "tied", "refusal", "other")
 
-# The fields holding float bits (one, or a list) that a run may carry.
-BITS = ("value", "err", "gains", "markov", "rollout", "table", "values")
+# The seeds each contraction check runs with.
+CONTRACTION_SEEDS = (0, 1)
 
-# The fields that must match exactly: audit verdict flags, markov actions.
-EXACT = ("flags", "actions")
+# The fields holding float bits (one, or a list) that a run may carry.
+BITS = ("value", "err", "gains", "markov", "rollout", "table", "values", "abs")
+
+# The fields that must match exactly: audit verdict flags and a contraction
+# check's passed flag and trial count, markov actions, counterexample cells.
+EXACT = ("flags", "actions", "cells")
 
 
 @dataclass(frozen=True)
@@ -338,6 +344,42 @@ def markov(tp, cases: list[Case]) -> dict:
     return runs
 
 
+def contraction(tp, cases: list[Case]) -> dict:
+    """``check_covariance_contraction`` once per grid and fit of the first
+    five random draws, the survey fits' 5x40 cases and the first six bounds
+    draws, at every noise the corpus gives them, with each seed of
+    ``CONTRACTION_SEEDS``. Each check is one run, keyed by the first case of
+    its grid and fit and the seed, holding ``passed`` and ``trials`` as its
+    flags, each counterexample's cells (u, v, the history and the member
+    conditioned on) and the bits of its two covariance magnitudes; a refused
+    check records its refusal. Runs carry no path."""
+    keep = {f"{kind}-{i}" for kind, n in (("random", 5), ("bounds", 6)) for i in range(n)}
+    keep |= {f"{fit}-5x40" for fit in FITS}
+    grids = {}
+    for case in cases:
+        if "-".join(case.name.split("-")[:2]) in keep:
+            grids.setdefault(replace(case, name="", k=1, start=()), case)
+    runs = {}
+    for inst, first in grids.items():
+        grid, h = instance(tp, inst)
+        for seed in CONTRACTION_SEEDS:
+            out = {"refusal": None, "value": None, "path": None}
+            try:
+                chk = tp.check_covariance_contraction(grid, h, seed=seed)
+                found = chk.counterexamples
+                out.update(
+                    flags=[chk.passed, chk.trials],
+                    cells=[[c.u, c.v, c.history, c.conditioned_on] for c in found],
+                    abs=hexes(x for c in found for x in (c.full_abs, c.single_abs)),
+                )
+            except Exception as exc:  # an untyped failure is recorded, not raised
+                out["refusal"] = refusal_name(tp, exc)
+            runs[f"contraction/{first.name}/{seed}"] = {
+                "planner": "contraction", "group": inst.group, **out
+            }
+    return runs
+
+
 def record(cases: list[Case]) -> dict:
     """Run every case through every planner with the ``transectplan`` that
     ``sys.path`` finds first; the record keeps that tree's tie window and
@@ -358,6 +400,7 @@ def record(cases: list[Case]) -> dict:
         runs.update(many(tp, cases))
         runs.update(audit(tp, cases))
         runs.update(markov(tp, cases))
+        runs.update(contraction(tp, cases))
     return {
         "tie_rtol": tp.planners.TIE_RTOL,
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
@@ -423,6 +466,8 @@ def describe(run: dict | None) -> str:
     if run["planner"] == "audit":
         flags = "".join("+" if f else "-" for f in run["flags"])
         return f"exact {float.fromhex(run['value']):.15g}, flags {flags}"
+    if run["planner"] == "contraction":
+        return f"passed {run['flags'][0]}, {len(run['cells'])} counterexamples"
     if run.get("table") is not None:
         return f"dp value {max(floats(run, 'values')):.15g}, {len(run['actions'])} stages"
     if run["path"] is None:
